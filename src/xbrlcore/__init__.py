@@ -54,8 +54,6 @@ from .dts import (
     DocumentKind,
     Dts,
     DtsDocument,
-    FileSystemResolver,
-    HttpResolver,
     ItemKind,
     NotASchema,
     PeriodType,
@@ -70,7 +68,7 @@ from .validation import (
     Rule,
     RuleCatalog,
     ValidationReport,
-    is_numeric_item,
+    build_report,
     rule_catalog,
     validate,
 )
@@ -91,10 +89,10 @@ __all__ = [
     "parse_instance", "parse_period", "parse_unit", "find_instances", "serialize",
     "Dts", "DtsDocument", "Concept", "ConceptRegistry",
     "ItemKind", "DataKind", "PeriodType", "Balance", "DocumentKind",
-    "Resolver", "FileSystemResolver", "HttpResolver", "build_resolver",
+    "Resolver", "build_resolver",
     "ResolutionError", "NotASchema", "discover", "load_taxonomy_schema",
     "Finding", "Severity", "Rule", "RuleCatalog", "ValidationReport",
-    "validate", "rule_catalog", "is_numeric_item",
+    "validate", "build_report", "rule_catalog",
     "FactRow", "fact_rows", "CSV_HEADER",
     "__version__",
 ]

@@ -21,7 +21,7 @@ from .errors import XbrlError
 from .facttable import CSV_HEADER, fact_rows
 from .findings import Finding
 from .parser import ParseMode, ParseOptions, ParseOutcome, find_instances
-from .validation import ValidationReport, digest_bytes, rule_catalog, validate
+from .validation import build_report, digest_bytes, rule_catalog, validate
 from .xmltree import read_document
 
 EXIT_OK = 0
@@ -62,11 +62,13 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--allow-network", action="store_true",
                        default=_env_flag("ALLOW_NETWORK"),
                        help="fetch http(s) taxonomy references (off by default)")
+        # String defaults are converted by argparse, and only for the
+        # subcommand in use, so a bad value is a usage error of that command.
         p.add_argument("--max-depth", type=int,
-                       default=int(_env("MAX_DEPTH", str(DEFAULT_MAX_DEPTH))),
+                       default=_env("MAX_DEPTH", str(DEFAULT_MAX_DEPTH)),
                        help="discovery depth limit")
         p.add_argument("--max-documents", type=int,
-                       default=int(_env("MAX_DOCUMENTS", str(DEFAULT_MAX_DOCUMENTS))),
+                       default=_env("MAX_DOCUMENTS", str(DEFAULT_MAX_DOCUMENTS)),
                        help="discovery document limit")
 
     add_common(sub.add_parser("parse", help="parse and summarize instances"))
@@ -158,32 +160,14 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _merge_reports(reports: list[ValidationReport], digest: str) -> ValidationReport:
-    if len(reports) == 1:
-        return reports[0]
-    findings: list[Finding] = []
-    skipped: tuple[str, ...] = ()
-    for report in reports:
-        findings.extend(report.findings)
-        skipped = report.skipped_rules or skipped
-    findings.sort(key=Finding.sort_key)
-    counts = {key: 0 for key in ("error", "warning", "info")}
-    for finding in findings:
-        counts[finding.severity.value] += 1
-    return ValidationReport(
-        findings=tuple(findings), counts=counts,
-        input_digest=digest, skipped_rules=skipped,
-    )
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     data, outcomes = _load_instances(args)
-    digest = digest_bytes(data)
-    reports = []
-    for outcome in outcomes:
-        dts = _discover_dts(args, outcome) if args.taxonomy_root else None
-        reports.append(validate(outcome, dts, input_digest=digest))
-    report = _merge_reports(reports, digest)
+    reports = [
+        validate(outcome, _discover_dts(args, outcome) if args.taxonomy_root else None)
+        for outcome in outcomes
+    ]
+    report = build_report((f for r in reports for f in r.findings), digest_bytes(data),
+                          reports[0].skipped_rules)
 
     if args.format == "json":
         _print_json({

@@ -112,3 +112,7 @@ NON_NUMERIC_ITEM_TYPES = {
     "hexBinaryItemType",
     "base64BinaryItemType",
 }
+
+# Tuple nesting guard: strict parsing fails beyond it, lenient parsing
+# truncates the subtree, and validation reports T-DEPTH.
+DEFAULT_MAX_TUPLE_DEPTH = 64

@@ -14,17 +14,18 @@ import posixpath
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping, Protocol
+from typing import Iterator, Mapping
 from urllib.parse import urlsplit, urljoin
 
 from . import constants as c
 from .errors import XbrlError
-from .findings import Finding, Severity
+from .findings import Finding
 from .model import Instance
 from .xmltree import QName, XmlElement, XmlReadError, read_document
 
 DEFAULT_MAX_DOCUMENTS = 256
 DEFAULT_MAX_DEPTH = 16
+_HTTP_TIMEOUT_S = 30.0
 
 
 class NotASchema(XbrlError):
@@ -120,12 +121,6 @@ class Dts:
 # ---------------------------------------------------------------------------
 
 
-class Resolver(Protocol):
-    def resolve(self, base_uri: str, href: str) -> str: ...
-
-    def fetch(self, uri: str) -> bytes: ...
-
-
 def resolve_reference(base_uri: str, href: str) -> str:
     """RFC 3986 relative-reference resolution against a base URI or path."""
     if urlsplit(href).scheme:
@@ -133,101 +128,70 @@ def resolve_reference(base_uri: str, href: str) -> str:
     return urljoin(base_uri, href)
 
 
-class FileSystemResolver:
-    """Maps URIs into files under a root directory.
+def _fetch_file(root: Path, uri: str) -> bytes:
+    """Read a URI as a file under ``root``; anything escaping the root is refused.
 
-    Plain (possibly relative) paths resolve directly; http/https URIs are
-    folded into path segments under the root as ``<scheme>/<authority>/<path>``.
-    Anything escaping the root is refused.
+    Plain (possibly relative) paths map directly; http/https URIs are folded
+    into path segments under the root as ``<scheme>/<authority>/<path>``.
+    """
+    parts = urlsplit(uri)
+    if parts.scheme in ("http", "https"):
+        path = root / parts.scheme / parts.netloc / parts.path.lstrip("/")
+    elif parts.scheme == "file":
+        path = Path(parts.path)
+    else:
+        path = Path(posixpath.normpath(uri))
+    try:
+        resolved = path.resolve()
+        resolved.relative_to(root.resolve())
+    except ValueError:
+        raise ResolutionError(f"outside taxonomy root: {uri}") from None
+    try:
+        return resolved.read_bytes()
+    except FileNotFoundError:
+        raise ResolutionError(f"not found: {uri}") from None
+    except OSError as exc:
+        raise ResolutionError(f"unreadable: {uri} ({exc.strerror})") from None
+
+
+def _fetch_http(uri: str) -> bytes:
+    import urllib.request
+
+    try:
+        with urllib.request.urlopen(uri, timeout=_HTTP_TIMEOUT_S) as response:
+            return response.read()
+    except OSError as exc:
+        raise ResolutionError(f"fetch failed: {uri} ({exc})") from None
+
+
+class Resolver:
+    """Resolves taxonomy hrefs to URIs and fetches their bytes.
+
+    With a ``root``, URIs are read as files under it (http(s) ones folded in
+    by scheme and authority). With ``allow_network``, http(s) URIs are
+    fetched over the network instead, and without a root nothing else can
+    be fetched. With neither, every fetch fails.
     """
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
+    resolve = staticmethod(resolve_reference)
 
-    def resolve(self, base_uri: str, href: str) -> str:
-        return resolve_reference(base_uri, href)
-
-    def _uri_to_path(self, uri: str) -> Path:
-        parts = urlsplit(uri)
-        if parts.scheme in ("http", "https"):
-            return self.root / parts.scheme / parts.netloc / parts.path.lstrip("/")
-        if parts.scheme == "file":
-            return Path(parts.path)
-        return Path(posixpath.normpath(uri))
+    def __init__(self, root: str | Path | None = None, allow_network: bool = False):
+        self.root = None if root is None else Path(root)
+        self.allow_network = allow_network
 
     def fetch(self, uri: str) -> bytes:
-        path = self._uri_to_path(uri)
-        resolved = path if path.is_absolute() else Path.cwd() / path
-        try:
-            resolved = resolved.resolve()
-            root = (self.root if self.root.is_absolute() else Path.cwd() / self.root).resolve()
-            resolved.relative_to(root)
-        except ValueError:
-            raise ResolutionError(f"outside taxonomy root: {uri}") from None
-        try:
-            return resolved.read_bytes()
-        except FileNotFoundError:
-            raise ResolutionError(f"not found: {uri}") from None
-        except OSError as exc:
-            raise ResolutionError(f"unreadable: {uri} ({exc.strerror})") from None
-
-
-class HttpResolver:
-    """Read-only network fetcher; only constructed when explicitly enabled."""
-
-    def __init__(self, timeout: float = 30.0):
-        self.timeout = timeout
-
-    def resolve(self, base_uri: str, href: str) -> str:
-        return resolve_reference(base_uri, href)
-
-    def fetch(self, uri: str) -> bytes:
-        if urlsplit(uri).scheme not in ("http", "https"):
+        if self.allow_network and urlsplit(uri).scheme in ("http", "https"):
+            return _fetch_http(uri)
+        if self.root is not None:
+            return _fetch_file(self.root, uri)
+        if self.allow_network:
             raise ResolutionError(f"not an http(s) URI: {uri}")
-        import urllib.request
-
-        try:
-            with urllib.request.urlopen(uri, timeout=self.timeout) as response:
-                return response.read()
-        except OSError as exc:
-            raise ResolutionError(f"fetch failed: {uri} ({exc})") from None
-
-
-class NullResolver:
-    """Resolves nothing; used when no taxonomy source is configured."""
-
-    def resolve(self, base_uri: str, href: str) -> str:
-        return resolve_reference(base_uri, href)
-
-    def fetch(self, uri: str) -> bytes:
         raise ResolutionError("no taxonomy source configured")
-
-
-class RoutingResolver:
-    """Sends http(s) URIs to a network resolver, everything else to files."""
-
-    def __init__(self, filesystem: FileSystemResolver, http: HttpResolver):
-        self.filesystem = filesystem
-        self.http = http
-
-    def resolve(self, base_uri: str, href: str) -> str:
-        return resolve_reference(base_uri, href)
-
-    def fetch(self, uri: str) -> bytes:
-        if urlsplit(uri).scheme in ("http", "https"):
-            return self.http.fetch(uri)
-        return self.filesystem.fetch(uri)
 
 
 def build_resolver(taxonomy_root: str | Path | None = None,
                    allow_network: bool = False) -> Resolver:
-    if taxonomy_root is not None and allow_network:
-        return RoutingResolver(FileSystemResolver(taxonomy_root), HttpResolver())
-    if taxonomy_root is not None:
-        return FileSystemResolver(taxonomy_root)
-    if allow_network:
-        return HttpResolver()
-    return NullResolver()
+    return Resolver(taxonomy_root, allow_network)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +246,11 @@ def _concept_from_declaration(element: XmlElement, target_ns: str,
 
     finding = None
     if period_type is PeriodType.UNKNOWN and item_kind is ItemKind.ITEM:
-        finding = Finding(
-            code="DTS-002",
-            severity=Severity.WARNING,
-            message=f"{uri}: concept {qname.clark()} declares no periodType",
-            location=element.source_location,
-            subject=qname.clark(),
+        finding = Finding.of(
+            "DTS-002",
+            f"{uri}: concept {qname.clark()} declares no periodType",
+            element.source_location,
+            qname.clark(),
         )
 
     balance_raw = element.attr_qn(c.QN_BALANCE_ATTR)
@@ -336,11 +299,10 @@ def _load_schema_root(root: XmlElement, uri: str) -> tuple[list[Concept], list[s
     concepts: list[Concept] = []
     target_ns = root.attr("targetNamespace")
     if target_ns is None:
-        findings.append(Finding(
-            code="DTS-004",
-            severity=Severity.WARNING,
-            message=f"{uri}: schema has no targetNamespace; declarations skipped",
-            location=root.source_location,
+        findings.append(Finding.of(
+            "DTS-004",
+            f"{uri}: schema has no targetNamespace; declarations skipped",
+            root.source_location,
         ))
     else:
         for child in root.child_elements():
@@ -410,13 +372,10 @@ def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
             findings.extend(schema_findings)
             for concept in concepts:
                 if concept.qname in registry:
-                    findings.append(Finding(
-                        code="DTS-003",
-                        severity=Severity.WARNING,
-                        message=(
-                            f"concept {concept.qname.clark()} in {uri} duplicates the "
-                            f"declaration in {concept_sources[concept.qname]}; first wins"
-                        ),
+                    findings.append(Finding.of(
+                        "DTS-003",
+                        f"concept {concept.qname.clark()} in {uri} duplicates the "
+                        f"declaration in {concept_sources[concept.qname]}; first wins",
                         subject=concept.qname.clark(),
                     ))
                     continue

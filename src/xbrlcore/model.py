@@ -75,8 +75,6 @@ class Forever:
 
 Period = Union[Instant, Duration, Forever]
 
-FOREVER = Forever()
-
 
 @dataclass(frozen=True)
 class Context:
@@ -106,11 +104,6 @@ class Unit:
     id: str
     body: UnitBody
     source_location: SourceLocation = field(default=SourceLocation(), compare=False)
-
-    def all_measures(self) -> tuple[QName, ...]:
-        if isinstance(self.body, Measures):
-            return self.body.measures
-        return self.body.numerator + self.body.denominator
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from enum import Enum
 
 from . import constants as c
 from .errors import XbrlError
-from .findings import Finding, Severity
+from .findings import Finding
 from .iso8601 import compare_start_end, parse_point
 from .model import (
     Context,
@@ -38,8 +38,6 @@ from .model import (
     Unit,
 )
 from .xmltree import QName, SourceLocation, XmlElement, XmlTree, serialize_element
-
-DEFAULT_MAX_TUPLE_DEPTH = 64
 
 _DECIMALS_RE = re.compile(r"(INF|[+-]?\d+)$")
 _PRECISION_RE = re.compile(r"(INF|[1-9]\d*)$")
@@ -113,10 +111,7 @@ class ParseMode(Enum):
 @dataclass(frozen=True)
 class ParseOptions:
     mode: ParseMode = ParseMode.STRICT
-    max_tuple_depth: int = DEFAULT_MAX_TUPLE_DEPTH
-    # When a concept registry is supplied, item/tuple classification defers
-    # to it; otherwise a structural heuristic applies.
-    registry: "object | None" = None
+    max_tuple_depth: int = c.DEFAULT_MAX_TUPLE_DEPTH
 
     def __post_init__(self) -> None:
         if self.max_tuple_depth < 1:
@@ -304,10 +299,7 @@ class _InstanceBuilder:
 
     def recover(self, code: str, message: str, location: SourceLocation,
                 subject: str | None = None) -> None:
-        self.findings.append(Finding(
-            code=code, severity=_RECOVERY_SEVERITY[code], message=message,
-            location=location, subject=subject,
-        ))
+        self.findings.append(Finding.of(code, message, location, subject))
 
     def build(self, root: XmlElement) -> Instance:
         if root.name != c.QN_XBRL:
@@ -334,15 +326,6 @@ class _InstanceBuilder:
                 self._add_unit(child, units)
             elif name == c.QN_FOOTNOTE_LINK:
                 links.append(_parse_footnote_link(child))
-            elif name.namespace_uri in (c.XBRLI_NS, c.LINK_NS):
-                # Unknown structural elements in the reserved namespaces are
-                # not facts; a nested instance is reported, the rest skipped.
-                if name == c.QN_XBRL and self.lenient:
-                    self.recover(
-                        "EMB-001",
-                        "embedded xbrl element inside another instance was not parsed",
-                        child.source_location,
-                    )
             else:
                 fact = self._build_fact(child, depth=1)
                 if fact is not None:
@@ -385,11 +368,6 @@ class _InstanceBuilder:
         units[unit.id] = unit
 
     def _classify_as_tuple(self, element: XmlElement) -> bool:
-        registry = self.options.registry
-        if registry is not None:
-            concept = registry.lookup(element.name)
-            if concept is not None and concept.item_kind.name in ("ITEM", "TUPLE"):
-                return concept.item_kind.name == "TUPLE"
         if any(
             ch.name.namespace_uri not in (c.XBRLI_NS, c.LINK_NS)
             for ch in element.child_elements()
@@ -397,7 +375,7 @@ class _InstanceBuilder:
             return True
         # A bare element with nothing item-like about it (no contextRef, no
         # numeric attributes, no value) reads back as an empty tuple, keeping
-        # empty tuples round-trippable without a registry.
+        # empty tuples round-trippable.
         return (
             not element.child_elements()
             and element.attr("contextRef") is None
@@ -408,6 +386,16 @@ class _InstanceBuilder:
         )
 
     def _build_fact(self, element: XmlElement, depth: int) -> Fact | None:
+        if element.name.namespace_uri in (c.XBRLI_NS, c.LINK_NS):
+            # Unknown structural elements in the reserved namespaces are
+            # not facts; a nested instance is reported, the rest skipped.
+            if element.name == c.QN_XBRL and self.lenient:
+                self.recover(
+                    "EMB-001",
+                    "embedded xbrl element inside another instance was not parsed",
+                    element.source_location,
+                )
+            return None
         if self._classify_as_tuple(element):
             return self._build_tuple(element, depth)
         return self._build_item(element)
@@ -427,14 +415,6 @@ class _InstanceBuilder:
             return None
         children: list[Fact] = []
         for ch in element.child_elements():
-            if ch.name.namespace_uri in (c.XBRLI_NS, c.LINK_NS):
-                if ch.name == c.QN_XBRL and self.lenient:
-                    self.recover(
-                        "EMB-001",
-                        "embedded xbrl element inside another instance was not parsed",
-                        ch.source_location,
-                    )
-                continue
             fact = self._build_fact(ch, depth + 1)
             if fact is not None:
                 children.append(fact)
@@ -500,16 +480,6 @@ class _InstanceBuilder:
         return None
 
 
-_RECOVERY_SEVERITY = {
-    "CTX-002": Severity.ERROR,
-    "PER-001": Severity.ERROR,
-    "PER-002": Severity.ERROR,
-    "ITM-001": Severity.WARNING,
-    "T-DEPTH": Severity.WARNING,
-    "EMB-001": Severity.WARNING,
-}
-
-
 def parse_instance(source: XmlTree | XmlElement,
                    options: ParseOptions = ParseOptions()) -> ParseOutcome:
     """Parse one instance whose root is the xbrl element.
@@ -532,15 +502,13 @@ def find_instances(tree: XmlTree,
     document embeds no instance at all.
     """
     roots: list[XmlElement] = []
-
-    def collect(element: XmlElement) -> None:
+    stack = [tree.root]
+    while stack:
+        element = stack.pop()
         if element.name == c.QN_XBRL:
             roots.append(element)
-            return
-        for child in element.child_elements():
-            collect(child)
-
-    collect(tree.root)
+        else:
+            stack.extend(reversed(element.child_elements()))
     return [parse_instance(root, options) for root in roots]
 
 

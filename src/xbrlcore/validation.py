@@ -1,9 +1,9 @@
 """Deterministic structural validation of parsed instances.
 
 Every problem is a finding, never a failure: validate() always returns a
-report. Findings carry stable codes from the catalog below, are ordered
-(location, code) lexicographically, and two runs over the same input
-produce identical reports. Rules marked ``requires_dts`` run only when a
+report. Findings carry stable codes from the rule catalog in findings.py,
+are ordered (location, code) lexicographically, and two runs over the same
+input produce identical reports. Rules marked ``requires_dts`` run only when a
 taxonomy set is supplied and are listed as skipped otherwise, so providing
 a DTS can only ever add findings.
 """
@@ -11,13 +11,13 @@ a DTS can only ever add findings.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .constants import ISO4217_NS
+from .constants import DEFAULT_MAX_TUPLE_DEPTH, ISO4217_NS
 from .dts import ConceptRegistry, DataKind, Dts
-from .findings import Finding, Severity
+# Rule and RuleCatalog are re-exported: the catalog lives in findings.
+from .findings import Finding, Rule, RuleCatalog, Severity, rule_catalog  # noqa: F401
 from .model import (
     Duration,
     Fact,
@@ -28,102 +28,34 @@ from .model import (
     Unit,
 )
 from .iso8601 import compare_start_end
-from .parser import DEFAULT_MAX_TUPLE_DEPTH, ParseOutcome
-
-
-@dataclass(frozen=True)
-class Rule:
-    code: str
-    severity: Severity
-    description: str
-    requires_dts: bool = False
-
-
-@dataclass(frozen=True)
-class RuleCatalog:
-    rules: tuple[Rule, ...]
-
-    def codes(self) -> tuple[str, ...]:
-        return tuple(r.code for r in self.rules)
-
-
-_RULES = (
-    Rule("CTX-001", Severity.ERROR,
-         "Item contextRef does not resolve to any context in the instance."),
-    Rule("CTX-002", Severity.ERROR,
-         "Item carries no contextRef (recovered during lenient parse; the item is dropped)."),
-    Rule("PER-001", Severity.ERROR,
-         "Period value is not valid ISO 8601 (recovered during lenient parse; the context is dropped)."),
-    Rule("PER-002", Severity.ERROR,
-         "Period startDate is after endDate (recovered during lenient parse; the context is dropped)."),
-    Rule("PER-003", Severity.WARNING,
-         "Period mixes zoned and zoneless date-times; the zoneless value was assumed to be UTC."),
-    Rule("UNT-001", Severity.ERROR,
-         "Item unitRef does not resolve to any unit in the instance."),
-    Rule("UNT-002", Severity.ERROR,
-         "Monetary item uses a unit without any ISO 4217 measure.", requires_dts=True),
-    Rule("NUM-001", Severity.ERROR,
-         "Numeric item (per the concept registry) has no unitRef.", requires_dts=True),
-    Rule("DTS-001", Severity.ERROR,
-         "Fact concept is not declared in the discovered taxonomy set.", requires_dts=True),
-    Rule("DTS-002", Severity.WARNING,
-         "Item concept is declared without a periodType.", requires_dts=True),
-    Rule("DTS-003", Severity.WARNING,
-         "Concept QName is declared in more than one schema; the first declaration wins.",
-         requires_dts=True),
-    Rule("DTS-004", Severity.WARNING,
-         "Taxonomy schema has no targetNamespace; its declarations were skipped.",
-         requires_dts=True),
-    Rule("FTN-001", Severity.ERROR,
-         "Footnote arc endpoint label matches no locator or footnote in its link."),
-    Rule("SCN-001", Severity.WARNING,
-         "Scenario element is present but empty."),
-    Rule("T-001", Severity.WARNING,
-         "Tuple element carries a contextRef; tuples are not context-bound."),
-    Rule("T-DEPTH", Severity.WARNING,
-         f"Tuple nesting exceeds the depth guard of {DEFAULT_MAX_TUPLE_DEPTH}."),
-    Rule("ITM-001", Severity.WARNING,
-         "Conflicting or invalid decimals/precision attributes (recovered during lenient parse)."),
-    Rule("EMB-001", Severity.WARNING,
-         "Embedded xbrl element inside another instance was not parsed."),
-)
-
-_RULES_BY_CODE = {r.code: r for r in _RULES}
-
-
-def rule_catalog() -> RuleCatalog:
-    """The full rule catalog in stable order."""
-    return RuleCatalog(rules=_RULES)
+from .parser import ParseOutcome
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     findings: tuple[Finding, ...]
     counts: Mapping[str, int]
-    input_digest: str
+    input_digest: str | None
     skipped_rules: tuple[str, ...] = ()
 
     def error_count(self) -> int:
         return self.counts.get(Severity.ERROR.value, 0)
 
 
-_NUMERIC_VALUE_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)$")
+def build_report(findings: Iterable[Finding], input_digest: str | None = None,
+                 skipped_rules: tuple[str, ...] = ()) -> ValidationReport:
+    """A report over findings from one or more instances of the same input.
 
-
-def is_numeric_item(item: Item, registry: ConceptRegistry | None = None) -> bool:
-    """Whether an item reports a numeric value.
-
-    With a registry, the concept's data kind decides. Without one, the
-    fallback is purely lexical: the value parses as a decimal number and a
-    unitRef is present, so the fallback can never flag a missing unit.
+    Findings are ordered by ``Finding.sort_key`` and counted per severity.
     """
-    if registry is not None:
-        concept = registry.lookup(item.concept)
-        if concept is not None:
-            return concept.data_kind in (
-                DataKind.MONETARY, DataKind.SHARES, DataKind.NUMERIC
-            )
-    return item.unit_ref is not None and bool(_NUMERIC_VALUE_RE.match(item.value))
+    ordered = tuple(sorted(findings, key=Finding.sort_key))
+    counts = {s.value: sum(f.severity is s for f in ordered) for s in Severity}
+    return ValidationReport(
+        findings=ordered,
+        counts=counts,
+        input_digest=input_digest,
+        skipped_rules=skipped_rules,
+    )
 
 
 def _has_monetary_measure(unit: Unit) -> bool:
@@ -142,11 +74,7 @@ class _Checker:
         self.findings: list[Finding] = []
 
     def emit(self, code: str, message: str, location, subject: str | None = None) -> None:
-        rule = _RULES_BY_CODE[code]
-        self.findings.append(Finding(
-            code=code, severity=rule.severity, message=message,
-            location=location, subject=subject,
-        ))
+        self.findings.append(Finding.of(code, message, location, subject))
 
     def run(self) -> list[Finding]:
         for fact in self.instance.facts:
@@ -279,8 +207,8 @@ def validate(subject: Instance | ParseOutcome, dts: Dts | None = None, *,
 
     Accepts a plain Instance or a lenient ParseOutcome, whose recovered
     findings are merged into the report. ``input_digest`` should be the
-    content hash of the source bytes; when omitted it is computed from the
-    canonical serialization so reports stay deterministic.
+    content hash of the source bytes (see ``digest_bytes``); the report
+    carries it as given, so it is None when the caller supplies none.
     """
     if isinstance(subject, ParseOutcome):
         instance = subject.instance
@@ -293,24 +221,11 @@ def validate(subject: Instance | ParseOutcome, dts: Dts | None = None, *,
     if dts is not None:
         collected.extend(dts.findings)
     collected.extend(_Checker(instance, registry).run())
-    collected.sort(key=Finding.sort_key)
 
-    counts = {s.value: 0 for s in Severity}
-    for finding in collected:
-        counts[finding.severity.value] += 1
-
-    if input_digest is None:
-        from .parser import serialize
-
-        input_digest = digest_bytes(serialize(instance))
-
-    skipped = tuple(r.code for r in _RULES if r.requires_dts) if dts is None else ()
-    return ValidationReport(
-        findings=tuple(collected),
-        counts=counts,
-        input_digest=input_digest,
-        skipped_rules=skipped,
+    skipped = () if dts is not None else tuple(
+        r.code for r in rule_catalog().rules if r.requires_dts
     )
+    return build_report(collected, input_digest, skipped)
 
 
 def digest_bytes(data: bytes) -> str:

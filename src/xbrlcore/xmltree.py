@@ -135,10 +135,11 @@ class XmlElement:
 
     def iter_elements(self) -> Iterator["XmlElement"]:
         """Pre-order walk over this element and all element descendants."""
-        yield self
-        for c in self.children:
-            if isinstance(c, XmlElement):
-                yield from c.iter_elements()
+        stack = [self]
+        while stack:
+            element = stack.pop()
+            yield element
+            stack.extend(reversed(element.child_elements()))
 
     def resolve_qname_text(self, text: str) -> QName:
         """Resolve QName-valued content such as ``iso4217:USD``.

@@ -22,9 +22,9 @@ import oracle_xml
 from conftest import FIXTURES, fixture_bytes
 from golden_plans import GOLDEN_PLANS
 from xbrlcore import (
-    FileSystemResolver,
     ParseMode,
     ParseOptions,
+    Resolver,
     discover,
     fact_rows,
     find_instances,
@@ -167,7 +167,7 @@ def test_criterion_4_monetary_unit_rule():
         return parse_instance(read_document(fixture_bytes(name))).instance
 
     def dts_for(name):
-        return discover(load(name), FileSystemResolver(FIXTURES),
+        return discover(load(name), Resolver(FIXTURES),
                         base_uri=str(FIXTURES / name))
 
     bad = validate(load("bad-monetary-unit.xml"), dts_for("bad-monetary-unit.xml"))
@@ -204,7 +204,7 @@ def test_criterion_5_embedded_instance_discovery():
     verdict(5, "non-nested xbrl roots, outer-first, oracle-matched")
 
 
-class _CountingResolver(FileSystemResolver):
+class _CountingResolver(Resolver):
     def __init__(self, root):
         super().__init__(root)
         self.fetched: list[str] = []
@@ -240,7 +240,7 @@ def test_criterion_6_dts_closure():
 
     cycle = discover(
         parse_instance(read_document(fixture_bytes("cycle-instance.xml"))).instance,
-        FileSystemResolver(FIXTURES), base_uri=str(FIXTURES / "cycle-instance.xml"),
+        Resolver(FIXTURES), base_uri=str(FIXTURES / "cycle-instance.xml"),
     )
     assert len(cycle.documents) == 2 and len(cycle.concepts) == 2
     verdict(6, "closure terminates, single-load, href oracle covered")

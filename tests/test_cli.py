@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -15,6 +16,13 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(repo_root, *argv, **env) -> subprocess.CompletedProcess:
+    """``python -m xbrlcore`` on the checkout's sources, extra env vars applied."""
+    env = {**os.environ, **env, "PYTHONPATH": str(repo_root / "src")}
+    return subprocess.run([sys.executable, "-m", "xbrlcore", *argv],
+                          capture_output=True, text=True, cwd=repo_root, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +270,7 @@ def test_flag_beats_env(repo_root, capsys, monkeypatch):
 
 
 def test_module_entry_point(repo_root):
-    proc = subprocess.run(
-        [sys.executable, "-m", "xbrlcore", "validate", "fixtures/bad-ctxref.xml",
-         "--format", "json"],
-        capture_output=True, text=True, cwd=repo_root,
-    )
+    proc = run_module(repo_root, "validate", "fixtures/bad-ctxref.xml", "--format", "json")
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["counts"]["error"] == 1
 
@@ -304,3 +308,43 @@ def test_max_documents_env_override(repo_root, capsys, monkeypatch):
     _, out, _ = run(capsys, "dts", "fixtures/cycle-instance.xml",
                     "--taxonomy-root", "fixtures/", "--format", "json")
     assert json.loads(out)["limit_exceeded"] is True
+
+
+@pytest.mark.parametrize("variable", ["MAX_DEPTH", "MAX_DOCUMENTS"])
+def test_bad_numeric_env_var_is_a_usage_error(repo_root, variable):
+    env = {"XBRLCORE_" + variable: "abc"}
+    flag = "--" + variable.lower().replace("_", "-")
+    rules = run_module(repo_root, "rules", **env)
+    assert rules.returncode == 0
+    for command in ("validate", "dts"):
+        proc = run_module(repo_root, command, "fixtures/mini-instance.xml", **env)
+        assert proc.returncode == 2
+        assert f"argument {flag}: invalid int value: 'abc'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# deep nesting
+# ---------------------------------------------------------------------------
+
+
+def deep_wrapper(tmp_path, inner: str) -> str:
+    depth = 5000
+    path = tmp_path / "deep.xml"
+    path.write_text("<w>" * depth + inner + "</w>" * depth)
+    return str(path)
+
+
+def test_deep_wrapper_without_instance_exits_2(repo_root, tmp_path):
+    proc = run_module(repo_root, "validate", deep_wrapper(tmp_path, ""))
+    assert proc.returncode == 2
+    assert "no xbrl element found" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_deep_wrapper_with_instance_at_bottom_exits_0(repo_root, tmp_path):
+    inner = '<xbrli:xbrl xmlns:xbrli="http://www.xbrl.org/2003/instance"/>'
+    proc = run_module(repo_root, "validate", deep_wrapper(tmp_path, inner))
+    assert proc.returncode == 0
+    assert "0 error(s)" in proc.stdout
+    assert "Traceback" not in proc.stderr

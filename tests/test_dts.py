@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import re
+import urllib.request
 
 import pytest
 
@@ -10,14 +12,13 @@ from xbrlcore import (
     ConceptRegistry,
     DataKind,
     DocumentKind,
-    FileSystemResolver,
-    HttpResolver,
     Instance,
     ItemKind,
     NotASchema,
     PeriodType,
     QName,
     RefKind,
+    Resolver,
     TaxonomyRef,
     build_resolver,
     discover,
@@ -25,7 +26,7 @@ from xbrlcore import (
     parse_instance,
     read_document,
 )
-from xbrlcore.dts import NullResolver, ResolutionError, resolve_reference
+from xbrlcore.dts import ResolutionError, resolve_reference
 
 MINI_NS = "http://example.com/taxonomy/mini"
 
@@ -184,7 +185,7 @@ def test_discover_fixture_taxonomy():
     instance = parse_instance(
         read_document(fixture_bytes("mini-instance.xml"))
     ).instance
-    dts = discover(instance, FileSystemResolver(FIXTURES),
+    dts = discover(instance, Resolver(FIXTURES),
                    base_uri=str(FIXTURES / "mini-instance.xml"))
     assert list(dts.documents) == [str(FIXTURES / "mini-taxonomy.xsd")]
     doc = next(iter(dts.documents.values()))
@@ -205,7 +206,7 @@ def test_discover_cycle_loads_each_document_once():
 
 
 def test_discover_closure_covers_every_href():
-    dts = discover(instance_with_refs("cycle-a.xsd"), FileSystemResolver(FIXTURES),
+    dts = discover(instance_with_refs("cycle-a.xsd"), Resolver(FIXTURES),
                    base_uri=str(FIXTURES / "cycle-instance.xml"))
     assert len(dts.documents) == 2
     # independent href-grep oracle over the loaded files
@@ -301,7 +302,7 @@ def test_discover_monotonic_in_limits():
 def test_discover_deterministic():
     def run():
         return discover(
-            instance_with_refs("cycle-a.xsd"), FileSystemResolver(FIXTURES),
+            instance_with_refs("cycle-a.xsd"), Resolver(FIXTURES),
             base_uri=str(FIXTURES / "cycle-instance.xml"),
         )
 
@@ -328,7 +329,7 @@ def test_filesystem_resolver_refuses_escapes(tmp_path):
     root.mkdir()
     (root / "ok.xsd").write_bytes(b"<a/>")
     (tmp_path / "secret.xsd").write_bytes(b"<a/>")
-    resolver = FileSystemResolver(root)
+    resolver = Resolver(root)
     assert resolver.fetch(str(root / "ok.xsd")) == b"<a/>"
     with pytest.raises(ResolutionError):
         resolver.fetch(str(root / ".." / "secret.xsd"))
@@ -338,46 +339,77 @@ def test_filesystem_resolver_folds_http_uris(tmp_path):
     target = tmp_path / "http" / "example.com" / "tax" / "core.xsd"
     target.parent.mkdir(parents=True)
     target.write_bytes(b"<a/>")
-    resolver = FileSystemResolver(tmp_path)
+    resolver = Resolver(tmp_path)
     assert resolver.fetch("http://example.com/tax/core.xsd") == b"<a/>"
 
 
+@pytest.fixture
+def fake_urlopen(monkeypatch):
+    """Serve every http(s) fetch from memory; returns the URIs fetched."""
+    seen = []
+
+    def urlopen(uri, timeout):
+        seen.append(uri)
+        return io.BytesIO(b"<net/>")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return seen
+
+
 def test_http_resolver_rejects_non_http():
-    with pytest.raises(ResolutionError):
-        HttpResolver().fetch("file:///etc/passwd")
+    with pytest.raises(ResolutionError) as exc:
+        build_resolver(None, True).fetch("file:///etc/passwd")
+    assert str(exc.value) == "not an http(s) URI: file:///etc/passwd"
 
 
-def test_http_resolver_fetches_via_urllib(monkeypatch):
-    import io
-    import urllib.request
-
-    class FakeResponse(io.BytesIO):
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *args):
-            return False
-
-    seen = {}
-
-    def fake_urlopen(uri, timeout):
-        seen["uri"] = uri
-        return FakeResponse(b"<data/>")
-
-    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-    assert HttpResolver().fetch("http://example.com/t.xsd") == b"<data/>"
-    assert seen["uri"] == "http://example.com/t.xsd"
+def test_http_resolver_fetches_via_urllib(fake_urlopen):
+    assert build_resolver(None, True).fetch("http://example.com/t.xsd") == b"<net/>"
+    assert fake_urlopen == ["http://example.com/t.xsd"]
 
 
-def test_build_resolver_shapes():
-    from xbrlcore.dts import RoutingResolver
-
-    assert isinstance(build_resolver(None, False), NullResolver)
-    assert isinstance(build_resolver("fixtures", False), FileSystemResolver)
-    assert isinstance(build_resolver(None, True), HttpResolver)
-    assert isinstance(build_resolver("fixtures", True), RoutingResolver)
+def test_build_resolver_behaviour_table(tmp_path, fake_urlopen):
+    root = tmp_path / "tax"
+    (root / "http" / "example.com").mkdir(parents=True)
+    (root / "a.xsd").write_bytes(b"<a/>")
+    (root / "http" / "example.com" / "t.xsd").write_bytes(b"<folded/>")
+    (tmp_path / "secret.xsd").write_bytes(b"<secret/>")
+    local, outside = str(root / "a.xsd"), str(tmp_path / "secret.xsd")
+    missing, directory = str(root / "nope.xsd"), str(root / "http")
+    web = "http://example.com/t.xsd"
+    table = {
+        (None, False): {
+            local: "no taxonomy source configured",
+            web: "no taxonomy source configured",
+        },
+        (root, False): {
+            local: b"<a/>",
+            web: b"<folded/>",
+            outside: f"outside taxonomy root: {outside}",
+            missing: f"not found: {missing}",
+            directory: f"unreadable: {directory} (Is a directory)",
+        },
+        (None, True): {
+            local: f"not an http(s) URI: {local}",
+            web: b"<net/>",
+        },
+        (root, True): {
+            local: b"<a/>",
+            web: b"<net/>",
+            outside: f"outside taxonomy root: {outside}",
+        },
+    }
+    for (taxonomy_root, allow_network), cases in table.items():
+        resolver = build_resolver(taxonomy_root, allow_network)
+        for uri, want in cases.items():
+            try:
+                got = resolver.fetch(uri)
+            except ResolutionError as exc:
+                got = str(exc)
+            assert got == want, (taxonomy_root, allow_network, uri)
+    # only the network-enabled resolvers reached urlopen, once each
+    assert fake_urlopen == [web, web]
 
 
 def test_null_resolver_unresolves_everything():
-    dts = discover(instance_with_refs("anything.xsd"), NullResolver())
+    dts = discover(instance_with_refs("anything.xsd"), Resolver())
     assert dts.unresolved == (("anything.xsd", "no taxonomy source configured"),)

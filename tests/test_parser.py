@@ -444,26 +444,6 @@ def test_empty_element_with_item_attributes_stays_item():
         parse_instance(read_document(bad))
 
 
-def test_registry_overrides_structural_classification():
-    from xbrlcore import Concept, ConceptRegistry, ItemKind
-
-    registry = ConceptRegistry({
-        QName(EX, "BareTuple"): Concept(qname=QName(EX, "BareTuple"),
-                                        item_kind=ItemKind.TUPLE),
-        QName(EX, "RichItem"): Concept(qname=QName(EX, "RichItem"),
-                                       item_kind=ItemKind.ITEM),
-    })
-    options = ParseOptions(registry=registry)
-    data = wrap(CONTEXT + (
-        '<ex:BareTuple contextRef="c1">text here</ex:BareTuple>'
-        '<ex:RichItem contextRef="c1"><ex:stray/>77</ex:RichItem>'
-    ))
-    instance = parse_instance(read_document(data), options).instance
-    assert isinstance(instance.facts[0], Tuple)
-    rich = instance.facts[1]
-    assert isinstance(rich, Item) and rich.value == "77"
-
-
 def test_schema_refs_retain_document_order():
     data = wrap(
         '<link:schemaRef xlink:type="simple" xlink:href="z.xsd"/>'

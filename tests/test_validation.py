@@ -1,20 +1,15 @@
 from __future__ import annotations
 
-import dataclasses
-
 from conftest import FIXTURES, fixture_bytes
 from xbrlcore import (
     ConceptRegistry,
-    FileSystemResolver,
-    Item,
     ParseMode,
     ParseOptions,
-    QName,
+    Resolver,
     Severity,
     UnresolvedContextRef,
     discover,
     load_taxonomy_schema,
-    is_numeric_item,
     parse_instance,
     read_document,
     rule_catalog,
@@ -32,7 +27,7 @@ def load(name: str, options: ParseOptions = ParseOptions()):
 
 def fixture_dts(name: str):
     outcome = load(name)
-    return discover(outcome.instance, FileSystemResolver(FIXTURES),
+    return discover(outcome.instance, Resolver(FIXTURES),
                     base_uri=str(FIXTURES / name))
 
 
@@ -221,12 +216,9 @@ def test_ctx001_soundness_against_brute_force():
         assert flagged == brute
 
 
-def test_input_digest_defaults_to_canonical_serialization():
+def test_input_digest_is_none_unless_supplied():
     instance = load("mini-instance.xml").instance
-    a = validate(instance)
-    b = validate(instance)
-    assert a.input_digest == b.input_digest
-    assert a.input_digest.startswith("sha256:")
+    assert validate(instance).input_digest is None
     explicit = validate(instance, input_digest="sha256:feed")
     assert explicit.input_digest == "sha256:feed"
 
@@ -277,27 +269,3 @@ def test_catalog_matches_rules_doc():
     catalog = rule_catalog()
     assert documented == list(catalog.codes())
 
-
-# ---------------------------------------------------------------------------
-# is_numeric_item
-# ---------------------------------------------------------------------------
-
-
-def test_is_numeric_item_registry_driven():
-    registry = mini_registry()
-    assets = Item(concept=QName(MINI_NS, "Assets"), context_ref="c1", value="1")
-    assert is_numeric_item(assets, registry)
-    unknown = Item(concept=QName(MINI_NS, "Nope"), context_ref="c1",
-                   value="42.0", unit_ref="u1")
-    assert is_numeric_item(unknown, registry)  # falls back to the lexical rule
-
-
-def test_is_numeric_item_fallback():
-    text = Item(concept=QName(MINI_NS, "X"), context_ref="c1",
-                value="Annual report text")
-    assert not is_numeric_item(text, None)
-    numeric = Item(concept=QName(MINI_NS, "X"), context_ref="c1",
-                   value="42.0", unit_ref="u1")
-    assert is_numeric_item(numeric, None)
-    no_unit = dataclasses.replace(numeric, unit_ref=None)
-    assert not is_numeric_item(no_unit, None)

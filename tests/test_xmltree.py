@@ -109,6 +109,13 @@ def test_source_locations_nondecreasing_in_document_order():
     assert locations == sorted(locations)
 
 
+def test_iter_elements_walks_a_deep_tree():
+    depth = 5000
+    tree = read_document(b"<w>" * depth + b"<x/>" + b"</w>" * depth)
+    names = [e.name.local_name for e in tree.root.iter_elements()]
+    assert names == ["w"] * depth + ["x"]
+
+
 def test_find_elements_no_match_is_empty():
     tree = read_document(b'<a xmlns="urn:x"><b/></a>')
     assert find_elements(tree, QName("urn:x", "zzz")) == []
