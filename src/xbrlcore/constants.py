@@ -41,6 +41,14 @@ QN_DIVIDE = QName(XBRLI_NS, "divide")
 QN_UNIT_NUMERATOR = QName(XBRLI_NS, "unitNumerator")
 QN_UNIT_DENOMINATOR = QName(XBRLI_NS, "unitDenominator")
 
+# unqualified attributes of instance elements
+QN_ATTR_ID = QName("", "id")
+QN_ATTR_CONTEXT_REF = QName("", "contextRef")
+QN_ATTR_UNIT_REF = QName("", "unitRef")
+QN_ATTR_DECIMALS = QName("", "decimals")
+QN_ATTR_PRECISION = QName("", "precision")
+QN_ATTR_SCHEME = QName("", "scheme")
+
 # linkbase / XLink
 QN_SCHEMA_REF = QName(LINK_NS, "schemaRef")
 QN_LINKBASE_REF = QName(LINK_NS, "linkbaseRef")
@@ -49,6 +57,8 @@ QN_FOOTNOTE_LINK = QName(LINK_NS, "footnoteLink")
 QN_LOC = QName(LINK_NS, "loc")
 QN_FOOTNOTE = QName(LINK_NS, "footnote")
 QN_FOOTNOTE_ARC = QName(LINK_NS, "footnoteArc")
+QN_XLINK_TYPE = QName(XLINK_NS, "type")
+QN_XLINK_ROLE = QName(XLINK_NS, "role")
 QN_XLINK_HREF = QName(XLINK_NS, "href")
 QN_XLINK_LABEL = QName(XLINK_NS, "label")
 QN_XLINK_FROM = QName(XLINK_NS, "from")

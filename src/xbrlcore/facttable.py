@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Divide, Duration, Fact, Forever, Instance, Instant, Item, Tuple, Unit
+from .xmltree import QName
 
 CSV_HEADER = ("concept", "value", "context_id", "entity", "period", "unit", "tuple_path")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactRow:
     concept: str
     value: str
@@ -51,27 +52,29 @@ def _unit_text(unit: Unit) -> str:
 
 def fact_rows(instance: Instance) -> list[FactRow]:
     """One row per Item, document order; unresolvable references render empty."""
+    # Each context, unit and concept is rendered once, not once per row.
+    context_text = {
+        cid: (context.entity.identifier, _period_text(context.period))
+        for cid, context in instance.contexts.items()
+    }
+    unit_text = {uid: _unit_text(unit) for uid, unit in instance.units.items()}
+    concept_text: dict[QName, str] = {}
+    no_context = ("", "")
     rows: list[FactRow] = []
 
-    def emit(item: Item, path: tuple[str, ...]) -> None:
-        context = instance.contexts.get(item.context_ref)
-        unit = instance.units.get(item.unit_ref) if item.unit_ref else None
-        rows.append(FactRow(
-            concept=item.concept.clark(),
-            value=item.value,
-            context_id=item.context_ref,
-            entity=context.entity.identifier if context else "",
-            period=_period_text(context.period) if context else "",
-            unit=_unit_text(unit) if unit else "",
-            tuple_path="/".join(path),
-        ))
-
-    def walk(facts: tuple[Fact, ...], path: tuple[str, ...]) -> None:
+    def walk(facts: tuple[Fact, ...], tuple_path: str, path: tuple[str, ...]) -> None:
         for fact in facts:
+            concept = concept_text.get(fact.concept)
+            if concept is None:
+                concept = concept_text[fact.concept] = fact.concept.clark()
             if isinstance(fact, Item):
-                emit(fact, path)
+                entity, period = context_text.get(fact.context_ref, no_context)
+                unit = unit_text.get(fact.unit_ref, "") if fact.unit_ref else ""
+                rows.append(FactRow(concept, fact.value, fact.context_ref, entity,
+                                    period, unit, tuple_path))
             elif isinstance(fact, Tuple):
-                walk(fact.children, path + (fact.concept.clark(),))
+                inner = path + (concept,)
+                walk(fact.children, "/".join(inner), inner)
 
-    walk(instance.facts, ())
+    walk(instance.facts, "", ())
     return rows

@@ -25,7 +25,7 @@ _DATETIME_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimePoint:
     """A parsed date or date-time, keeping the original lexical form.
 

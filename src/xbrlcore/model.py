@@ -48,7 +48,7 @@ class TaxonomyRef:
     kind: RefKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     """Reporting entity: identifier scheme URI plus the identifier itself."""
 
@@ -57,12 +57,12 @@ class Entity:
     segment: XmlElement | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instant:
     when: TimePoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Duration:
     start: TimePoint
     end: TimePoint
@@ -76,7 +76,7 @@ class Forever:
 Period = Union[Instant, Duration, Forever]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Context:
     id: str
     entity: Entity
@@ -85,7 +85,7 @@ class Context:
     source_location: SourceLocation = field(default=SourceLocation(), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measures:
     measures: tuple[QName, ...]
 
@@ -99,14 +99,14 @@ class Divide:
 UnitBody = Union[Measures, Divide]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unit:
     id: str
     body: UnitBody
     source_location: SourceLocation = field(default=SourceLocation(), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Item:
     """A fact holding a single value, always bound to a context.
 
@@ -125,7 +125,7 @@ class Item:
     source_location: SourceLocation = field(default=SourceLocation(), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tuple:
     """A fact holding nested facts.
 
@@ -158,11 +158,18 @@ class FootnoteArc:
 
 @dataclass(frozen=True)
 class FootnoteLink:
-    """An XLink extended link associating facts with footnote content."""
+    """An XLink extended link associating facts with footnote content.
 
-    locators: Mapping[str, str] = field(default_factory=dict)
-    footnotes: Mapping[str, Footnote] = field(default_factory=dict)
+    ``locators`` and ``footnotes`` are (label, value) pairs in document
+    order; XLink lets several of them share a label, and an arc from or to
+    that label then applies to each. ``role`` is the link's ``xlink:role``,
+    empty when absent.
+    """
+
+    locators: tuple[tuple[str, str], ...] = ()
+    footnotes: tuple[tuple[str, Footnote], ...] = ()
     arcs: tuple[FootnoteArc, ...] = ()
+    role: str = ""
     source_location: SourceLocation = field(default=SourceLocation(), compare=False)
 
 

@@ -161,7 +161,7 @@ def parse_period(element: XmlElement) -> "Instant | Duration | Forever":
 def parse_unit(element: XmlElement) -> Unit:
     """Build a Unit from a unit element (measure children or one divide)."""
     loc = element.source_location
-    unit_id = element.attr("id") or ""
+    unit_id = element.attr_qn(c.QN_ATTR_ID) or ""
     children = element.child_elements()
     if not children:
         raise EmptyUnit("unit has no measure or divide content", loc)
@@ -205,7 +205,7 @@ def _parse_entity(element: XmlElement) -> Entity:
     identifier = element.first_child(c.QN_IDENTIFIER)
     if identifier is None:
         raise InvalidContextShape("entity has no identifier", element.source_location)
-    scheme = identifier.attr("scheme") or ""
+    scheme = identifier.attr_qn(c.QN_ATTR_SCHEME) or ""
     ident_text = identifier.text_content().strip()
     if not scheme or not ident_text:
         raise InvalidContextShape(
@@ -221,7 +221,7 @@ def _parse_entity(element: XmlElement) -> Entity:
 
 def _parse_context(element: XmlElement) -> Context:
     loc = element.source_location
-    context_id = element.attr("id")
+    context_id = element.attr_qn(c.QN_ATTR_ID)
     if not context_id:
         raise InvalidContextShape("context has no id", loc)
     entity_el = element.first_child(c.QN_ENTITY)
@@ -240,8 +240,8 @@ def _parse_context(element: XmlElement) -> Context:
 
 
 def _parse_footnote_link(element: XmlElement) -> FootnoteLink:
-    locators: dict[str, str] = {}
-    footnotes: dict[str, Footnote] = {}
+    locators: list[tuple[str, str]] = []
+    footnotes: list[tuple[str, Footnote]] = []
     arcs: list[FootnoteArc] = []
     for child in element.child_elements():
         label = child.attr_qn(c.QN_XLINK_LABEL)
@@ -252,15 +252,15 @@ def _parse_footnote_link(element: XmlElement) -> FootnoteLink:
                     "locator requires xlink:label and xlink:href",
                     child.source_location,
                 )
-            locators[label] = href
+            locators.append((label, href))
         elif child.name == c.QN_FOOTNOTE:
             if not label:
                 raise MalformedFootnoteLink(
                     "footnote requires xlink:label", child.source_location
                 )
-            footnotes[label] = Footnote(
+            footnotes.append((label, Footnote(
                 content=child, language=child.attr_qn(c.QN_XML_LANG) or ""
-            )
+            )))
         elif child.name == c.QN_FOOTNOTE_ARC:
             from_label = child.attr_qn(c.QN_XLINK_FROM)
             to_label = child.attr_qn(c.QN_XLINK_TO)
@@ -275,9 +275,10 @@ def _parse_footnote_link(element: XmlElement) -> FootnoteLink:
                 arc_role=child.attr_qn(c.QN_XLINK_ARCROLE) or "",
             ))
     return FootnoteLink(
-        locators=locators,
-        footnotes=footnotes,
+        locators=tuple(locators),
+        footnotes=tuple(footnotes),
         arcs=tuple(arcs),
+        role=element.attr_qn(c.QN_XLINK_ROLE) or "",
         source_location=element.source_location,
     )
 
@@ -289,6 +290,9 @@ def _taxonomy_ref(element: XmlElement, kind: RefKind) -> TaxonomyRef:
             f"{element.name.local_name} has no xlink:href", element.source_location
         )
     return TaxonomyRef(href=href, kind=kind)
+
+
+_RESERVED_NAMESPACES = (c.XBRLI_NS, c.LINK_NS)
 
 
 class _InstanceBuilder:
@@ -349,7 +353,7 @@ class _InstanceBuilder:
                 raise
             code = "PER-001" if isinstance(exc, InvalidIso8601) else "PER-002"
             self.recover(code, f"context dropped: {exc}", exc.location,
-                         subject=element.attr("id"))
+                         subject=element.attr_qn(c.QN_ATTR_ID))
             return
         if context.id in contexts:
             raise DuplicateContextId(
@@ -367,26 +371,25 @@ class _InstanceBuilder:
             )
         units[unit.id] = unit
 
-    def _classify_as_tuple(self, element: XmlElement) -> bool:
-        if any(
-            ch.name.namespace_uri not in (c.XBRLI_NS, c.LINK_NS)
-            for ch in element.child_elements()
-        ):
+    def _classify_as_tuple(self, element: XmlElement, kids: list[XmlElement],
+                           text: str) -> bool:
+        if any(ch.name.namespace_uri not in _RESERVED_NAMESPACES for ch in kids):
             return True
         # A bare element with nothing item-like about it (no contextRef, no
         # numeric attributes, no value) reads back as an empty tuple, keeping
         # empty tuples round-trippable.
+        attrs = element.attributes
         return (
-            not element.child_elements()
-            and element.attr("contextRef") is None
-            and element.attr("unitRef") is None
-            and element.attr("decimals") is None
-            and element.attr("precision") is None
-            and not element.text_content().strip()
+            not kids
+            and c.QN_ATTR_CONTEXT_REF not in attrs
+            and c.QN_ATTR_UNIT_REF not in attrs
+            and c.QN_ATTR_DECIMALS not in attrs
+            and c.QN_ATTR_PRECISION not in attrs
+            and not text.strip()
         )
 
     def _build_fact(self, element: XmlElement, depth: int) -> Fact | None:
-        if element.name.namespace_uri in (c.XBRLI_NS, c.LINK_NS):
+        if element.name.namespace_uri in _RESERVED_NAMESPACES:
             # Unknown structural elements in the reserved namespaces are
             # not facts; a nested instance is reported, the rest skipped.
             if element.name == c.QN_XBRL and self.lenient:
@@ -396,11 +399,14 @@ class _InstanceBuilder:
                     element.source_location,
                 )
             return None
-        if self._classify_as_tuple(element):
-            return self._build_tuple(element, depth)
-        return self._build_item(element)
+        kids = element.child_elements()
+        text = element.text_content()
+        if self._classify_as_tuple(element, kids, text):
+            return self._build_tuple(element, kids, depth)
+        return self._build_item(element, text)
 
-    def _build_tuple(self, element: XmlElement, depth: int) -> Tuple | None:
+    def _build_tuple(self, element: XmlElement, kids: list[XmlElement],
+                     depth: int) -> Tuple | None:
         loc = element.source_location
         if depth > self.options.max_tuple_depth:
             if not self.lenient:
@@ -414,21 +420,23 @@ class _InstanceBuilder:
             )
             return None
         children: list[Fact] = []
-        for ch in element.child_elements():
+        for ch in kids:
             fact = self._build_fact(ch, depth + 1)
             if fact is not None:
                 children.append(fact)
+        attrs = element.attributes
         return Tuple(
             concept=element.name,
             children=tuple(children),
-            id=element.attr("id"),
-            context_ref=element.attr("contextRef"),
+            id=attrs.get(c.QN_ATTR_ID),
+            context_ref=attrs.get(c.QN_ATTR_CONTEXT_REF),
             source_location=loc,
         )
 
-    def _build_item(self, element: XmlElement) -> Item | None:
+    def _build_item(self, element: XmlElement, text: str) -> Item | None:
         loc = element.source_location
-        context_ref = element.attr("contextRef")
+        attrs = element.attributes
+        context_ref = attrs.get(c.QN_ATTR_CONTEXT_REF)
         if context_ref is None:
             if not self.lenient:
                 raise MissingContextRef(
@@ -440,8 +448,8 @@ class _InstanceBuilder:
                 loc, subject=element.name.clark(),
             )
             return None
-        decimals = self._fidelity_attr(element, "decimals", _DECIMALS_RE)
-        precision = self._fidelity_attr(element, "precision", _PRECISION_RE)
+        decimals = self._fidelity_attr(element, c.QN_ATTR_DECIMALS, _DECIMALS_RE)
+        precision = self._fidelity_attr(element, c.QN_ATTR_PRECISION, _PRECISION_RE)
         if decimals is not None and precision is not None:
             if not self.lenient:
                 raise InvalidItemAttributes(
@@ -455,26 +463,27 @@ class _InstanceBuilder:
         return Item(
             concept=element.name,
             context_ref=context_ref,
-            value=element.text_content().strip(),
-            unit_ref=element.attr("unitRef"),
+            value=text.strip(),
+            unit_ref=attrs.get(c.QN_ATTR_UNIT_REF),
             decimals=decimals,
             precision=precision,
-            id=element.attr("id"),
+            id=attrs.get(c.QN_ATTR_ID),
             source_location=loc,
         )
 
-    def _fidelity_attr(self, element: XmlElement, name: str, pattern: re.Pattern) -> str | None:
-        raw = element.attr(name)
+    def _fidelity_attr(self, element: XmlElement, name: QName,
+                       pattern: re.Pattern) -> str | None:
+        raw = element.attributes.get(name)
         if raw is None:
             return None
         if pattern.match(raw):
             return raw
         if not self.lenient:
             raise InvalidItemAttributes(
-                f"invalid {name} value {raw!r}", element.source_location
+                f"invalid {name.local_name} value {raw!r}", element.source_location
             )
         self.recover(
-            "ITM-001", f"invalid {name} value {raw!r} ignored",
+            "ITM-001", f"invalid {name.local_name} value {raw!r} ignored",
             element.source_location, subject=element.name.clark(),
         )
         return None
@@ -546,17 +555,13 @@ def _el(name: QName, attrs: dict[QName, str] | None = None,
     return XmlElement(name=name, attributes=attrs or {}, children=children)
 
 
-def _attr(name: str) -> QName:
-    return QName("", name)
-
-
 def _ref_element(name: QName, ref: TaxonomyRef) -> XmlElement:
-    return _el(name, {QName(c.XLINK_NS, "type"): "simple", c.QN_XLINK_HREF: ref.href})
+    return _el(name, {c.QN_XLINK_TYPE: "simple", c.QN_XLINK_HREF: ref.href})
 
 
 def _context_element(context: Context) -> XmlElement:
     entity_children: list = [
-        _el(c.QN_IDENTIFIER, {_attr("scheme"): context.entity.scheme},
+        _el(c.QN_IDENTIFIER, {c.QN_ATTR_SCHEME: context.entity.scheme},
             (context.entity.identifier,))
     ]
     if context.entity.segment is not None:
@@ -577,7 +582,7 @@ def _context_element(context: Context) -> XmlElement:
     ]
     if context.scenario is not None:
         children.append(context.scenario)
-    return _el(c.QN_CONTEXT, {_attr("id"): context.id}, tuple(children))
+    return _el(c.QN_CONTEXT, {c.QN_ATTR_ID: context.id}, tuple(children))
 
 
 def _measure_elements(measures: tuple[QName, ...]) -> tuple[XmlElement, ...]:
@@ -606,47 +611,49 @@ def _unit_element(unit: Unit) -> XmlElement:
                 _el(c.QN_UNIT_DENOMINATOR, None, _measure_elements(unit.body.denominator)),
             )),
         )
-    return _el(c.QN_UNIT, {_attr("id"): unit.id}, children)
+    return _el(c.QN_UNIT, {c.QN_ATTR_ID: unit.id}, children)
 
 
 def _fact_element(fact: Fact) -> XmlElement:
     if isinstance(fact, Item):
         attrs: dict[QName, str] = {}
         if fact.id is not None:
-            attrs[_attr("id")] = fact.id
-        attrs[_attr("contextRef")] = fact.context_ref
+            attrs[c.QN_ATTR_ID] = fact.id
+        attrs[c.QN_ATTR_CONTEXT_REF] = fact.context_ref
         if fact.unit_ref is not None:
-            attrs[_attr("unitRef")] = fact.unit_ref
+            attrs[c.QN_ATTR_UNIT_REF] = fact.unit_ref
         if fact.decimals is not None:
-            attrs[_attr("decimals")] = fact.decimals
+            attrs[c.QN_ATTR_DECIMALS] = fact.decimals
         if fact.precision is not None:
-            attrs[_attr("precision")] = fact.precision
+            attrs[c.QN_ATTR_PRECISION] = fact.precision
         children: tuple = (fact.value,) if fact.value else ()
         return _el(fact.concept, attrs, children)
     attrs = {}
     if fact.id is not None:
-        attrs[_attr("id")] = fact.id
+        attrs[c.QN_ATTR_ID] = fact.id
     if fact.context_ref is not None:
-        attrs[_attr("contextRef")] = fact.context_ref
+        attrs[c.QN_ATTR_CONTEXT_REF] = fact.context_ref
     return _el(fact.concept, attrs, tuple(_fact_element(ch) for ch in fact.children))
 
 
 def _footnote_link_element(link: FootnoteLink) -> XmlElement:
     children: list[XmlElement] = []
-    for label, href in link.locators.items():
+    for label, href in link.locators:
         children.append(_el(c.QN_LOC, {
-            QName(c.XLINK_NS, "type"): "locator",
+            c.QN_XLINK_TYPE: "locator",
             c.QN_XLINK_LABEL: label,
             c.QN_XLINK_HREF: href,
         }))
-    for label, note in link.footnotes.items():
+    for _, note in link.footnotes:
         children.append(note.content)
     for arc in link.arcs:
         children.append(_el(c.QN_FOOTNOTE_ARC, {
-            QName(c.XLINK_NS, "type"): "arc",
+            c.QN_XLINK_TYPE: "arc",
             c.QN_XLINK_ARCROLE: arc.arc_role,
             c.QN_XLINK_FROM: arc.from_label,
             c.QN_XLINK_TO: arc.to_label,
         }))
-    return _el(c.QN_FOOTNOTE_LINK, {QName(c.XLINK_NS, "type"): "extended"},
-               tuple(children))
+    attrs = {c.QN_XLINK_TYPE: "extended"}
+    if link.role:
+        attrs[c.QN_XLINK_ROLE] = link.role
+    return _el(c.QN_FOOTNOTE_LINK, attrs, tuple(children))

@@ -189,7 +189,7 @@ class _Checker:
 
     def _check_footnotes(self) -> None:
         for link in self.instance.footnote_links:
-            labels = set(link.locators) | set(link.footnotes)
+            labels = {label for label, _ in (*link.locators, *link.footnotes)}
             for arc in link.arcs:
                 for endpoint in (arc.from_label, arc.to_label):
                     if endpoint not in labels:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import xml.parsers.expat
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from .errors import XbrlError
 
@@ -53,9 +53,11 @@ class UnsupportedEncoding(XmlReadError):
     """The document declares an encoding the reader cannot decode."""
 
 
-@dataclass(frozen=True, order=True)
-class SourceLocation:
-    """Line/column position in the source bytes (1-based line, 0-based column)."""
+class SourceLocation(NamedTuple):
+    """Line/column position in the source bytes (1-based line, 0-based column).
+
+    A tuple: it orders by (line, column) and equals the plain tuple.
+    """
 
     line: int = 0
     column: int = 0
@@ -64,12 +66,12 @@ class SourceLocation:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class QName:
+class QName(NamedTuple):
     """Expanded name: namespace URI (possibly empty) plus local name.
 
     Identity is the (namespace_uri, local_name) pair; the prefix used in
-    any particular document is never part of it.
+    any particular document is never part of it. A QName is that tuple, so
+    it hashes and compares like ``(namespace_uri, local_name)``.
     """
 
     namespace_uri: str
@@ -95,7 +97,7 @@ class QName:
 XmlNode = Union["XmlElement", str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XmlElement:
     """One element: name, attributes, ordered children (elements and text).
 
@@ -124,7 +126,7 @@ class XmlElement:
 
     def text_content(self) -> str:
         """Concatenated text of direct text children (element children skipped)."""
-        return "".join(c for c in self.children if isinstance(c, str))
+        return "".join([c for c in self.children if isinstance(c, str)])
 
     def attr(self, local_name: str) -> str | None:
         """Value of an unqualified attribute, or None."""
@@ -178,8 +180,20 @@ class XmlTree:
     root: XmlElement
 
 
+# (prefix bindings, element raw name -> QName, attribute raw name -> QName)
+_Scope = tuple[dict[str, str], dict[str, QName], dict[str, QName]]
+
+
 class _TreeBuilder:
-    """Assembles XmlElements from expat events, resolving prefixes itself."""
+    """Assembles XmlElements from expat events, resolving prefixes itself.
+
+    Each namespace scope is a tuple (bindings, element names, attribute
+    names): the prefix-to-URI map plus two raw-name -> QName caches, so a
+    name is resolved once per scope and every element carrying it shares
+    one QName object. An element opens a new scope only when it declares
+    ``xmlns``/``xmlns:*``; otherwise it shares its parent's. Names whose
+    prefix is unbound are never cached, so they raise again wherever used.
+    """
 
     def __init__(self) -> None:
         self.parser = xml.parsers.expat.ParserCreate(namespace_separator=None)
@@ -189,9 +203,9 @@ class _TreeBuilder:
         self.parser.EndElementHandler = self._end
         self.parser.CharacterDataHandler = self._chardata
         self.parser.StartDoctypeDeclHandler = self._doctype
-        # stack entries: [qname, attrs, children, location, scope]
+        # stack entries: [qname, attrs, children, location, bindings]
         self.stack: list[list] = []
-        self.scopes: list[dict[str, str]] = [_INITIAL_SCOPE]
+        self.scopes: list[_Scope] = [(_INITIAL_SCOPE, {}, {})]
         self.text: list[str] = []
         self.root: XmlElement | None = None
 
@@ -205,13 +219,14 @@ class _TreeBuilder:
             subcode="doctype",
         )
 
-    def _resolve(self, raw: str, scope: Mapping[str, str], loc: SourceLocation,
+    @staticmethod
+    def _resolve(raw: str, bindings: Mapping[str, str], loc: SourceLocation,
                  is_attribute: bool) -> QName:
         if ":" in raw:
             prefix, _, local = raw.partition(":")
             if not prefix or not local or ":" in local:
                 raise MalformedXml(f"invalid name {raw!r}", loc.line, loc.column)
-            uri = scope.get(prefix)
+            uri = bindings.get(prefix)
             if uri is None:
                 raise UnboundPrefix(
                     f"prefix {prefix!r} is not declared", loc.line, loc.column
@@ -219,57 +234,81 @@ class _TreeBuilder:
             return QName(uri, local)
         if is_attribute:
             return QName("", raw)
-        return QName(scope.get("", ""), raw)
+        return QName(bindings.get("", ""), raw)
 
-    def _start(self, raw_name: str, attr_list: list[str]) -> None:
-        self._flush_text()
-        loc = self._loc()
-        pairs = list(zip(attr_list[0::2], attr_list[1::2]))
-        scope = self.scopes[-1]
-        merged: dict[str, str] | None = None
-        for k, v in pairs:
-            prefix = None
-            if k == "xmlns":
-                prefix = ""
-            elif k.startswith("xmlns:"):
-                prefix = k[6:]
-            if prefix is None:
-                continue
-            if merged is None:
-                merged = dict(scope)
-            if v:
-                merged[prefix] = v
-            else:
-                merged.pop(prefix, None)
-        if merged is not None:
-            scope = merged
-        self.scopes.append(scope)
+    @staticmethod
+    def _declare(attr_list: list[str], scope: _Scope) -> _Scope:
+        """The scope of an element: its parent's, or a new one if it declares."""
+        bindings: dict[str, str] | None = None
+        it = iter(attr_list)
+        for k, v in zip(it, it):
+            if k == "xmlns" or k.startswith("xmlns:"):
+                if bindings is None:
+                    bindings = dict(scope[0])
+                if v:
+                    bindings[k[6:]] = v
+                else:
+                    bindings.pop(k[6:], None)
+        return scope if bindings is None else (bindings, {}, {})
 
-        qname = self._resolve(raw_name, scope, loc, is_attribute=False)
+    def _attributes(self, attr_list: list[str], scope: _Scope,
+                    loc: SourceLocation) -> dict[QName, str]:
+        bindings, _, names = scope
         attrs: dict[QName, str] = {}
-        for k, v in pairs:
+        it = iter(attr_list)
+        for k, v in zip(it, it):
             if k == "xmlns" or k.startswith("xmlns:"):
                 continue
-            aq = self._resolve(k, scope, loc, is_attribute=True)
+            aq = names.get(k)
+            if aq is None:
+                aq = names[k] = self._resolve(k, bindings, loc, is_attribute=True)
             if aq in attrs:
                 raise MalformedXml(
                     f"duplicate attribute {aq.clark()}", loc.line, loc.column,
                     subcode="duplicate-attribute",
                 )
             attrs[aq] = v
-        self.stack.append([qname, attrs, [], loc, scope])
+        return attrs
+
+    def _start(self, raw_name: str, attr_list: list[str]) -> None:
+        if self.text:
+            self._flush_text()
+        parser = self.parser
+        loc = SourceLocation(parser.CurrentLineNumber, parser.CurrentColumnNumber)
+        scope = self.scopes[-1]
+        attrs: dict[QName, str] | None = {}
+        if attr_list:
+            # One pass through the scope's attribute cache. A miss (a name
+            # first seen in this scope, or a namespace declaration, which is
+            # never cached) or a collision falls back to the full resolution.
+            names = scope[2]
+            it = iter(attr_list)
+            for k, v in zip(it, it):
+                aq = names.get(k)
+                if aq is None:
+                    attrs = None
+                    break
+                attrs[aq] = v
+            if attrs is None or 2 * len(attrs) != len(attr_list):
+                attrs = None
+                scope = self._declare(attr_list, scope)
+        self.scopes.append(scope)
+        bindings, element_names, _ = scope
+        qname = element_names.get(raw_name)
+        if qname is None:
+            qname = element_names[raw_name] = self._resolve(
+                raw_name, bindings, loc, is_attribute=False
+            )
+        if attrs is None:
+            attrs = self._attributes(attr_list, scope, loc)
+        self.stack.append([qname, attrs, [], loc, bindings])
 
     def _end(self, raw_name: str) -> None:
-        self._flush_text()
-        qname, attrs, children, loc, scope = self.stack.pop()
+        if self.text:
+            self._flush_text()
+        qname, attrs, children, loc, bindings = self.stack.pop()
         self.scopes.pop()
-        element = XmlElement(
-            name=qname,
-            attributes=attrs,
-            children=tuple(children),
-            source_location=loc,
-            prefix_bindings=scope,
-        )
+        element = XmlElement(qname, attrs, tuple(children), loc, bindings)
         if self.stack:
             self.stack[-1][2].append(element)
         else:
@@ -280,9 +319,8 @@ class _TreeBuilder:
             self.text.append(data)
 
     def _flush_text(self) -> None:
-        if self.text:
-            self.stack[-1][2].append("".join(self.text))
-            self.text.clear()
+        self.stack[-1][2].append("".join(self.text))
+        self.text.clear()
 
 
 _ENCODING_ERROR_CODES = {
@@ -375,27 +413,31 @@ def serialize_element(root: XmlElement, prefix_hints: Mapping[str, str] | None =
             return f"{prefixes[qn.namespace_uri]}:{qn.local_name}"
         return qn.local_name
 
+    declarations = "".join(
+        f' xmlns:{prefix}="{_escape(uri, _ATTR_ESCAPES)}"'
+        for uri, prefix in prefixes.items() if uri != XML_NAMESPACE
+    )
     out: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>\n']
-
-    def write(element: XmlElement, is_root: bool) -> None:
-        out.append(f"<{tag(element.name)}")
-        if is_root:
-            for uri, prefix in prefixes.items():
-                if uri == XML_NAMESPACE:
-                    continue
-                out.append(f' xmlns:{prefix}="{_escape(uri, _ATTR_ESCAPES)}"')
-        for aq, value in element.attributes.items():
+    # Explicit stack, so depth is bounded by memory and not by the
+    # recursion limit. Strings on it are ready-to-write output (escaped
+    # text and end tags); elements still have to be opened.
+    stack: list[XmlNode] = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        name = tag(node.name)
+        out.append(f"<{name}")
+        if node is root:
+            out.append(declarations)
+        for aq, value in node.attributes.items():
             out.append(f' {tag(aq)}="{_escape(value, _ATTR_ESCAPES)}"')
-        if not element.children:
+        if not node.children:
             out.append("/>")
-            return
+            continue
         out.append(">")
-        for child in element.children:
-            if isinstance(child, str):
-                out.append(_escape(child, _TEXT_ESCAPES))
-            else:
-                write(child, False)
-        out.append(f"</{tag(element.name)}>")
-
-    write(root, True)
+        stack.append(f"</{name}>")
+        for child in reversed(node.children):
+            stack.append(_escape(child, _TEXT_ESCAPES) if isinstance(child, str) else child)
     return "".join(out).encode("utf-8")

@@ -167,13 +167,17 @@ def random_footnote_link(rng: random.Random, item_ids: list[str]) -> FootnoteLin
         },
         children=(" ".join(rng.sample(WORDS, 2)),),
     )
+    # Locators may share a label (the arc then applies to each of them),
+    # and the link may carry a role: both must survive a round trip.
+    targets = rng.sample(item_ids, min(len(item_ids), rng.randint(1, 2)))
     return FootnoteLink(
-        locators={loc_label: "#" + rng.choice(item_ids)},
-        footnotes={note_label: Footnote(content=content, language="en")},
+        locators=tuple((loc_label, "#" + target) for target in targets),
+        footnotes=((note_label, Footnote(content=content, language="en")),),
         arcs=(FootnoteArc(
             from_label=loc_label, to_label=note_label,
             arc_role="http://www.xbrl.org/2003/arcrole/fact-footnote",
         ),),
+        role=rng.choice(["", "http://www.xbrl.org/2003/role/link"]),
     )
 
 

@@ -13,6 +13,7 @@ import json
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -231,7 +232,7 @@ def test_criterion_6_dts_closure():
             r'<link:(?:schema|linkbase)Ref[^>]*xlink:href="([^"]+)"',
             fixture_bytes(name).decode())]
         for uri in dts.documents:
-            text = open(uri, encoding="utf-8").read()
+            text = Path(uri).read_text(encoding="utf-8")
             for href in re.findall(r'(?:schemaLocation|xlink:href)="([^"]+)"', text):
                 edges.append((uri, href))
         covered = set(dts.documents) | {u for u, _ in dts.unresolved}

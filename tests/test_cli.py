@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,7 +147,7 @@ def test_facts_csv_round_trips_losslessly(repo_root, capsys):
     _, out, _ = run(capsys, "facts", "fixtures/mini-instance.xml", "--format", "csv")
     parsed = list(csv.reader(io.StringIO(out)))[1:]
     instance = parse_instance(
-        read_document(open("fixtures/mini-instance.xml", "rb").read())
+        read_document(Path("fixtures/mini-instance.xml").read_bytes())
     ).instance
     expected = [list(r.as_tuple()) for r in fact_rows(instance)]
     assert parsed == expected

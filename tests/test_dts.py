@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import re
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -211,7 +212,7 @@ def test_discover_closure_covers_every_href():
     assert len(dts.documents) == 2
     # independent href-grep oracle over the loaded files
     for uri, doc in dts.documents.items():
-        text = open(uri, encoding="utf-8").read()
+        text = Path(uri).read_text(encoding="utf-8")
         greps = re.findall(r'(?:schemaLocation|xlink:href)="([^"]+)"', text)
         assert sorted(greps) == sorted(doc.outgoing_refs)
         for href in greps:

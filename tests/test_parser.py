@@ -23,6 +23,7 @@ from xbrlcore import (
     parse_unit,
     read_document,
     serialize,
+    validate,
 )
 from xbrlcore.parser import (
     DuplicateContextId,
@@ -214,12 +215,36 @@ def test_tuple_context_ref_recorded_not_resolved():
 def test_footnote_link_parsed():
     instance = parse_instance(read_document(fixture_bytes("mini-instance.xml"))).instance
     link = instance.footnote_links[0]
-    assert link.locators == {"assets": "#f-assets"}
-    assert set(link.footnotes) == {"note-1"}
-    assert link.footnotes["note-1"].language == "en"
+    assert link.locators == (("assets", "#f-assets"),)
+    assert [label for label, _ in link.footnotes] == ["note-1"]
+    assert link.footnotes[0][1].language == "en"
+    assert link.role == ""
     arc = link.arcs[0]
     assert (arc.from_label, arc.to_label) == ("assets", "note-1")
     assert arc.arc_role.endswith("fact-footnote")
+
+
+def test_footnote_link_keeps_shared_labels_and_role():
+    role = "http://www.xbrl.org/2003/role/link"
+    data = wrap(
+        CONTEXT
+        + '<ex:V id="f1" contextRef="c1">1</ex:V><ex:V id="f2" contextRef="c1">2</ex:V>'
+        + f'<link:footnoteLink xlink:type="extended" xlink:role="{role}">'
+        '<link:loc xlink:type="locator" xlink:label="fact" xlink:href="#f1"/>'
+        '<link:loc xlink:type="locator" xlink:label="fact" xlink:href="#f2"/>'
+        '<link:footnote xlink:type="resource" xlink:label="note" xml:lang="en">n</link:footnote>'
+        '<link:footnoteArc xlink:type="arc" xlink:arcrole="urn:fact-footnote" '
+        'xlink:from="fact" xlink:to="note"/>'
+        "</link:footnoteLink>"
+    )
+    instance = parse_instance(read_document(data)).instance
+    link = instance.footnote_links[0]
+    assert link.locators == (("fact", "#f1"), ("fact", "#f2"))
+    assert link.role == role
+    text = serialize(instance).decode()
+    assert text.count("<link:loc ") == 2 and f'xlink:role="{role}"' in text
+    assert parse_instance(read_document(text.encode())).instance == instance
+    assert not [f for f in validate(instance).findings if f.code == "FTN-001"]
 
 
 def test_linkbase_ref_captured():

@@ -7,6 +7,7 @@ from conftest import fixture_bytes
 from xbrlcore import (
     MalformedXml,
     QName,
+    SourceLocation,
     UnboundPrefix,
     UnsupportedEncoding,
     XmlElement,
@@ -91,6 +92,14 @@ def test_duplicate_attribute_qnames_rejected():
     with pytest.raises(MalformedXml) as err:
         read_document(data)
     assert err.value.subcode == "duplicate-attribute"
+    # each name already resolved in this scope by an earlier element
+    data = (b'<a xmlns:p="urn:x" xmlns:q="urn:x"><b p:k="1"/><b q:k="2"/>\n'
+            b'<b p:k="1" q:k="2"/></a>')
+    with pytest.raises(MalformedXml) as err:
+        read_document(data)
+    assert err.value.subcode == "duplicate-attribute"
+    assert (str(err.value), err.value.line, err.value.column) == (
+        "duplicate attribute {urn:x}k", 2, 0)
 
 
 def test_predefined_entities_and_char_refs():
@@ -114,6 +123,74 @@ def test_iter_elements_walks_a_deep_tree():
     tree = read_document(b"<w>" * depth + b"<x/>" + b"</w>" * depth)
     names = [e.name.local_name for e in tree.root.iter_elements()]
     assert names == ["w"] * depth + ["x"]
+
+
+def test_serialize_walks_a_deep_tree():
+    depth = 5000
+    node = XmlElement(name=QName("", "x"))
+    for _ in range(depth):
+        node = XmlElement(name=QName("", "w"), children=(node,))
+    back = read_document(serialize_element(node))
+    names = [e.name.local_name for e in back.root.iter_elements()]
+    assert names == ["w"] * depth + ["x"]
+
+
+def test_prefix_rebound_in_sibling_scopes_gives_different_names():
+    tree = read_document(
+        b'<r><a xmlns:p="urn:1"><p:x p:k="1"/></a><b xmlns:p="urn:2"><p:x p:k="2"/></b></r>'
+    )
+    first, second = (scope.child_elements()[0] for scope in tree.root.child_elements())
+    assert first.name == QName("urn:1", "x")
+    assert second.name == QName("urn:2", "x")
+    assert list(first.attributes) == [QName("urn:1", "k")]
+    assert list(second.attributes) == [QName("urn:2", "k")]
+
+
+@pytest.mark.parametrize("data", [
+    b'<r><a xmlns:p="urn:1"><p:x/></a>\n<p:x/></r>',
+    b'<r><a xmlns:p="urn:1" p:k="1"/>\n<b p:k="1"/></r>',
+])
+def test_prefix_declared_in_sibling_scope_stays_unbound(data):
+    with pytest.raises(UnboundPrefix) as err:
+        read_document(data)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        "prefix 'p' is not declared", 2, 0)
+
+
+def test_unprefixed_attribute_differs_from_default_namespace_element():
+    tree = read_document(b'<k xmlns="urn:d" k="1"><k k="2"/></k>')
+    inner = tree.root.child_elements()[0]
+    assert tree.root.name == inner.name == QName("urn:d", "k")
+    assert list(tree.root.attributes) == list(inner.attributes) == [QName("", "k")]
+
+
+def test_same_named_elements_in_one_scope_share_one_qname():
+    tree = read_document(
+        b'<r xmlns:p="urn:1"><p:x a="1"/><p:x a="2"/><s><p:x a="3"/></s></r>'
+    )
+    xs = find_elements(tree, QName("urn:1", "x"))
+    assert len(xs) == 3
+    assert xs[0].name is xs[1].name is xs[2].name
+    first, second, third = (next(iter(x.attributes)) for x in xs)
+    assert first is second is third
+
+
+def test_qname_and_source_location_hash_and_compare_as_tuples():
+    qn = QName("urn:x", "a")
+    assert qn == QName("urn:x", "a") and hash(qn) == hash(QName("urn:x", "a"))
+    assert qn != QName("urn:y", "a") and qn != QName("urn:x", "b")
+    assert qn == ("urn:x", "a") and hash(qn) == hash(("urn:x", "a"))
+    assert {qn: 1}[QName("urn:x", "a")] == 1
+    assert (qn.namespace_uri, qn.local_name) == ("urn:x", "a")
+    assert str(qn) == qn.clark() == "{urn:x}a" and QName("", "a").clark() == "a"
+    assert QName.from_clark("{urn:x}a") == qn and QName.from_clark("a") == QName("", "a")
+    assert repr(qn) == "QName(namespace_uri='urn:x', local_name='a')"
+    loc = SourceLocation(3, 7)
+    assert loc == SourceLocation(3, 7) == (3, 7) and hash(loc) == hash((3, 7))
+    assert SourceLocation(2, 9) < loc < SourceLocation(3, 8)
+    assert SourceLocation() == SourceLocation(0, 0)
+    assert (loc.line, loc.column) == (3, 7)
+    assert str(loc) == "3:7" and repr(loc) == "SourceLocation(line=3, column=7)"
 
 
 def test_find_elements_no_match_is_empty():
