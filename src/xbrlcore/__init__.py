@@ -10,8 +10,6 @@ from .xmltree import (
     UnsupportedEncoding,
     XmlElement,
     XmlReadError,
-    XmlTree,
-    find_elements,
     read_document,
 )
 from .model import (
@@ -49,7 +47,6 @@ from .parser import (
 from .dts import (
     Balance,
     Concept,
-    ConceptRegistry,
     DataKind,
     DocumentKind,
     Dts,
@@ -63,23 +60,15 @@ from .dts import (
     discover,
     load_taxonomy_schema,
 )
-from .findings import Finding, Severity
-from .validation import (
-    Rule,
-    RuleCatalog,
-    ValidationReport,
-    build_report,
-    rule_catalog,
-    validate,
-)
+from .findings import Finding, Rule, Severity, rule_catalog
+from .validation import ValidationReport, build_report, validate
 from .facttable import CSV_HEADER, FactRow, fact_rows
 
 __version__ = "0.1.0"
 
 __all__ = [
     "XbrlError",
-    "QName", "SourceLocation", "XmlElement", "XmlTree",
-    "read_document", "find_elements",
+    "QName", "SourceLocation", "XmlElement", "read_document",
     "MalformedXml", "UnboundPrefix", "UnsupportedEncoding", "XmlReadError",
     "Instance", "Item", "Tuple", "Fact", "Context", "Entity", "Unit",
     "Measures", "Divide", "Instant", "Duration", "Forever",
@@ -87,11 +76,11 @@ __all__ = [
     "UnresolvedContextRef", "UnresolvedUnitRef",
     "ParseOptions", "ParseMode", "ParseOutcome", "ParseError",
     "parse_instance", "parse_period", "parse_unit", "find_instances", "serialize",
-    "Dts", "DtsDocument", "Concept", "ConceptRegistry",
+    "Dts", "DtsDocument", "Concept",
     "ItemKind", "DataKind", "PeriodType", "Balance", "DocumentKind",
     "Resolver", "build_resolver",
     "ResolutionError", "NotASchema", "discover", "load_taxonomy_schema",
-    "Finding", "Severity", "Rule", "RuleCatalog", "ValidationReport",
+    "Finding", "Severity", "Rule", "ValidationReport",
     "validate", "build_report", "rule_catalog",
     "FactRow", "fact_rows", "CSV_HEADER",
     "__version__",

@@ -16,12 +16,12 @@ import json
 import os
 import sys
 
-from .dts import Dts, build_resolver, discover, DEFAULT_MAX_DEPTH, DEFAULT_MAX_DOCUMENTS
+from .dts import Dts, Resolver, build_resolver, discover, DEFAULT_MAX_DEPTH, DEFAULT_MAX_DOCUMENTS
 from .errors import XbrlError
 from .facttable import CSV_HEADER, fact_rows
-from .findings import Finding
+from .findings import Finding, rule_catalog
 from .parser import ParseMode, ParseOptions, ParseOutcome, find_instances
-from .validation import build_report, digest_bytes, rule_catalog, validate
+from .validation import build_report, digest_bytes, validate
 from .xmltree import read_document
 
 EXIT_OK = 0
@@ -102,8 +102,8 @@ def _load_instances(args: argparse.Namespace) -> tuple[bytes, list[ParseOutcome]
     return data, outcomes
 
 
-def _discover_dts(args: argparse.Namespace, outcome: ParseOutcome) -> Dts:
-    resolver = build_resolver(args.taxonomy_root, args.allow_network)
+def _discover_dts(args: argparse.Namespace, resolver: Resolver,
+                  outcome: ParseOutcome) -> Dts:
     return discover(
         outcome.instance, resolver, base_uri=args.input,
         max_documents=args.max_documents, max_depth=args.max_depth,
@@ -162,8 +162,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     data, outcomes = _load_instances(args)
+    resolver = build_resolver(args.taxonomy_root, args.allow_network)
     reports = [
-        validate(outcome, _discover_dts(args, outcome) if args.taxonomy_root else None)
+        validate(outcome, _discover_dts(args, resolver, outcome) if args.taxonomy_root else None)
         for outcome in outcomes
     ]
     report = build_report((f for r in reports for f in r.findings), digest_bytes(data),
@@ -214,8 +215,9 @@ def cmd_dts(args: argparse.Namespace) -> int:
     unresolved: list = []
     concept_count = 0
     limit_exceeded = False
+    resolver = build_resolver(args.taxonomy_root, args.allow_network)
     for outcome in outcomes:
-        dts = _discover_dts(args, outcome)
+        dts = _discover_dts(args, resolver, outcome)
         for uri, doc in dts.documents.items():
             documents.setdefault(uri, doc)
         for entry in dts.unresolved:
@@ -247,15 +249,14 @@ def cmd_dts(args: argparse.Namespace) -> int:
 
 
 def cmd_rules(args: argparse.Namespace) -> int:
-    catalog = rule_catalog()
     if args.format == "json":
         _print_json([
             {"code": r.code, "severity": r.severity.value,
              "description": r.description, "requires_dts": r.requires_dts}
-            for r in catalog.rules
+            for r in rule_catalog()
         ])
     else:
-        for r in catalog.rules:
+        for r in rule_catalog():
             dts_mark = " (needs taxonomy)" if r.requires_dts else ""
             print(f"{r.code:8} {r.severity.value:8} {r.description}{dts_mark}")
     return EXIT_OK

@@ -75,6 +75,12 @@ QN_SUBST_ITEM = QName(XBRLI_NS, "item")
 QN_SUBST_TUPLE = QName(XBRLI_NS, "tuple")
 QN_PERIOD_TYPE_ATTR = QName(XBRLI_NS, "periodType")
 QN_BALANCE_ATTR = QName(XBRLI_NS, "balance")
+QN_ATTR_NAME = QName("", "name")
+QN_ATTR_TYPE = QName("", "type")
+QN_ATTR_SUBSTITUTION_GROUP = QName("", "substitutionGroup")
+QN_ATTR_ABSTRACT = QName("", "abstract")
+QN_ATTR_TARGET_NAMESPACE = QName("", "targetNamespace")
+QN_ATTR_SCHEMA_LOCATION = QName("", "schemaLocation")
 
 # xbrli item type local names, grouped by the data kind they imply
 MONETARY_ITEM_TYPES = {"monetaryItemType"}

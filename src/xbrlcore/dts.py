@@ -14,7 +14,7 @@ import posixpath
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 from urllib.parse import urlsplit, urljoin
 
 from . import constants as c
@@ -79,25 +79,6 @@ class Concept:
     abstract: bool = False
 
 
-class ConceptRegistry:
-    """Exact-match concept lookup; misses return None, never a default."""
-
-    def __init__(self, concepts: Mapping[QName, Concept] | None = None):
-        self.by_qname: dict[QName, Concept] = dict(concepts or {})
-
-    def lookup(self, qname: QName) -> Concept | None:
-        return self.by_qname.get(qname)
-
-    def __len__(self) -> int:
-        return len(self.by_qname)
-
-    def __iter__(self) -> Iterator[Concept]:
-        return iter(self.by_qname.values())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ConceptRegistry) and self.by_qname == other.by_qname
-
-
 @dataclass(frozen=True)
 class DtsDocument:
     uri: str
@@ -107,10 +88,13 @@ class DtsDocument:
 
 @dataclass(frozen=True)
 class Dts:
-    """The discovered taxonomy set reachable from one instance."""
+    """The discovered taxonomy set reachable from one instance.
+
+    ``concepts`` maps each declared QName to its first declaration.
+    """
 
     documents: Mapping[str, DtsDocument] = field(default_factory=dict)
-    concepts: ConceptRegistry = field(default_factory=ConceptRegistry)
+    concepts: Mapping[QName, Concept] = field(default_factory=dict)
     unresolved: tuple[tuple[str, str], ...] = ()
     findings: tuple[Finding, ...] = ()
     limit_exceeded: bool = False
@@ -214,8 +198,8 @@ def _data_kind(type_name: QName | None) -> DataKind:
     return DataKind.UNKNOWN
 
 
-def _qname_attr(element: XmlElement, attr: str) -> QName | None:
-    raw = element.attr(attr)
+def _qname_attr(element: XmlElement, name: QName) -> QName | None:
+    raw = element.attributes.get(name)
     if raw is None:
         return None
     try:
@@ -226,9 +210,9 @@ def _qname_attr(element: XmlElement, attr: str) -> QName | None:
 
 def _concept_from_declaration(element: XmlElement, target_ns: str,
                               uri: str) -> tuple[Concept, Finding | None]:
-    name = element.attr("name") or ""
-    qname = QName(target_ns, name)
-    subst = _qname_attr(element, "substitutionGroup")
+    attrs = element.attributes
+    qname = QName(target_ns, attrs.get(c.QN_ATTR_NAME) or "")
+    subst = _qname_attr(element, c.QN_ATTR_SUBSTITUTION_GROUP)
     if subst == c.QN_SUBST_ITEM:
         item_kind = ItemKind.ITEM
     elif subst == c.QN_SUBST_TUPLE:
@@ -236,7 +220,7 @@ def _concept_from_declaration(element: XmlElement, target_ns: str,
     else:
         item_kind = ItemKind.UNKNOWN
 
-    period_raw = element.attr_qn(c.QN_PERIOD_TYPE_ATTR)
+    period_raw = attrs.get(c.QN_PERIOD_TYPE_ATTR)
     if period_raw == "instant":
         period_type = PeriodType.INSTANT
     elif period_raw == "duration":
@@ -253,17 +237,17 @@ def _concept_from_declaration(element: XmlElement, target_ns: str,
             qname.clark(),
         )
 
-    balance_raw = element.attr_qn(c.QN_BALANCE_ATTR)
+    balance_raw = attrs.get(c.QN_BALANCE_ATTR)
     balance = {"debit": Balance.DEBIT, "credit": Balance.CREDIT}.get(
         balance_raw or "", Balance.NONE
     )
     concept = Concept(
         qname=qname,
         item_kind=item_kind,
-        data_kind=_data_kind(_qname_attr(element, "type")),
+        data_kind=_data_kind(_qname_attr(element, c.QN_ATTR_TYPE)),
         period_type=period_type,
         balance=balance,
-        abstract=(element.attr("abstract") or "").strip() in ("true", "1"),
+        abstract=(attrs.get(c.QN_ATTR_ABSTRACT) or "").strip() in ("true", "1"),
     )
     return concept, finding
 
@@ -272,11 +256,11 @@ def _outgoing_refs(root: XmlElement) -> list[str]:
     refs: list[str] = []
     for element in root.iter_elements():
         if element.name in (c.QN_XSD_IMPORT, c.QN_XSD_INCLUDE):
-            location = element.attr("schemaLocation")
+            location = element.attributes.get(c.QN_ATTR_SCHEMA_LOCATION)
             if location:
                 refs.append(location)
         elif element.name in (c.QN_LINKBASE_REF, c.QN_SCHEMA_REF):
-            href = element.attr_qn(c.QN_XLINK_HREF)
+            href = element.attributes.get(c.QN_XLINK_HREF)
             if href:
                 refs.append(href)
     return refs
@@ -289,7 +273,7 @@ def load_taxonomy_schema(data: bytes, uri: str) -> tuple[list[Concept], list[str
     root is not an XML Schema document; a schema without a targetNamespace
     contributes no concepts and one finding.
     """
-    return _load_schema_root(read_document(data).root, uri)
+    return _load_schema_root(read_document(data), uri)
 
 
 def _load_schema_root(root: XmlElement, uri: str) -> tuple[list[Concept], list[str], list[Finding]]:
@@ -297,7 +281,7 @@ def _load_schema_root(root: XmlElement, uri: str) -> tuple[list[Concept], list[s
         raise NotASchema(f"{uri}: root element is {root.name.clark()}, not a schema")
     findings: list[Finding] = []
     concepts: list[Concept] = []
-    target_ns = root.attr("targetNamespace")
+    target_ns = root.attributes.get(c.QN_ATTR_TARGET_NAMESPACE)
     if target_ns is None:
         findings.append(Finding.of(
             "DTS-004",
@@ -306,7 +290,7 @@ def _load_schema_root(root: XmlElement, uri: str) -> tuple[list[Concept], list[s
         ))
     else:
         for child in root.child_elements():
-            if child.name == c.QN_XSD_ELEMENT and child.attr("name"):
+            if child.name == c.QN_XSD_ELEMENT and child.attributes.get(c.QN_ATTR_NAME):
                 concept, finding = _concept_from_declaration(child, target_ns, uri)
                 concepts.append(concept)
                 if finding is not None:
@@ -362,7 +346,7 @@ def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
             unresolved.append((uri, str(exc)))
             continue
         try:
-            root = read_document(data).root
+            root = read_document(data)
         except XmlReadError as exc:
             unresolved.append((uri, f"not XML: {exc}"))
             continue
@@ -393,7 +377,7 @@ def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
 
     return Dts(
         documents=documents,
-        concepts=ConceptRegistry(registry),
+        concepts=registry,
         unresolved=tuple(unresolved),
         findings=tuple(findings),
         limit_exceeded=limit_exceeded,

@@ -51,14 +51,6 @@ class Rule:
     requires_dts: bool = False
 
 
-@dataclass(frozen=True)
-class RuleCatalog:
-    rules: tuple[Rule, ...]
-
-    def codes(self) -> tuple[str, ...]:
-        return tuple(r.code for r in self.rules)
-
-
 _RULES = (
     Rule("CTX-001", Severity.ERROR,
          "Item contextRef does not resolve to any context in the instance."),
@@ -103,6 +95,6 @@ _RULES = (
 _RULES_BY_CODE = {r.code: r for r in _RULES}
 
 
-def rule_catalog() -> RuleCatalog:
+def rule_catalog() -> tuple[Rule, ...]:
     """The full rule catalog in stable order."""
-    return RuleCatalog(rules=_RULES)
+    return _RULES

@@ -1,4 +1,4 @@
-"""Converts XmlTrees into Instances and back.
+"""Converts XML element trees into Instances and back.
 
 Parsing is deterministic and order-preserving. Strict mode either fully
 succeeds or fails with the first blocking error and its source position;
@@ -37,7 +37,7 @@ from .model import (
     Tuple,
     Unit,
 )
-from .xmltree import QName, SourceLocation, XmlElement, XmlTree, serialize_element
+from .xmltree import QName, SourceLocation, XmlElement, serialize_element
 
 _DECIMALS_RE = re.compile(r"(INF|[+-]?\d+)$")
 _PRECISION_RE = re.compile(r"(INF|[1-9]\d*)$")
@@ -111,11 +111,6 @@ class ParseMode(Enum):
 @dataclass(frozen=True)
 class ParseOptions:
     mode: ParseMode = ParseMode.STRICT
-    max_tuple_depth: int = c.DEFAULT_MAX_TUPLE_DEPTH
-
-    def __post_init__(self) -> None:
-        if self.max_tuple_depth < 1:
-            raise ValueError("max_tuple_depth must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -161,7 +156,7 @@ def parse_period(element: XmlElement) -> "Instant | Duration | Forever":
 def parse_unit(element: XmlElement) -> Unit:
     """Build a Unit from a unit element (measure children or one divide)."""
     loc = element.source_location
-    unit_id = element.attr_qn(c.QN_ATTR_ID) or ""
+    unit_id = element.attributes.get(c.QN_ATTR_ID) or ""
     children = element.child_elements()
     if not children:
         raise EmptyUnit("unit has no measure or divide content", loc)
@@ -205,7 +200,7 @@ def _parse_entity(element: XmlElement) -> Entity:
     identifier = element.first_child(c.QN_IDENTIFIER)
     if identifier is None:
         raise InvalidContextShape("entity has no identifier", element.source_location)
-    scheme = identifier.attr_qn(c.QN_ATTR_SCHEME) or ""
+    scheme = identifier.attributes.get(c.QN_ATTR_SCHEME) or ""
     ident_text = identifier.text_content().strip()
     if not scheme or not ident_text:
         raise InvalidContextShape(
@@ -221,7 +216,7 @@ def _parse_entity(element: XmlElement) -> Entity:
 
 def _parse_context(element: XmlElement) -> Context:
     loc = element.source_location
-    context_id = element.attr_qn(c.QN_ATTR_ID)
+    context_id = element.attributes.get(c.QN_ATTR_ID)
     if not context_id:
         raise InvalidContextShape("context has no id", loc)
     entity_el = element.first_child(c.QN_ENTITY)
@@ -244,9 +239,9 @@ def _parse_footnote_link(element: XmlElement) -> FootnoteLink:
     footnotes: list[tuple[str, Footnote]] = []
     arcs: list[FootnoteArc] = []
     for child in element.child_elements():
-        label = child.attr_qn(c.QN_XLINK_LABEL)
+        label = child.attributes.get(c.QN_XLINK_LABEL)
         if child.name == c.QN_LOC:
-            href = child.attr_qn(c.QN_XLINK_HREF)
+            href = child.attributes.get(c.QN_XLINK_HREF)
             if not label or not href:
                 raise MalformedFootnoteLink(
                     "locator requires xlink:label and xlink:href",
@@ -259,11 +254,11 @@ def _parse_footnote_link(element: XmlElement) -> FootnoteLink:
                     "footnote requires xlink:label", child.source_location
                 )
             footnotes.append((label, Footnote(
-                content=child, language=child.attr_qn(c.QN_XML_LANG) or ""
+                content=child, language=child.attributes.get(c.QN_XML_LANG) or ""
             )))
         elif child.name == c.QN_FOOTNOTE_ARC:
-            from_label = child.attr_qn(c.QN_XLINK_FROM)
-            to_label = child.attr_qn(c.QN_XLINK_TO)
+            from_label = child.attributes.get(c.QN_XLINK_FROM)
+            to_label = child.attributes.get(c.QN_XLINK_TO)
             if not from_label or not to_label:
                 raise MalformedFootnoteLink(
                     "footnote arc requires xlink:from and xlink:to",
@@ -272,19 +267,19 @@ def _parse_footnote_link(element: XmlElement) -> FootnoteLink:
             arcs.append(FootnoteArc(
                 from_label=from_label,
                 to_label=to_label,
-                arc_role=child.attr_qn(c.QN_XLINK_ARCROLE) or "",
+                arc_role=child.attributes.get(c.QN_XLINK_ARCROLE) or "",
             ))
     return FootnoteLink(
         locators=tuple(locators),
         footnotes=tuple(footnotes),
         arcs=tuple(arcs),
-        role=element.attr_qn(c.QN_XLINK_ROLE) or "",
+        role=element.attributes.get(c.QN_XLINK_ROLE) or "",
         source_location=element.source_location,
     )
 
 
 def _taxonomy_ref(element: XmlElement, kind: RefKind) -> TaxonomyRef:
-    href = element.attr_qn(c.QN_XLINK_HREF)
+    href = element.attributes.get(c.QN_XLINK_HREF)
     if not href:
         raise ParseError(
             f"{element.name.local_name} has no xlink:href", element.source_location
@@ -297,7 +292,6 @@ _RESERVED_NAMESPACES = (c.XBRLI_NS, c.LINK_NS)
 
 class _InstanceBuilder:
     def __init__(self, options: ParseOptions):
-        self.options = options
         self.lenient = options.mode is ParseMode.LENIENT
         self.findings: list[Finding] = []
 
@@ -353,7 +347,7 @@ class _InstanceBuilder:
                 raise
             code = "PER-001" if isinstance(exc, InvalidIso8601) else "PER-002"
             self.recover(code, f"context dropped: {exc}", exc.location,
-                         subject=element.attr_qn(c.QN_ATTR_ID))
+                         subject=element.attributes.get(c.QN_ATTR_ID))
             return
         if context.id in contexts:
             raise DuplicateContextId(
@@ -408,14 +402,14 @@ class _InstanceBuilder:
     def _build_tuple(self, element: XmlElement, kids: list[XmlElement],
                      depth: int) -> Tuple | None:
         loc = element.source_location
-        if depth > self.options.max_tuple_depth:
+        if depth > c.DEFAULT_MAX_TUPLE_DEPTH:
             if not self.lenient:
                 raise TupleDepthExceeded(
-                    f"tuple nesting exceeds {self.options.max_tuple_depth}", loc
+                    f"tuple nesting exceeds {c.DEFAULT_MAX_TUPLE_DEPTH}", loc
                 )
             self.recover(
                 "T-DEPTH",
-                f"tuple subtree beyond depth {self.options.max_tuple_depth} truncated",
+                f"tuple subtree beyond depth {c.DEFAULT_MAX_TUPLE_DEPTH} truncated",
                 loc, subject=element.name.clark(),
             )
             return None
@@ -489,7 +483,7 @@ class _InstanceBuilder:
         return None
 
 
-def parse_instance(source: XmlTree | XmlElement,
+def parse_instance(root: XmlElement,
                    options: ParseOptions = ParseOptions()) -> ParseOutcome:
     """Parse one instance whose root is the xbrl element.
 
@@ -497,13 +491,12 @@ def parse_instance(source: XmlTree | XmlElement,
     and footnote arcs retain document order. Child elements outside the
     instance and linkbase namespaces are classified as facts.
     """
-    root = source.root if isinstance(source, XmlTree) else source
     builder = _InstanceBuilder(options)
     instance = builder.build(root)
     return ParseOutcome(instance=instance, recovered_findings=tuple(builder.findings))
 
 
-def find_instances(tree: XmlTree,
+def find_instances(root: XmlElement,
                    options: ParseOptions = ParseOptions()) -> list[ParseOutcome]:
     """Parse every xbrl element that is not nested inside another one.
 
@@ -511,7 +504,7 @@ def find_instances(tree: XmlTree,
     document embeds no instance at all.
     """
     roots: list[XmlElement] = []
-    stack = [tree.root]
+    stack = [root]
     while stack:
         element = stack.pop()
         if element.name == c.QN_XBRL:

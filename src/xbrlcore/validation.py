@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .constants import DEFAULT_MAX_TUPLE_DEPTH, ISO4217_NS
-from .dts import ConceptRegistry, DataKind, Dts
-# Rule and RuleCatalog are re-exported: the catalog lives in findings.
-from .findings import Finding, Rule, RuleCatalog, Severity, rule_catalog  # noqa: F401
+from .dts import Concept, DataKind, Dts
+from .findings import Finding, Severity, rule_catalog
 from .model import (
     Duration,
     Fact,
@@ -29,6 +28,7 @@ from .model import (
 )
 from .iso8601 import compare_start_end
 from .parser import ParseOutcome
+from .xmltree import QName
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def _has_monetary_measure(unit: Unit) -> bool:
 
 
 class _Checker:
-    def __init__(self, instance: Instance, registry: ConceptRegistry | None):
+    def __init__(self, instance: Instance, registry: Mapping[QName, Concept] | None):
         self.instance = instance
         self.registry = registry
         self.findings: list[Finding] = []
@@ -116,7 +116,7 @@ class _Checker:
                 )
         if self.registry is None:
             return
-        concept = self.registry.lookup(item.concept)
+        concept = self.registry.get(item.concept)
         if concept is None:
             self.emit(
                 "DTS-001",
@@ -155,7 +155,7 @@ class _Checker:
                 f"{DEFAULT_MAX_TUPLE_DEPTH}",
                 tup.source_location, subject,
             )
-        if self.registry is not None and self.registry.lookup(tup.concept) is None:
+        if self.registry is not None and tup.concept not in self.registry:
             self.emit(
                 "DTS-001",
                 f"concept {tup.concept.clark()} is not declared in the taxonomy set",
@@ -223,7 +223,7 @@ def validate(subject: Instance | ParseOutcome, dts: Dts | None = None, *,
     collected.extend(_Checker(instance, registry).run())
 
     skipped = () if dts is not None else tuple(
-        r.code for r in rule_catalog().rules if r.requires_dts
+        r.code for r in rule_catalog() if r.requires_dts
     )
     return build_report(collected, input_digest, skipped)
 

@@ -24,7 +24,7 @@ _INITIAL_SCOPE: dict[str, str] = {"xml": XML_NAMESPACE}
 
 
 class XmlReadError(XbrlError):
-    """A document could not be turned into an XmlTree."""
+    """A document could not be turned into an element tree."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         super().__init__(message)
@@ -115,6 +115,27 @@ class XmlElement:
         default_factory=dict, compare=False, repr=False
     )
 
+    def __eq__(self, other: object) -> bool:
+        # Explicit stack, so depth is bounded by memory and not by the
+        # recursion limit. The dataclass still generates __hash__.
+        if not isinstance(other, XmlElement):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a.name != b.name or a.attributes != b.attributes
+                    or len(a.children) != len(b.children)):
+                return False
+            for x, y in zip(a.children, b.children):
+                if isinstance(x, str) or isinstance(y, str):
+                    if x != y:
+                        return False
+                else:
+                    stack.append((x, y))
+        return True
+
     def child_elements(self) -> list["XmlElement"]:
         return [c for c in self.children if isinstance(c, XmlElement)]
 
@@ -127,13 +148,6 @@ class XmlElement:
     def text_content(self) -> str:
         """Concatenated text of direct text children (element children skipped)."""
         return "".join([c for c in self.children if isinstance(c, str)])
-
-    def attr(self, local_name: str) -> str | None:
-        """Value of an unqualified attribute, or None."""
-        return self.attributes.get(QName("", local_name))
-
-    def attr_qn(self, name: QName) -> str | None:
-        return self.attributes.get(name)
 
     def iter_elements(self) -> Iterator["XmlElement"]:
         """Pre-order walk over this element and all element descendants."""
@@ -173,11 +187,6 @@ class XmlElement:
                 self.source_location.column,
             )
         return QName(self.prefix_bindings.get("", ""), text)
-
-
-@dataclass(frozen=True)
-class XmlTree:
-    root: XmlElement
 
 
 # (prefix bindings, element raw name -> QName, attribute raw name -> QName)
@@ -329,8 +338,8 @@ _ENCODING_ERROR_CODES = {
 }
 
 
-def read_document(data: bytes) -> XmlTree:
-    """Read XML bytes into an XmlTree with all prefixes resolved to URIs.
+def read_document(data: bytes) -> XmlElement:
+    """Read XML bytes into the root element, with all prefixes resolved to URIs.
 
     Pure function of its input: identical bytes yield structurally equal
     trees. Raises MalformedXml (with subcode "doctype" for DTDs),
@@ -350,12 +359,7 @@ def read_document(data: bytes) -> XmlTree:
         raise UnsupportedEncoding(str(exc), 1, 0) from None
     if builder.root is None:
         raise MalformedXml("no element found", 1, 0)
-    return XmlTree(root=builder.root)
-
-
-def find_elements(tree: XmlTree, name: QName) -> list[XmlElement]:
-    """All elements (root included) whose name equals ``name``, document order."""
-    return [e for e in tree.root.iter_elements() if e.name == name]
+    return builder.root
 
 
 # ---------------------------------------------------------------------------

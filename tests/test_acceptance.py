@@ -151,7 +151,7 @@ def test_criterion_3_iso8601_conformance():
 
     for text in iso_cases.INVALID_AFTER_TRIM:
         document = read_document(_period_instance(text))
-        period_el = document.root.child_elements()[0].child_elements()[1]
+        period_el = document.child_elements()[0].child_elements()[1]
         with pytest.raises(InvalidIso8601):
             parse_period(period_el)
         outcome = parse_instance(document, LENIENT)

@@ -221,7 +221,7 @@ def test_rules_text_one_line_per_rule(repo_root, capsys):
     code, out, _ = run(capsys, "rules")
     assert code == 0
     lines = [line for line in out.splitlines() if line.strip()]
-    assert len(lines) == len(rule_catalog().rules)
+    assert len(lines) == len(rule_catalog())
 
 
 def test_rules_json_codes_unique(repo_root, capsys):

@@ -10,7 +10,6 @@ import pytest
 from conftest import FIXTURES, fixture_bytes
 from xbrlcore import (
     Balance,
-    ConceptRegistry,
     DataKind,
     DocumentKind,
     Instance,
@@ -162,13 +161,13 @@ def test_unknown_type_kinds():
 
 
 def test_lookup_hit_miss_and_prefix_independence():
-    concepts, _, _ = load_taxonomy_schema(fixture_bytes("mini-taxonomy.xsd"), "u")
-    registry = ConceptRegistry({c.qname: c for c in concepts})
-    hit = registry.lookup(QName(MINI_NS, "Assets"))
+    instance = parse_instance(read_document(fixture_bytes("mini-instance.xml"))).instance
+    dts = discover(instance, Resolver(FIXTURES), base_uri=str(FIXTURES / "mini-instance.xml"))
+    hit = dts.concepts.get(QName(MINI_NS, "Assets"))
     assert hit is not None and hit.data_kind is DataKind.MONETARY
-    assert registry.lookup(QName(MINI_NS, "Nope")) is None
+    assert dts.concepts.get(QName(MINI_NS, "Nope")) is None
     # QName identity is URI + local, so any prefix spelling resolves the same
-    assert registry.lookup(QName.from_clark("{%s}Assets" % MINI_NS)) is hit
+    assert dts.concepts.get(QName.from_clark("{%s}Assets" % MINI_NS)) is hit
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def test_discover_duplicate_concept_first_wins_with_finding():
     })
     dts = discover(instance_with_refs("one.xsd"), resolver)
     assert [f.code for f in dts.findings] == ["DTS-003"]
-    concept = dts.concepts.lookup(QName("urn:dup", "Assets"))
+    concept = dts.concepts.get(QName("urn:dup", "Assets"))
     assert concept is not None and concept.period_type is PeriodType.INSTANT
     assert "one.xsd" in dts.findings[0].message and "two.xsd" in dts.findings[0].message
 

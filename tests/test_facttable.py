@@ -68,10 +68,10 @@ def fixture_instances() -> list:
         if not path.is_file():
             continue
         try:
-            tree = read_document(path.read_bytes())
+            root = read_document(path.read_bytes())
         except XmlReadError:
             continue
-        outcomes = find_instances(tree, ParseOptions(mode=ParseMode.LENIENT))
+        outcomes = find_instances(root, ParseOptions(mode=ParseMode.LENIENT))
         for n, outcome in enumerate(outcomes):
             found.append(pytest.param(outcome.instance, id=f"{path.name}-{n}"))
     return found

@@ -66,10 +66,6 @@ CONTEXT = (
 UNIT = '<xbrli:unit id="u1"><xbrli:measure>iso4217:USD</xbrli:measure></xbrli:unit>'
 
 
-def element(markup: bytes):
-    return read_document(markup).root
-
-
 # ---------------------------------------------------------------------------
 # parse_instance
 # ---------------------------------------------------------------------------
@@ -187,23 +183,20 @@ def test_tuple_classification_and_nesting():
 
 
 def test_tuple_depth_guard():
-    markup = "<ex:L0 xmlns:q=\"urn:q\">"
-    for i in range(1, 5):
-        markup += f"<ex:L{i}>"
-    markup += '<ex:V contextRef="c1">1</ex:V>'
-    for i in reversed(range(1, 5)):
-        markup += f"</ex:L{i}>"
-    markup += "</ex:L0>"
-    data = wrap(CONTEXT + markup)
-    shallow = ParseOptions(max_tuple_depth=3)
+    def nested(levels: int) -> bytes:
+        markup = "".join(f"<ex:L{i}>" for i in range(levels))
+        markup += '<ex:V contextRef="c1">1</ex:V>'
+        markup += "".join(f"</ex:L{i}>" for i in reversed(range(levels)))
+        return wrap(CONTEXT + markup)
+
+    # the guard is DEFAULT_MAX_TUPLE_DEPTH (64) tuple levels
     with pytest.raises(TupleDepthExceeded):
-        parse_instance(read_document(data), shallow)
-    lenient_shallow = ParseOptions(mode=ParseMode.LENIENT, max_tuple_depth=3)
-    outcome = parse_instance(read_document(data), lenient_shallow)
+        parse_instance(read_document(nested(65)))
+    outcome = parse_instance(read_document(nested(65)), LENIENT)
     assert [f.code for f in outcome.recovered_findings] == ["T-DEPTH"]
-    assert outcome.instance.fact_count() == 3  # L0..L2 survive, deeper truncated
-    # generous cap parses everything
-    assert parse_instance(read_document(data)).instance.fact_count() == 6
+    assert outcome.instance.fact_count() == 64  # L0..L63 survive, deeper truncated
+    # at the guard everything parses
+    assert parse_instance(read_document(nested(64))).instance.fact_count() == 65
 
 
 def test_tuple_context_ref_recorded_not_resolved():
@@ -264,7 +257,7 @@ def period_element(inner: str):
         "<xbrli:period><xbrli:instant>2008-12-31</xbrli:instant></xbrli:period>",
         f"<xbrli:period>{inner}</xbrli:period>",
     ))
-    context_el = read_document(data).root.child_elements()[0]
+    context_el = read_document(data).child_elements()[0]
     return context_el.child_elements()[1]
 
 
@@ -321,7 +314,7 @@ def test_lenient_period_recovery_drops_context():
 
 def unit_element(inner: str, unit_id: str = "u1"):
     data = wrap(f'<xbrli:unit id="{unit_id}">{inner}</xbrli:unit>')
-    return read_document(data).root.child_elements()[0]
+    return read_document(data).child_elements()[0]
 
 
 def test_parse_unit_single_measure():
@@ -421,9 +414,9 @@ def test_round_trip_fixture(name):
 def test_serialize_empty_instance_has_xbrl_root():
     from xbrlcore import Instance
 
-    tree = read_document(serialize(Instance()))
-    assert tree.root.name == QName(XBRLI, "xbrl")
-    assert tree.root.child_elements() == []
+    root = read_document(serialize(Instance()))
+    assert root.name == QName(XBRLI, "xbrl")
+    assert root.child_elements() == []
 
 
 def test_serialize_divide_unit_keeps_both_legs():

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 from conftest import FIXTURES, fixture_bytes
 from xbrlcore import (
-    ConceptRegistry,
+    Item,
     ParseMode,
     ParseOptions,
     Resolver,
+    QName,
     Severity,
+    Tuple,
     UnresolvedContextRef,
     discover,
     load_taxonomy_schema,
@@ -31,9 +35,9 @@ def fixture_dts(name: str):
                     base_uri=str(FIXTURES / name))
 
 
-def mini_registry() -> ConceptRegistry:
+def mini_concepts() -> dict:
     concepts, _, _ = load_taxonomy_schema(fixture_bytes("mini-taxonomy.xsd"), "u")
-    return ConceptRegistry({c.qname: c for c in concepts})
+    return {c.qname: c for c in concepts}
 
 
 def codes(report):
@@ -70,7 +74,7 @@ def test_unt002_skipped_without_taxonomy():
     assert codes(report) == []
     assert "UNT-002" in report.skipped_rules
     assert set(report.skipped_rules) == {
-        r.code for r in rule_catalog().rules if r.requires_dts
+        r.code for r in rule_catalog() if r.requires_dts
     }
 
 
@@ -102,7 +106,7 @@ def test_divide_with_monetary_numerator_passes_unt002():
     outcome = parse_instance(read_document(data))
     from xbrlcore import Dts
 
-    report = validate(outcome, Dts(concepts=mini_registry()))
+    report = validate(outcome, Dts(concepts=mini_concepts()))
     assert codes(report) == []
 
 
@@ -111,14 +115,14 @@ def test_num001_numeric_item_without_unit():
     outcome = parse_instance(read_document(data))
     from xbrlcore import Dts
 
-    report = validate(outcome, Dts(concepts=mini_registry()))
+    report = validate(outcome, Dts(concepts=mini_concepts()))
     assert codes(report) == ["NUM-001"]
 
 
 def test_dts001_unknown_concept():
     from xbrlcore import Dts
 
-    report = validate(load("bad-ctxref.xml"), Dts(concepts=mini_registry()))
+    report = validate(load("bad-ctxref.xml"), Dts(concepts=mini_concepts()))
     # manual walk: ChairmanStatement is undeclared (DTS-001); the Assets item
     # dangles its context (CTX-001) and, being monetary, lacks a unit (NUM-001)
     assert codes(report) == ["DTS-001", "CTX-001", "NUM-001"]
@@ -146,21 +150,13 @@ def test_lenient_recoveries_appear_in_report():
 
 
 def test_tdepth_flagged_when_validating_deep_parse():
-    body = "".join(f"<ex:L{i}>" for i in range(66)) + \
-        '<ex:V contextRef="c1">1</ex:V>' + \
-        "".join(f"</ex:L{i}>" for i in reversed(range(66)))
-    data = (
-        '<?xml version="1.0"?>'
-        '<xbrli:xbrl xmlns:xbrli="http://www.xbrl.org/2003/instance"'
-        ' xmlns:ex="urn:deep">'
-        '<xbrli:context id="c1"><xbrli:entity>'
-        '<xbrli:identifier scheme="urn:reg">CO</xbrli:identifier></xbrli:entity>'
-        "<xbrli:period><xbrli:instant>2008-12-31</xbrli:instant></xbrli:period>"
-        "</xbrli:context>" + body + "</xbrli:xbrl>"
-    ).encode()
-    outcome = parse_instance(read_document(data), ParseOptions(max_tuple_depth=100))
-    report = validate(outcome)
-    assert codes(report).count("T-DEPTH") == 2  # depths 65 and 66
+    # The parser stops at the same guard, so the 66-deep chain is built by hand.
+    fact = Item(concept=QName("urn:deep", "V"), context_ref="c-2008i", value="1")
+    for i in reversed(range(66)):
+        fact = Tuple(concept=QName("urn:deep", f"L{i}"), children=(fact,))
+    instance = replace(load("mini-instance.xml").instance, facts=(fact,))
+    report = validate(instance)
+    assert codes(report) == ["T-DEPTH", "T-DEPTH"]  # depths 65 and 66
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +186,7 @@ def test_dts_never_removes_findings():
     without = validate(load("bad-ctxref.xml"))
     from xbrlcore import Dts
 
-    with_dts = validate(load("bad-ctxref.xml"), Dts(concepts=mini_registry()))
+    with_dts = validate(load("bad-ctxref.xml"), Dts(concepts=mini_concepts()))
     assert set(codes(without)) <= set(codes(with_dts))
 
 
@@ -229,22 +225,21 @@ def test_input_digest_is_none_unless_supplied():
 
 
 def test_catalog_contains_ctx001_error():
-    catalog = rule_catalog()
-    rule = {r.code: r for r in catalog.rules}["CTX-001"]
+    rule = {r.code: r for r in rule_catalog()}["CTX-001"]
     assert rule.severity is Severity.ERROR
     assert not rule.requires_dts
 
 
 def test_catalog_codes_unique_and_stable():
     catalog = rule_catalog()
-    assert len(set(catalog.codes())) == len(catalog.rules)
+    assert len({r.code for r in catalog}) == len(catalog)
     assert catalog == rule_catalog()
 
 
 def test_every_emitted_code_is_in_catalog():
     from xbrlcore import find_instances
 
-    known = set(rule_catalog().codes())
+    known = {r.code for r in rule_catalog()}
     plans = [
         ("mini-instance.xml", ParseOptions(), True),
         ("bad-ctxref.xml", ParseOptions(), False),
@@ -266,6 +261,5 @@ def test_catalog_matches_rules_doc():
     documented = [line.split("|")[1].strip() for line in doc.splitlines()
                   if line.startswith("| ") and not line.startswith("| Code")
                   and not line.startswith("| ---")]
-    catalog = rule_catalog()
-    assert documented == list(catalog.codes())
+    assert documented == [r.code for r in rule_catalog()]
 

@@ -11,7 +11,6 @@ from xbrlcore import (
     UnboundPrefix,
     UnsupportedEncoding,
     XmlElement,
-    find_elements,
     read_document,
 )
 from xbrlcore.xmltree import serialize_element
@@ -20,13 +19,13 @@ XBRLI = "http://www.xbrl.org/2003/instance"
 
 
 def test_default_namespace_resolution():
-    tree = read_document(b'<a xmlns="urn:x"/>')
-    assert tree.root.name == QName("urn:x", "a")
+    root = read_document(b'<a xmlns="urn:x"/>')
+    assert root.name == QName("urn:x", "a")
 
 
 def test_document_order_of_children():
-    tree = read_document(b"<a><b/>text</a>")
-    children = tree.root.children
+    root = read_document(b"<a><b/>text</a>")
+    children = root.children
     assert len(children) == 2
     assert isinstance(children[0], XmlElement)
     assert children[0].name == QName("", "b")
@@ -36,26 +35,25 @@ def test_document_order_of_children():
 def test_fixture_root_matches_oracle():
     data = fixture_bytes("mini-instance.xml")
     oracle_root = oracle_xml.parse(data)
-    tree = read_document(data)
-    assert tree.root.name == QName(*oracle_root.name)
-    assert tree.root.name == QName(XBRLI, "xbrl")
+    root = read_document(data)
+    assert root.name == QName(*oracle_root.name)
+    assert root.name == QName(XBRLI, "xbrl")
 
 
 def test_prefix_never_part_of_identity():
     a = read_document(b'<p:a xmlns:p="urn:x"><p:b/></p:a>')
     b = read_document(b'<q:a xmlns:q="urn:x"><q:b/></q:a>')
-    assert a.root == b.root
     assert a == b
 
 
 def test_unprefixed_attribute_has_no_namespace():
-    tree = read_document(b'<a xmlns="urn:x" id="1"/>')
-    assert tree.root.attributes == {QName("", "id"): "1"}
+    root = read_document(b'<a xmlns="urn:x" id="1"/>')
+    assert root.attributes == {QName("", "id"): "1"}
 
 
 def test_prefixed_attribute_resolves():
-    tree = read_document(b'<a xmlns:p="urn:y" p:ref="2"/>')
-    assert tree.root.attributes == {QName("urn:y", "ref"): "2"}
+    root = read_document(b'<a xmlns:p="urn:y" p:ref="2"/>')
+    assert root.attributes == {QName("urn:y", "ref"): "2"}
 
 
 def test_unbound_prefix_on_element():
@@ -103,8 +101,8 @@ def test_duplicate_attribute_qnames_rejected():
 
 
 def test_predefined_entities_and_char_refs():
-    tree = read_document(b"<a>&amp;&lt;&gt;&quot;&apos;&#65;</a>")
-    assert tree.root.text_content() == "&<>\"'A"
+    root = read_document(b"<a>&amp;&lt;&gt;&quot;&apos;&#65;</a>")
+    assert root.text_content() == "&<>\"'A"
 
 
 def test_read_is_pure_function_of_bytes():
@@ -113,16 +111,27 @@ def test_read_is_pure_function_of_bytes():
 
 
 def test_source_locations_nondecreasing_in_document_order():
-    tree = read_document(fixture_bytes("mini-instance.xml"))
-    locations = [e.source_location for e in tree.root.iter_elements()]
+    root = read_document(fixture_bytes("mini-instance.xml"))
+    locations = [e.source_location for e in root.iter_elements()]
     assert locations == sorted(locations)
 
 
 def test_iter_elements_walks_a_deep_tree():
     depth = 5000
-    tree = read_document(b"<w>" * depth + b"<x/>" + b"</w>" * depth)
-    names = [e.name.local_name for e in tree.root.iter_elements()]
+    root = read_document(b"<w>" * depth + b"<x/>" + b"</w>" * depth)
+    names = [e.name.local_name for e in root.iter_elements()]
     assert names == ["w"] * depth + ["x"]
+
+
+def test_equality_walks_a_deep_tree():
+    depth = 5000
+
+    def deep(leaf: bytes) -> XmlElement:
+        return read_document(b"<w>" * depth + leaf + b"</w>" * depth)
+
+    assert deep(b"<x>1</x>") == deep(b"<x>1</x>")
+    assert deep(b"<x>1</x>") != deep(b"<x>2</x>")
+    assert deep(b"<x>1</x>") != deep(b"<y>1</y>")
 
 
 def test_serialize_walks_a_deep_tree():
@@ -131,15 +140,15 @@ def test_serialize_walks_a_deep_tree():
     for _ in range(depth):
         node = XmlElement(name=QName("", "w"), children=(node,))
     back = read_document(serialize_element(node))
-    names = [e.name.local_name for e in back.root.iter_elements()]
+    names = [e.name.local_name for e in back.iter_elements()]
     assert names == ["w"] * depth + ["x"]
 
 
 def test_prefix_rebound_in_sibling_scopes_gives_different_names():
-    tree = read_document(
+    root = read_document(
         b'<r><a xmlns:p="urn:1"><p:x p:k="1"/></a><b xmlns:p="urn:2"><p:x p:k="2"/></b></r>'
     )
-    first, second = (scope.child_elements()[0] for scope in tree.root.child_elements())
+    first, second = (scope.child_elements()[0] for scope in root.child_elements())
     assert first.name == QName("urn:1", "x")
     assert second.name == QName("urn:2", "x")
     assert list(first.attributes) == [QName("urn:1", "k")]
@@ -158,17 +167,17 @@ def test_prefix_declared_in_sibling_scope_stays_unbound(data):
 
 
 def test_unprefixed_attribute_differs_from_default_namespace_element():
-    tree = read_document(b'<k xmlns="urn:d" k="1"><k k="2"/></k>')
-    inner = tree.root.child_elements()[0]
-    assert tree.root.name == inner.name == QName("urn:d", "k")
-    assert list(tree.root.attributes) == list(inner.attributes) == [QName("", "k")]
+    root = read_document(b'<k xmlns="urn:d" k="1"><k k="2"/></k>')
+    inner = root.child_elements()[0]
+    assert root.name == inner.name == QName("urn:d", "k")
+    assert list(root.attributes) == list(inner.attributes) == [QName("", "k")]
 
 
 def test_same_named_elements_in_one_scope_share_one_qname():
-    tree = read_document(
+    root = read_document(
         b'<r xmlns:p="urn:1"><p:x a="1"/><p:x a="2"/><s><p:x a="3"/></s></r>'
     )
-    xs = find_elements(tree, QName("urn:1", "x"))
+    xs = [e for e in root.iter_elements() if e.name == QName("urn:1", "x")]
     assert len(xs) == 3
     assert xs[0].name is xs[1].name is xs[2].name
     first, second, third = (next(iter(x.attributes)) for x in xs)
@@ -193,25 +202,25 @@ def test_qname_and_source_location_hash_and_compare_as_tuples():
     assert str(loc) == "3:7" and repr(loc) == "SourceLocation(line=3, column=7)"
 
 
-def test_find_elements_no_match_is_empty():
-    tree = read_document(b'<a xmlns="urn:x"><b/></a>')
-    assert find_elements(tree, QName("urn:x", "zzz")) == []
+def test_iter_elements_filter_no_match_is_empty():
+    root = read_document(b'<a xmlns="urn:x"><b/></a>')
+    assert [e for e in root.iter_elements() if e.name == QName("urn:x", "zzz")] == []
 
 
-def test_find_elements_two_sibling_xbrl_roots():
+def test_iter_elements_filter_two_sibling_xbrl_roots():
     data = (
         b'<wrap xmlns:x="http://www.xbrl.org/2003/instance">'
         b"<x:xbrl/><x:xbrl/></wrap>"
     )
-    found = find_elements(read_document(data), QName(XBRLI, "xbrl"))
+    found = [e for e in read_document(data).iter_elements() if e.name == QName(XBRLI, "xbrl")]
     assert len(found) == 2
     assert found[0].source_location < found[1].source_location
 
 
-def test_find_elements_embedded_fixture_matches_oracle():
+def test_iter_elements_filter_embedded_fixture_matches_oracle():
     data = fixture_bytes("mini-embedded.xml")
     oracle_count = oracle_xml.count_named(oracle_xml.parse(data), XBRLI, "xbrl")
-    found = find_elements(read_document(data), QName(XBRLI, "xbrl"))
+    found = [e for e in read_document(data).iter_elements() if e.name == QName(XBRLI, "xbrl")]
     assert len(found) == oracle_count == 3
     locations = [e.source_location for e in found]
     assert locations == sorted(locations)
@@ -220,15 +229,15 @@ def test_find_elements_embedded_fixture_matches_oracle():
 
 
 def test_whitespace_only_text_preserved_in_tree():
-    tree = read_document(b"<a>\n  <b/>\n</a>")
-    texts = [ch for ch in tree.root.children if isinstance(ch, str)]
+    root = read_document(b"<a>\n  <b/>\n</a>")
+    texts = [ch for ch in root.children if isinstance(ch, str)]
     assert texts == ["\n  ", "\n"]
 
 
 def test_serialize_reread_is_idempotent():
-    tree = read_document(fixture_bytes("mini-instance.xml"))
-    once = serialize_element(tree.root)
-    again = serialize_element(read_document(once).root)
+    root = read_document(fixture_bytes("mini-instance.xml"))
+    once = serialize_element(root)
+    again = serialize_element(read_document(once))
     assert read_document(once) == read_document(again)
     assert once == again
 
@@ -238,13 +247,13 @@ def test_serialize_escapes_attribute_whitespace():
                     attributes={QName("", "k"): "line1\nline2\ttab"},
                     children=("text & <markup>",))
     back = read_document(serialize_element(el))
-    assert back.root.attr("k") == "line1\nline2\ttab"
-    assert back.root.text_content() == "text & <markup>"
+    assert back.attributes.get(QName("", "k")) == "line1\nline2\ttab"
+    assert back.text_content() == "text & <markup>"
 
 
 def test_resolve_qname_text_uses_in_scope_prefixes():
-    tree = read_document(b'<a xmlns:m="urn:m"><u>m:USD</u></a>')
-    u = tree.root.child_elements()[0]
+    root = read_document(b'<a xmlns:m="urn:m"><u>m:USD</u></a>')
+    u = root.child_elements()[0]
     assert u.resolve_qname_text(u.text_content()) == QName("urn:m", "USD")
     with pytest.raises(UnboundPrefix):
         u.resolve_qname_text("nope:USD")
