@@ -213,7 +213,7 @@ def cmd_dts(args: argparse.Namespace) -> int:
     _, outcomes = _load_instances(args)
     documents: dict = {}
     unresolved: list = []
-    concept_count = 0
+    concepts: set = set()
     limit_exceeded = False
     resolver = build_resolver(args.taxonomy_root, args.allow_network)
     for outcome in outcomes:
@@ -223,7 +223,7 @@ def cmd_dts(args: argparse.Namespace) -> int:
         for entry in dts.unresolved:
             if entry not in unresolved:
                 unresolved.append(entry)
-        concept_count += len(dts.concepts)
+        concepts.update(dts.concepts)
         limit_exceeded = limit_exceeded or dts.limit_exceeded
     if args.format == "json":
         _print_json({
@@ -232,12 +232,12 @@ def cmd_dts(args: argparse.Namespace) -> int:
                 {"uri": d.uri, "kind": d.kind.value, "outgoing_refs": list(d.outgoing_refs)}
                 for d in documents.values()
             ],
-            "concept_count": concept_count,
+            "concept_count": len(concepts),
             "unresolved": [{"href": href, "reason": reason} for href, reason in unresolved],
             "limit_exceeded": limit_exceeded,
         })
     else:
-        print(f"{args.input}: {len(documents)} documents, {concept_count} concepts, "
+        print(f"{args.input}: {len(documents)} documents, {len(concepts)} concepts, "
               f"{len(unresolved)} unresolved")
         for doc in documents.values():
             print(f"  {doc.kind.value}: {doc.uri}")

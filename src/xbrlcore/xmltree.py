@@ -1,8 +1,10 @@
 """Namespace-aware XML tree with source positions.
 
-Low-level tokenization is delegated to the stdlib expat parser; everything
-above it (prefix resolution, QName identity, DTD rejection, tree building,
-serialization) lives here so that no other module touches XML mechanics.
+The stdlib expat parser, in namespace mode, tokenizes, resolves every
+prefix and enforces the Namespaces in XML 1.0 constraints. This module
+turns its events into QName-keyed trees, rejects DTDs, maps expat's errors
+to the exceptions below and serializes trees back, so that no other module
+touches XML mechanics.
 
 Trees are immutable after construction and safe to share between threads.
 Equality of elements is structural: source positions and the prefix
@@ -36,8 +38,9 @@ class MalformedXml(XmlReadError):
     """Input is not well-formed XML.
 
     ``subcode`` distinguishes rejection classes beyond plain
-    well-formedness, e.g. ``"doctype"`` for documents carrying a DTD and
-    ``"duplicate-attribute"`` for namespace-level attribute collisions.
+    well-formedness: ``"doctype"`` for documents carrying a DTD and
+    ``"duplicate-attribute"`` for an attribute given twice, by the same
+    name or by two prefixes bound to one namespace.
     """
 
     def __init__(self, message: str, line: int = 0, column: int = 0, subcode: str = ""):
@@ -189,161 +192,107 @@ class XmlElement:
         return QName(self.prefix_bindings.get("", ""), text)
 
 
-# (prefix bindings, element raw name -> QName, attribute raw name -> QName)
-_Scope = tuple[dict[str, str], dict[str, QName], dict[str, QName]]
+# Separator between namespace name and local name in expat's expanded
+# names. U+0001 cannot occur in an XML 1.0 document, so unlike a space it
+# can never be part of a namespace name (expat rejects a declaration whose
+# namespace name contains the separator).
+_NS_SEPARATOR = "\x01"
+
+
+class _Names(dict):
+    """Expat's expanded name -> QName, one object per distinct name."""
+
+    def __missing__(self, expanded: str) -> QName:
+        uri, _, local = expanded.rpartition(_NS_SEPARATOR)
+        qname = self[expanded] = QName(uri, local)
+        return qname
 
 
 class _TreeBuilder:
-    """Assembles XmlElements from expat events, resolving prefixes itself.
+    """Assembles XmlElements from the events of a namespace-aware expat parser.
 
-    Each namespace scope is a tuple (bindings, element names, attribute
-    names): the prefix-to-URI map plus two raw-name -> QName caches, so a
-    name is resolved once per scope and every element carrying it shares
-    one QName object. An element opens a new scope only when it declares
-    ``xmlns``/``xmlns:*``; otherwise it shares its parent's. Names whose
-    prefix is unbound are never cached, so they raise again wherever used.
+    Expat resolves every element and attribute name and enforces the
+    Namespaces in XML constraints; ``names`` turns its expanded names into
+    QNames, so every element carrying a name shares one object. Prefix
+    bindings are tracked only for ``XmlElement.prefix_bindings``: an element
+    that declares a namespace gets a copy of its parent's bindings with the
+    declarations applied, any other element shares its parent's mapping.
     """
 
     def __init__(self) -> None:
-        self.parser = xml.parsers.expat.ParserCreate(namespace_separator=None)
-        self.parser.ordered_attributes = True
-        self.parser.buffer_text = True
-        self.parser.StartElementHandler = self._start
-        self.parser.EndElementHandler = self._end
-        self.parser.CharacterDataHandler = self._chardata
-        self.parser.StartDoctypeDeclHandler = self._doctype
-        # stack entries: [qname, attrs, children, location, bindings]
-        self.stack: list[list] = []
-        self.scopes: list[_Scope] = [(_INITIAL_SCOPE, {}, {})]
+        parser = self.parser = xml.parsers.expat.ParserCreate(namespace_separator=_NS_SEPARATOR)
+        parser.ordered_attributes = True
+        parser.buffer_text = True
+        parser.StartElementHandler = self._start
+        parser.EndElementHandler = self._end
+        parser.StartDoctypeDeclHandler = self._doctype
+        parser.StartNamespaceDeclHandler = self._declare
+        # Expat reports no character data outside the root element.
         self.text: list[str] = []
-        self.root: XmlElement | None = None
-
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.parser.CurrentLineNumber, self.parser.CurrentColumnNumber)
+        parser.CharacterDataHandler = self.text.append
+        self.names = _Names()
+        # [qname, attrs, children, location, bindings] per open element; the
+        # bottom entry holds the initial bindings and collects the root.
+        self.stack: list[list] = [[None, None, [], None, _INITIAL_SCOPE]]
+        # bindings of the element about to start, if it declares any
+        self.declared: dict[str, str] | None = None
 
     def _doctype(self, *args) -> None:
-        loc = self._loc()
+        parser = self.parser
         raise MalformedXml(
-            "document type declarations are not accepted", loc.line, loc.column,
-            subcode="doctype",
+            "document type declarations are not accepted",
+            parser.CurrentLineNumber, parser.CurrentColumnNumber, subcode="doctype",
         )
 
-    @staticmethod
-    def _resolve(raw: str, bindings: Mapping[str, str], loc: SourceLocation,
-                 is_attribute: bool) -> QName:
-        if ":" in raw:
-            prefix, _, local = raw.partition(":")
-            if not prefix or not local or ":" in local:
-                raise MalformedXml(f"invalid name {raw!r}", loc.line, loc.column)
-            uri = bindings.get(prefix)
-            if uri is None:
-                raise UnboundPrefix(
-                    f"prefix {prefix!r} is not declared", loc.line, loc.column
-                )
-            return QName(uri, local)
-        if is_attribute:
-            return QName("", raw)
-        return QName(bindings.get("", ""), raw)
+    def _declare(self, prefix: str | None, uri: str | None) -> None:
+        if self.declared is None:
+            self.declared = dict(self.stack[-1][4])
+        if uri:
+            self.declared[prefix or ""] = uri
+        else:  # xmlns="": expat rejects undeclaring a prefix
+            self.declared.pop("", None)
 
-    @staticmethod
-    def _declare(attr_list: list[str], scope: _Scope) -> _Scope:
-        """The scope of an element: its parent's, or a new one if it declares."""
-        bindings: dict[str, str] | None = None
-        it = iter(attr_list)
-        for k, v in zip(it, it):
-            if k == "xmlns" or k.startswith("xmlns:"):
-                if bindings is None:
-                    bindings = dict(scope[0])
-                if v:
-                    bindings[k[6:]] = v
-                else:
-                    bindings.pop(k[6:], None)
-        return scope if bindings is None else (bindings, {}, {})
-
-    def _attributes(self, attr_list: list[str], scope: _Scope,
-                    loc: SourceLocation) -> dict[QName, str]:
-        bindings, _, names = scope
-        attrs: dict[QName, str] = {}
-        it = iter(attr_list)
-        for k, v in zip(it, it):
-            if k == "xmlns" or k.startswith("xmlns:"):
-                continue
-            aq = names.get(k)
-            if aq is None:
-                aq = names[k] = self._resolve(k, bindings, loc, is_attribute=True)
-            if aq in attrs:
-                raise MalformedXml(
-                    f"duplicate attribute {aq.clark()}", loc.line, loc.column,
-                    subcode="duplicate-attribute",
-                )
-            attrs[aq] = v
-        return attrs
-
-    def _start(self, raw_name: str, attr_list: list[str]) -> None:
+    def _start(self, name: str, attr_list: list[str]) -> None:
         if self.text:
             self._flush_text()
         parser = self.parser
         loc = SourceLocation(parser.CurrentLineNumber, parser.CurrentColumnNumber)
-        scope = self.scopes[-1]
-        attrs: dict[QName, str] | None = {}
-        if attr_list:
-            # One pass through the scope's attribute cache. A miss (a name
-            # first seen in this scope, or a namespace declaration, which is
-            # never cached) or a collision falls back to the full resolution.
-            names = scope[2]
-            it = iter(attr_list)
-            for k, v in zip(it, it):
-                aq = names.get(k)
-                if aq is None:
-                    attrs = None
-                    break
-                attrs[aq] = v
-            if attrs is None or 2 * len(attrs) != len(attr_list):
-                attrs = None
-                scope = self._declare(attr_list, scope)
-        self.scopes.append(scope)
-        bindings, element_names, _ = scope
-        qname = element_names.get(raw_name)
-        if qname is None:
-            qname = element_names[raw_name] = self._resolve(
-                raw_name, bindings, loc, is_attribute=False
-            )
-        if attrs is None:
-            attrs = self._attributes(attr_list, scope, loc)
-        self.stack.append([qname, attrs, [], loc, bindings])
+        bindings = self.declared
+        if bindings is None:
+            bindings = self.stack[-1][4]
+        else:
+            self.declared = None
+        names = self.names
+        it = iter(attr_list)
+        attrs = {names[k]: v for k, v in zip(it, it)}
+        self.stack.append([names[name], attrs, [], loc, bindings])
 
-    def _end(self, raw_name: str) -> None:
+    def _end(self, name: str) -> None:
         if self.text:
             self._flush_text()
         qname, attrs, children, loc, bindings = self.stack.pop()
-        self.scopes.pop()
-        element = XmlElement(qname, attrs, tuple(children), loc, bindings)
-        if self.stack:
-            self.stack[-1][2].append(element)
-        else:
-            self.root = element
-
-    def _chardata(self, data: str) -> None:
-        if self.stack:
-            self.text.append(data)
+        self.stack[-1][2].append(XmlElement(qname, attrs, tuple(children), loc, bindings))
 
     def _flush_text(self) -> None:
         self.stack[-1][2].append("".join(self.text))
         self.text.clear()
 
 
+_codes = xml.parsers.expat.errors.codes
 _ENCODING_ERROR_CODES = {
-    xml.parsers.expat.errors.codes[xml.parsers.expat.errors.XML_ERROR_UNKNOWN_ENCODING],
-    xml.parsers.expat.errors.codes[xml.parsers.expat.errors.XML_ERROR_INCORRECT_ENCODING],
+    _codes[xml.parsers.expat.errors.XML_ERROR_UNKNOWN_ENCODING],
+    _codes[xml.parsers.expat.errors.XML_ERROR_INCORRECT_ENCODING],
 }
+_UNBOUND_PREFIX = _codes[xml.parsers.expat.errors.XML_ERROR_UNBOUND_PREFIX]
+_DUPLICATE_ATTRIBUTE = _codes[xml.parsers.expat.errors.XML_ERROR_DUPLICATE_ATTRIBUTE]
 
 
 def read_document(data: bytes) -> XmlElement:
     """Read XML bytes into the root element, with all prefixes resolved to URIs.
 
     Pure function of its input: identical bytes yield structurally equal
-    trees. Raises MalformedXml (with subcode "doctype" for DTDs),
-    UnboundPrefix, or UnsupportedEncoding.
+    trees. Raises MalformedXml (see its subcodes), UnboundPrefix, or
+    UnsupportedEncoding.
     """
     builder = _TreeBuilder()
     try:
@@ -352,14 +301,15 @@ def read_document(data: bytes) -> XmlElement:
         message = xml.parsers.expat.ErrorString(exc.code)
         if exc.code in _ENCODING_ERROR_CODES:
             raise UnsupportedEncoding(message, exc.lineno, exc.offset) from None
-        raise MalformedXml(message, exc.lineno, exc.offset) from None
+        if exc.code == _UNBOUND_PREFIX:
+            raise UnboundPrefix(message, exc.lineno, exc.offset) from None
+        subcode = "duplicate-attribute" if exc.code == _DUPLICATE_ATTRIBUTE else ""
+        raise MalformedXml(message, exc.lineno, exc.offset, subcode=subcode) from None
     except LookupError as exc:
         # pyexpat consults Python codecs for declared encodings it does not
         # handle natively and surfaces misses as LookupError.
         raise UnsupportedEncoding(str(exc), 1, 0) from None
-    if builder.root is None:
-        raise MalformedXml("no element found", 1, 0)
-    return builder.root
+    return builder.stack[0][2][0]
 
 
 # ---------------------------------------------------------------------------

@@ -48,11 +48,18 @@ def test_validate_mini_with_taxonomy_exits_0(repo_root, capsys):
     assert payload["counts"] == {"error": 0, "warning": 0, "info": 0}
 
 
-def test_validate_not_xml_exits_2(repo_root, capsys):
+def test_validate_not_xml_exits_2(repo_root, capsys, tmp_path):
     code, out, err = run(capsys, "validate", "fixtures/not-xml.txt")
     assert code == 2
     assert out == ""
     assert "validate failed" in err
+    # a declaration the Namespaces in XML 1.0 constraints forbid
+    path = tmp_path / "bad-ns.xml"
+    for declaration in ('xmlns:p=""', 'xmlns:xml="urn:other"', 'xmlns:xmlns="urn:x"'):
+        path.write_text(f'<x:xbrl xmlns:x="http://www.xbrl.org/2003/instance" {declaration}/>')
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert "validate failed at 1:0" in err
 
 
 def test_validate_missing_file_exits_2(repo_root, capsys):
@@ -204,6 +211,23 @@ def test_dts_cycle_fixture(repo_root, capsys):
     payload = json.loads(out)
     assert len(payload["documents"]) == 2
     assert payload["concept_count"] == 2
+
+
+def test_dts_counts_each_concept_once_across_instances(repo_root, capsys, tmp_path):
+    # two instances in one wrapper, both referencing the 4-concept schema
+    instance = Path("fixtures/mini-instance.xml").read_text().split("?>", 1)[1]
+    (tmp_path / "mini-taxonomy.xsd").write_bytes(Path("fixtures/mini-taxonomy.xsd").read_bytes())
+    wrapper = tmp_path / "twice.xml"
+    wrapper.write_text(f"<wrap>{instance}{instance}</wrap>")
+    code, out, _ = run(capsys, "dts", str(wrapper), "--taxonomy-root", str(tmp_path))
+    assert code == 0
+    assert f"{wrapper}: 1 documents, 4 concepts, 0 unresolved" in out
+    code, out, _ = run(capsys, "dts", str(wrapper), "--taxonomy-root", str(tmp_path),
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["documents"]) == 1
+    assert payload["concept_count"] == 4
 
 
 def test_dts_parse_failure_exits_2(repo_root, capsys):

@@ -54,6 +54,10 @@ def test_unprefixed_attribute_has_no_namespace():
 def test_prefixed_attribute_resolves():
     root = read_document(b'<a xmlns:p="urn:y" p:ref="2"/>')
     assert root.attributes == {QName("urn:y", "ref"): "2"}
+    # a namespace name is kept whole, even one holding a space
+    root = read_document(b'<p:a xmlns:p="urn:a b" p:k="1"/>')
+    assert root.name == QName("urn:a b", "a")
+    assert root.attributes == {QName("urn:a b", "k"): "1"}
 
 
 def test_unbound_prefix_on_element():
@@ -67,10 +71,17 @@ def test_unbound_prefix_on_attribute():
 
 
 def test_malformed_xml():
-    with pytest.raises(MalformedXml):
-        read_document(b"<a><b></a>")
-    with pytest.raises(MalformedXml):
-        read_document(b"this is not XML")
+    for data in (
+        b"<a><b></a>",
+        b"this is not XML",
+        # declarations the Namespaces in XML 1.0 constraints forbid
+        b'<a xmlns:p=""/>',
+        b'<a xmlns:xml="urn:other"/>',
+        b'<a xmlns:xmlns="urn:x"/>',
+        b'<a xmlns:p="http://www.w3.org/2000/xmlns/"/>',
+    ):
+        with pytest.raises(MalformedXml):
+            read_document(data)
 
 
 def test_dtd_rejected_with_subcode():
@@ -97,7 +108,12 @@ def test_duplicate_attribute_qnames_rejected():
         read_document(data)
     assert err.value.subcode == "duplicate-attribute"
     assert (str(err.value), err.value.line, err.value.column) == (
-        "duplicate attribute {urn:x}k", 2, 0)
+        "duplicate attribute", 2, 0)
+    # the same raw name twice carries the subcode too
+    with pytest.raises(MalformedXml) as err:
+        read_document(b'<a k="1" k="2"/>')
+    assert (str(err.value), err.value.line, err.value.column, err.value.subcode) == (
+        "duplicate attribute", 1, 9, "duplicate-attribute")
 
 
 def test_predefined_entities_and_char_refs():
@@ -163,7 +179,7 @@ def test_prefix_declared_in_sibling_scope_stays_unbound(data):
     with pytest.raises(UnboundPrefix) as err:
         read_document(data)
     assert (str(err.value), err.value.line, err.value.column) == (
-        "prefix 'p' is not declared", 2, 0)
+        "unbound prefix", 2, 0)
 
 
 def test_unprefixed_attribute_differs_from_default_namespace_element():
@@ -257,3 +273,18 @@ def test_resolve_qname_text_uses_in_scope_prefixes():
     assert u.resolve_qname_text(u.text_content()) == QName("urn:m", "USD")
     with pytest.raises(UnboundPrefix):
         u.resolve_qname_text("nope:USD")
+    # a redeclaration holds inside its element only
+    root = read_document(
+        b'<a xmlns:m="urn:1"><b xmlns:m="urn:2"><u>m:X</u></b><u>m:X</u></a>'
+    )
+    inner, outer = (e for e in root.iter_elements() if e.name == QName("", "u"))
+    assert inner.resolve_qname_text(inner.text_content()) == QName("urn:2", "X")
+    assert outer.resolve_qname_text(outer.text_content()) == QName("urn:1", "X")
+    # xmlns="" undeclares the default namespace for names and for values
+    root = read_document(b'<a xmlns="urn:d"><b xmlns=""><u>X</u></b><u>X</u></a>')
+    b, outer = root.child_elements()
+    inner = b.child_elements()[0]
+    assert (b.name, inner.name, outer.name) == (
+        QName("", "b"), QName("", "u"), QName("urn:d", "u"))
+    assert inner.resolve_qname_text("X") == QName("", "X")
+    assert outer.resolve_qname_text("X") == QName("urn:d", "X")
