@@ -14,7 +14,6 @@ from .xmltree import (
 )
 from .model import (
     Context,
-    Divide,
     Duration,
     Entity,
     Fact,
@@ -25,13 +24,9 @@ from .model import (
     Instance,
     Instant,
     Item,
-    Measures,
-    RefKind,
     TaxonomyRef,
     Tuple,
     Unit,
-    UnresolvedContextRef,
-    UnresolvedUnitRef,
 )
 from .parser import (
     ParseError,
@@ -71,9 +66,8 @@ __all__ = [
     "QName", "SourceLocation", "XmlElement", "read_document",
     "MalformedXml", "UnboundPrefix", "UnsupportedEncoding", "XmlReadError",
     "Instance", "Item", "Tuple", "Fact", "Context", "Entity", "Unit",
-    "Measures", "Divide", "Instant", "Duration", "Forever",
-    "TaxonomyRef", "RefKind", "Footnote", "FootnoteArc", "FootnoteLink",
-    "UnresolvedContextRef", "UnresolvedUnitRef",
+    "Instant", "Duration", "Forever",
+    "TaxonomyRef", "Footnote", "FootnoteArc", "FootnoteLink",
     "ParseOptions", "ParseMode", "ParseOutcome", "ParseError",
     "parse_instance", "parse_period", "parse_unit", "find_instances", "serialize",
     "Dts", "DtsDocument", "Concept",

@@ -21,7 +21,7 @@ from . import constants as c
 from .errors import XbrlError
 from .findings import Finding
 from .model import Instance
-from .xmltree import QName, XmlElement, XmlReadError, read_document
+from .xmltree import XML_WHITESPACE, QName, XmlElement, XmlReadError, read_document
 
 DEFAULT_MAX_DOCUMENTS = 256
 DEFAULT_MAX_DEPTH = 16
@@ -247,7 +247,7 @@ def _concept_from_declaration(element: XmlElement, target_ns: str,
         data_kind=_data_kind(_qname_attr(element, c.QN_ATTR_TYPE)),
         period_type=period_type,
         balance=balance,
-        abstract=(attrs.get(c.QN_ATTR_ABSTRACT) or "").strip() in ("true", "1"),
+        abstract=(attrs.get(c.QN_ATTR_ABSTRACT) or "").strip(XML_WHITESPACE) in ("true", "1"),
     )
     return concept, finding
 

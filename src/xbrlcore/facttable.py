@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Divide, Duration, Fact, Forever, Instance, Instant, Item, Tuple, Unit
+from .model import Duration, Fact, Forever, Instance, Instant, Item, Tuple, Unit
 from .xmltree import QName
 
 CSV_HEADER = ("concept", "value", "context_id", "entity", "period", "unit", "tuple_path")
@@ -43,11 +43,10 @@ def _period_text(period) -> str:
 
 
 def _unit_text(unit: Unit) -> str:
-    if isinstance(unit.body, Divide):
-        num = "*".join(m.clark() for m in unit.body.numerator)
-        den = "*".join(m.clark() for m in unit.body.denominator)
-        return f"{num}/{den}"
-    return "*".join(m.clark() for m in unit.body.measures)
+    text = "*".join(m.clark() for m in unit.numerator)
+    if unit.denominator:
+        text += "/" + "*".join(m.clark() for m in unit.denominator)
+    return text
 
 
 def fact_rows(instance: Instance) -> list[FactRow]:

@@ -13,39 +13,19 @@ never interpreted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterator, Mapping, Union
 
-from .errors import XbrlError
 from .iso8601 import TimePoint
 from .xmltree import QName, SourceLocation, XmlElement
 
 
-class UnresolvedContextRef(XbrlError):
-    """An item's contextRef matches no context id in the instance."""
-
-    def __init__(self, context_ref: str):
-        super().__init__(f"no context with id {context_ref!r}")
-        self.context_ref = context_ref
-
-
-class UnresolvedUnitRef(XbrlError):
-    """An item's unitRef matches no unit id in the instance."""
-
-    def __init__(self, unit_ref: str):
-        super().__init__(f"no unit with id {unit_ref!r}")
-        self.unit_ref = unit_ref
-
-
-class RefKind(Enum):
-    SCHEMA = "schema"
-    LINKBASE = "linkbase"
-
-
 @dataclass(frozen=True)
 class TaxonomyRef:
+    """A schemaRef or linkbaseRef; ``arcrole`` and ``role`` are empty when absent."""
+
     href: str
-    kind: RefKind
+    arcrole: str = ""
+    role: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,23 +66,15 @@ class Context:
 
 
 @dataclass(frozen=True, slots=True)
-class Measures:
-    measures: tuple[QName, ...]
-
-
-@dataclass(frozen=True)
-class Divide:
-    numerator: tuple[QName, ...]
-    denominator: tuple[QName, ...]
-
-
-UnitBody = Union[Measures, Divide]
-
-
-@dataclass(frozen=True, slots=True)
 class Unit:
+    """Measures, optionally divided by other measures (XBRL 2.1 section 4.8).
+
+    A simple unit has an empty ``denominator``.
+    """
+
     id: str
-    body: UnitBody
+    numerator: tuple[QName, ...]
+    denominator: tuple[QName, ...] = ()
     source_location: SourceLocation = field(default=SourceLocation(), compare=False)
 
 
@@ -203,19 +175,3 @@ class Instance:
     def iter_items(self) -> Iterator[Item]:
         """Every Item exactly once, document order, tuples traversed depth-first."""
         return (f for f in self.iter_facts() if isinstance(f, Item))
-
-    def resolve_context(self, item: Item) -> Context:
-        """The context an item is assigned to; raises UnresolvedContextRef."""
-        try:
-            return self.contexts[item.context_ref]
-        except KeyError:
-            raise UnresolvedContextRef(item.context_ref) from None
-
-    def resolve_unit(self, item: Item) -> Unit | None:
-        """The unit an item references, None when it has none."""
-        if item.unit_ref is None:
-            return None
-        try:
-            return self.units[item.unit_ref]
-        except KeyError:
-            raise UnresolvedUnitRef(item.unit_ref) from None

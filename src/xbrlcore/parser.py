@@ -20,7 +20,6 @@ from .findings import Finding
 from .iso8601 import compare_start_end, parse_point
 from .model import (
     Context,
-    Divide,
     Entity,
     Fact,
     Footnote,
@@ -31,13 +30,11 @@ from .model import (
     Instant,
     Item,
     Duration,
-    Measures,
-    RefKind,
     TaxonomyRef,
     Tuple,
     Unit,
 )
-from .xmltree import QName, SourceLocation, XmlElement, serialize_element
+from .xmltree import XML_WHITESPACE, QName, SourceLocation, XmlElement, serialize_element
 
 _DECIMALS_RE = re.compile(r"(INF|[+-]?\d+)$")
 _PRECISION_RE = re.compile(r"(INF|[1-9]\d*)$")
@@ -133,13 +130,13 @@ def parse_period(element: XmlElement) -> "Instant | Duration | Forever":
         return Forever()
     if names == [c.QN_INSTANT]:
         try:
-            return Instant(when=parse_point(children[0].text_content().strip()))
+            return Instant(when=parse_point(children[0].text_content().strip(XML_WHITESPACE)))
         except ValueError as exc:
             raise InvalidIso8601(str(exc), children[0].source_location) from None
     if names == [c.QN_START_DATE, c.QN_END_DATE]:
         try:
-            start = parse_point(children[0].text_content().strip())
-            end = parse_point(children[1].text_content().strip())
+            start = parse_point(children[0].text_content().strip(XML_WHITESPACE))
+            end = parse_point(children[1].text_content().strip(XML_WHITESPACE))
         except ValueError as exc:
             raise InvalidIso8601(str(exc), loc) from None
         cmp, _ = compare_start_end(start, end)
@@ -160,30 +157,21 @@ def parse_unit(element: XmlElement) -> Unit:
     children = element.child_elements()
     if not children:
         raise EmptyUnit("unit has no measure or divide content", loc)
-    measures = [ch for ch in children if ch.name == c.QN_MEASURE]
-    divides = [ch for ch in children if ch.name == c.QN_DIVIDE]
-    if divides and (measures or len(divides) > 1):
+    divide = element.first_child(c.QN_DIVIDE)
+    if divide is None:
+        if any(ch.name != c.QN_MEASURE for ch in children):
+            raise EmptyUnit("unit contains non-measure content", loc)
+        return Unit(unit_id, _measure_qnames(element), source_location=loc)
+    if len(children) > 1:
         raise MalformedDivide("unit mixes divide with other content", loc)
-    if divides:
-        divide = divides[0]
-        numerator = divide.first_child(c.QN_UNIT_NUMERATOR)
-        denominator = divide.first_child(c.QN_UNIT_DENOMINATOR)
-        num = _measure_qnames(numerator)
-        den = _measure_qnames(denominator)
-        if not num or not den:
-            raise MalformedDivide(
-                "divide requires measures in both numerator and denominator",
-                divide.source_location,
-            )
-        return Unit(id=unit_id, body=Divide(numerator=num, denominator=den),
-                    source_location=loc)
-    if len(measures) != len(children):
-        raise EmptyUnit("unit contains non-measure content", loc)
-    return Unit(
-        id=unit_id,
-        body=Measures(measures=tuple(m.resolve_qname_text(m.text_content()) for m in measures)),
-        source_location=loc,
-    )
+    numerator = _measure_qnames(divide.first_child(c.QN_UNIT_NUMERATOR))
+    denominator = _measure_qnames(divide.first_child(c.QN_UNIT_DENOMINATOR))
+    if not numerator or not denominator:
+        raise MalformedDivide(
+            "divide requires measures in both numerator and denominator",
+            divide.source_location,
+        )
+    return Unit(unit_id, numerator, denominator, loc)
 
 
 def _measure_qnames(leg: XmlElement | None) -> tuple[QName, ...]:
@@ -201,7 +189,7 @@ def _parse_entity(element: XmlElement) -> Entity:
     if identifier is None:
         raise InvalidContextShape("entity has no identifier", element.source_location)
     scheme = identifier.attributes.get(c.QN_ATTR_SCHEME) or ""
-    ident_text = identifier.text_content().strip()
+    ident_text = identifier.text_content().strip(XML_WHITESPACE)
     if not scheme or not ident_text:
         raise InvalidContextShape(
             "entity identifier requires a scheme and a non-empty value",
@@ -278,13 +266,18 @@ def _parse_footnote_link(element: XmlElement) -> FootnoteLink:
     )
 
 
-def _taxonomy_ref(element: XmlElement, kind: RefKind) -> TaxonomyRef:
-    href = element.attributes.get(c.QN_XLINK_HREF)
+def _taxonomy_ref(element: XmlElement) -> TaxonomyRef:
+    attrs = element.attributes
+    href = attrs.get(c.QN_XLINK_HREF)
     if not href:
         raise ParseError(
             f"{element.name.local_name} has no xlink:href", element.source_location
         )
-    return TaxonomyRef(href=href, kind=kind)
+    return TaxonomyRef(
+        href=href,
+        arcrole=attrs.get(c.QN_XLINK_ARCROLE) or "",
+        role=attrs.get(c.QN_XLINK_ROLE) or "",
+    )
 
 
 _RESERVED_NAMESPACES = (c.XBRLI_NS, c.LINK_NS)
@@ -315,9 +308,9 @@ class _InstanceBuilder:
         for child in root.child_elements():
             name = child.name
             if name == c.QN_SCHEMA_REF:
-                schema_refs.append(_taxonomy_ref(child, RefKind.SCHEMA))
+                schema_refs.append(_taxonomy_ref(child))
             elif name == c.QN_LINKBASE_REF:
-                linkbase_refs.append(_taxonomy_ref(child, RefKind.LINKBASE))
+                linkbase_refs.append(_taxonomy_ref(child))
             elif name == c.QN_CONTEXT:
                 self._add_context(child, contexts)
             elif name == c.QN_UNIT:
@@ -379,7 +372,7 @@ class _InstanceBuilder:
             and c.QN_ATTR_UNIT_REF not in attrs
             and c.QN_ATTR_DECIMALS not in attrs
             and c.QN_ATTR_PRECISION not in attrs
-            and not text.strip()
+            and not text.strip(XML_WHITESPACE)
         )
 
     def _build_fact(self, element: XmlElement, depth: int) -> Fact | None:
@@ -457,7 +450,7 @@ class _InstanceBuilder:
         return Item(
             concept=element.name,
             context_ref=context_ref,
-            value=text.strip(),
+            value=text.strip(XML_WHITESPACE),
             unit_ref=attrs.get(c.QN_ATTR_UNIT_REF),
             decimals=decimals,
             precision=precision,
@@ -549,7 +542,12 @@ def _el(name: QName, attrs: dict[QName, str] | None = None,
 
 
 def _ref_element(name: QName, ref: TaxonomyRef) -> XmlElement:
-    return _el(name, {c.QN_XLINK_TYPE: "simple", c.QN_XLINK_HREF: ref.href})
+    attrs = {c.QN_XLINK_TYPE: "simple", c.QN_XLINK_HREF: ref.href}
+    if ref.role:
+        attrs[c.QN_XLINK_ROLE] = ref.role
+    if ref.arcrole:
+        attrs[c.QN_XLINK_ARCROLE] = ref.arcrole
+    return _el(name, attrs)
 
 
 def _context_element(context: Context) -> XmlElement:
@@ -595,13 +593,12 @@ def _measure_elements(measures: tuple[QName, ...]) -> tuple[XmlElement, ...]:
 
 
 def _unit_element(unit: Unit) -> XmlElement:
-    if isinstance(unit.body, Measures):
-        children: tuple = _measure_elements(unit.body.measures)
-    else:
+    children = _measure_elements(unit.numerator)
+    if unit.denominator:
         children = (
             _el(c.QN_DIVIDE, None, (
-                _el(c.QN_UNIT_NUMERATOR, None, _measure_elements(unit.body.numerator)),
-                _el(c.QN_UNIT_DENOMINATOR, None, _measure_elements(unit.body.denominator)),
+                _el(c.QN_UNIT_NUMERATOR, None, children),
+                _el(c.QN_UNIT_DENOMINATOR, None, _measure_elements(unit.denominator)),
             )),
         )
     return _el(c.QN_UNIT, {c.QN_ATTR_ID: unit.id}, children)

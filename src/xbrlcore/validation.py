@@ -22,7 +22,6 @@ from .model import (
     Fact,
     Instance,
     Item,
-    Measures,
     Tuple,
     Unit,
 )
@@ -59,12 +58,8 @@ def build_report(findings: Iterable[Finding], input_digest: str | None = None,
 
 
 def _has_monetary_measure(unit: Unit) -> bool:
-    # A Divide with a monetary numerator (e.g. USD per share) qualifies.
-    if isinstance(unit.body, Measures):
-        measures = unit.body.measures
-    else:
-        measures = unit.body.numerator
-    return any(m.namespace_uri == ISO4217_NS for m in measures)
+    # A monetary numerator over a denominator (e.g. USD per share) qualifies.
+    return any(m.namespace_uri == ISO4217_NS for m in unit.numerator)
 
 
 class _Checker:
@@ -77,19 +72,22 @@ class _Checker:
         self.findings.append(Finding.of(code, message, location, subject))
 
     def run(self) -> list[Finding]:
-        for fact in self.instance.facts:
-            self._check_fact(fact, depth=1)
+        # Pre-order over an explicit stack, so nesting depth is bounded by
+        # memory and not by the recursion limit; findings with equal sort
+        # keys keep this emission order.
+        stack: list[tuple[Fact, int]] = [(fact, 1) for fact in reversed(self.instance.facts)]
+        while stack:
+            fact, depth = stack.pop()
+            if isinstance(fact, Item):
+                self._check_item(fact)
+            else:
+                self._check_tuple(fact, depth)
+                stack.extend((child, depth + 1) for child in reversed(fact.children))
         self._check_contexts()
         self._check_footnotes()
         return self.findings
 
     # -- facts --------------------------------------------------------------
-
-    def _check_fact(self, fact: Fact, depth: int) -> None:
-        if isinstance(fact, Item):
-            self._check_item(fact)
-            return
-        self._check_tuple(fact, depth)
 
     def _subject(self, fact: Fact) -> str:
         return fact.id if fact.id else fact.concept.clark()
@@ -161,8 +159,6 @@ class _Checker:
                 f"concept {tup.concept.clark()} is not declared in the taxonomy set",
                 tup.source_location, subject,
             )
-        for child in tup.children:
-            self._check_fact(child, depth + 1)
 
     # -- contexts -----------------------------------------------------------
 

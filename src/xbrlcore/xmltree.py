@@ -22,6 +22,10 @@ from .errors import XbrlError
 
 XML_NAMESPACE = "http://www.w3.org/XML/1998/namespace"
 
+# The characters XML 1.0 counts as whitespace (production S); str.strip()
+# with no argument would also remove others, such as U+00A0 and U+3000.
+XML_WHITESPACE = " \t\r\n"
+
 _INITIAL_SCOPE: dict[str, str] = {"xml": XML_NAMESPACE}
 
 
@@ -166,7 +170,7 @@ class XmlElement:
         Unprefixed names take the in-scope default namespace when one is
         declared, per the XML Schema QName rules.
         """
-        text = text.strip()
+        text = text.strip(XML_WHITESPACE)
         if ":" in text:
             prefix, _, local = text.partition(":")
             if not prefix or not local or ":" in local:
@@ -330,16 +334,6 @@ def _escape(value: str, table: dict[str, str]) -> str:
     return value
 
 
-def _collect_namespaces(root: XmlElement) -> list[str]:
-    seen: list[str] = []
-    for element in root.iter_elements():
-        for qn in (element.name, *element.attributes):
-            uri = qn.namespace_uri
-            if uri and uri != XML_NAMESPACE and uri not in seen:
-                seen.append(uri)
-    return seen
-
-
 def serialize_element(root: XmlElement, prefix_hints: Mapping[str, str] | None = None) -> bytes:
     """Serialize an element tree to UTF-8 bytes.
 
@@ -347,30 +341,30 @@ def serialize_element(root: XmlElement, prefix_hints: Mapping[str, str] | None =
     name is prefixed (no default namespace), so unqualified names stay
     unambiguous. Re-reading the output yields a structurally equal tree.
     """
-    hints = dict(prefix_hints or {})
+    hints = prefix_hints or {}
     prefixes: dict[str, str] = {XML_NAMESPACE: "xml"}
     used: set[str] = {"xml", ""}
     counter = 0
-    for uri in _collect_namespaces(root):
-        hint = hints.get(uri)
-        if hint and hint not in used:
-            prefixes[uri] = hint
-        else:
-            counter += 1
-            while f"ns{counter}" in used:
-                counter += 1
-            prefixes[uri] = f"ns{counter}"
-        used.add(prefixes[uri])
 
     def tag(qn: QName) -> str:
-        if qn.namespace_uri:
-            return f"{prefixes[qn.namespace_uri]}:{qn.local_name}"
-        return qn.local_name
+        # A namespace gets its prefix the first time the walk meets it.
+        nonlocal counter
+        uri = qn.namespace_uri
+        if not uri:
+            return qn.local_name
+        prefix = prefixes.get(uri)
+        if prefix is None:
+            prefix = hints.get(uri)
+            if not prefix or prefix in used:
+                counter += 1
+                while f"ns{counter}" in used:
+                    counter += 1
+                prefix = f"ns{counter}"
+            prefixes[uri] = prefix
+            used.add(prefix)
+        return f"{prefix}:{qn.local_name}"
 
-    declarations = "".join(
-        f' xmlns:{prefix}="{_escape(uri, _ATTR_ESCAPES)}"'
-        for uri, prefix in prefixes.items() if uri != XML_NAMESPACE
-    )
+    # out[2] holds the root's namespace declarations, known after the walk.
     out: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>\n']
     # Explicit stack, so depth is bounded by memory and not by the
     # recursion limit. Strings on it are ready-to-write output (escaped
@@ -384,7 +378,7 @@ def serialize_element(root: XmlElement, prefix_hints: Mapping[str, str] | None =
         name = tag(node.name)
         out.append(f"<{name}")
         if node is root:
-            out.append(declarations)
+            out.append("")
         for aq, value in node.attributes.items():
             out.append(f' {tag(aq)}="{_escape(value, _ATTR_ESCAPES)}"')
         if not node.children:
@@ -394,4 +388,8 @@ def serialize_element(root: XmlElement, prefix_hints: Mapping[str, str] | None =
         stack.append(f"</{name}>")
         for child in reversed(node.children):
             stack.append(_escape(child, _TEXT_ESCAPES) if isinstance(child, str) else child)
+    out[2] = "".join(
+        f' xmlns:{prefix}="{_escape(uri, _ATTR_ESCAPES)}"'
+        for uri, prefix in prefixes.items() if uri != XML_NAMESPACE
+    )
     return "".join(out).encode("utf-8")

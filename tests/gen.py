@@ -12,7 +12,6 @@ import random
 
 from xbrlcore import (
     Context,
-    Divide,
     Duration,
     Entity,
     Fact,
@@ -23,11 +22,10 @@ from xbrlcore import (
     Instance,
     Instant,
     Item,
-    Measures,
     QName,
-    RefKind,
     TaxonomyRef,
     Tuple,
+    Unit,
     XmlElement,
 )
 from xbrlcore.constants import ISO4217_NS, LINK_NS, XBRLI_NS, XLINK_NS, XML_NS
@@ -43,6 +41,7 @@ MEASURES = [
     QName(XBRLI_NS, "shares"),
     QName(XBRLI_NS, "pure"),
     QName("urn:example:units", "widgets"),
+    QName("", "batches"),
 ]
 SCHEMES = ["http://example.com/register", "urn:entities"]
 ZONES = ["", "Z", "+02:00", "-05:00", "+00:30"]
@@ -81,28 +80,31 @@ def random_scenario(rng: random.Random) -> XmlElement:
     return XmlElement(name=QName(XBRLI_NS, "scenario"), children=(inner,))
 
 
+def random_segment(rng: random.Random) -> XmlElement:
+    inner = XmlElement(
+        name=QName(GEN_NS, "region"),
+        children=(rng.choice(["north", "south", "abroad"]),),
+    )
+    return XmlElement(name=QName(XBRLI_NS, "segment"), children=(inner,))
+
+
 def random_context(rng: random.Random, cid: str) -> Context:
     return Context(
         id=cid,
         entity=Entity(scheme=rng.choice(SCHEMES),
-                      identifier=rng.choice(["CO-A", "CO-B", "CO-C"])),
+                      identifier=rng.choice(["CO-A", "CO-B", "CO-C"]),
+                      segment=random_segment(rng) if rng.random() < 0.3 else None),
         period=random_period(rng),
         scenario=random_scenario(rng) if rng.random() < 0.3 else None,
     )
 
 
-def random_unit(rng: random.Random, uid: str):
-    from xbrlcore import Unit
-
+def random_unit(rng: random.Random, uid: str) -> Unit:
     if rng.random() < 0.3:
-        return Unit(id=uid, body=Divide(
-            numerator=(rng.choice(MEASURES),),
-            denominator=(rng.choice(MEASURES),),
-        ))
+        return Unit(id=uid, numerator=(rng.choice(MEASURES),),
+                    denominator=(rng.choice(MEASURES),))
     count = rng.randint(1, 2)
-    return Unit(id=uid, body=Measures(
-        measures=tuple(rng.choice(MEASURES) for _ in range(count))
-    ))
+    return Unit(id=uid, numerator=tuple(rng.choice(MEASURES) for _ in range(count)))
 
 
 class _Ids:
@@ -115,6 +117,10 @@ class _Ids:
         fact_id = f"f{self.counter}"
         self.item_ids.append(fact_id)
         return fact_id
+
+    def next_tuple_id(self) -> str:
+        self.counter += 1
+        return f"t{self.counter}"
 
 
 def random_item(rng: random.Random, ids: _Ids, ctx_ids: list[str],
@@ -151,7 +157,8 @@ def random_fact(rng: random.Random, ids: _Ids, ctx_ids: list[str],
             for _ in range(rng.randint(0, 3))
         )
         return Tuple(concept=QName(GEN_NS, rng.choice(CONCEPTS) + "Group"),
-                     children=children)
+                     children=children,
+                     id=ids.next_tuple_id() if rng.random() < 0.5 else None)
     return random_item(rng, ids, ctx_ids, unit_ids)
 
 
@@ -194,9 +201,17 @@ def random_instance(rng: random.Random) -> Instance:
         links = (random_footnote_link(rng, ids.item_ids),)
     schema_refs = ()
     if rng.random() < 0.3:
-        schema_refs = (TaxonomyRef("gen-taxonomy.xsd", RefKind.SCHEMA),)
+        schema_refs = (TaxonomyRef("gen-taxonomy.xsd"),)
+    linkbase_refs = ()
+    if rng.random() < 0.3:
+        linkbase_refs = (TaxonomyRef(
+            "gen-labels.xml",
+            arcrole="http://www.w3.org/1999/xlink/properties/linkbase",
+            role=rng.choice(["", "http://www.xbrl.org/2003/role/labelLinkbaseRef"]),
+        ),)
     return Instance(
         schema_refs=schema_refs,
+        linkbase_refs=linkbase_refs,
         contexts={cid: random_context(rng, cid) for cid in ctx_ids},
         units={uid: random_unit(rng, uid) for uid in unit_ids},
         facts=facts,

@@ -17,7 +17,6 @@ from xbrlcore import (
     NotASchema,
     PeriodType,
     QName,
-    RefKind,
     Resolver,
     TaxonomyRef,
     build_resolver,
@@ -61,7 +60,7 @@ def schema(tns: str | None, body: str = "", extra_root: str = "") -> bytes:
 
 
 def instance_with_refs(*hrefs: str) -> Instance:
-    return Instance(schema_refs=tuple(TaxonomyRef(h, RefKind.SCHEMA) for h in hrefs))
+    return Instance(schema_refs=tuple(TaxonomyRef(h) for h in hrefs))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +239,7 @@ def test_discover_linkbase_documents_recorded_not_interpreted():
         b' xmlns:xlink="http://www.w3.org/1999/xlink">'
         b'<link:presentationLink xlink:role="r"/></link:linkbase>'
     )
-    instance = Instance(linkbase_refs=(TaxonomyRef("labels.xml", RefKind.LINKBASE),))
+    instance = Instance(linkbase_refs=(TaxonomyRef("labels.xml"),))
     dts = discover(instance, DictResolver({"labels.xml": linkbase}))
     assert dts.documents["labels.xml"].kind is DocumentKind.LINKBASE
     assert len(dts.concepts) == 0

@@ -8,7 +8,6 @@ import gen
 from conftest import FIXTURES
 from xbrlcore import (
     Context,
-    Divide,
     Duration,
     Entity,
     FactRow,
@@ -16,7 +15,6 @@ from xbrlcore import (
     Instance,
     Instant,
     Item,
-    Measures,
     ParseMode,
     ParseOptions,
     QName,
@@ -95,9 +93,9 @@ def test_fact_rows_match_reference_on_awkward_references():
             "c3": Context("c3", entity, Forever()),
         },
         units={
-            "usd": Unit("usd", Measures((QName(ISO4217, "USD"),))),
-            "eps": Unit("eps", Divide((QName(ISO4217, "USD"),),
-                                      (QName(EX, "shares"), QName("", "bare")))),
+            "usd": Unit("usd", (QName(ISO4217, "USD"),)),
+            "eps": Unit("eps", (QName(ISO4217, "USD"),),
+                        (QName(EX, "shares"), QName("", "bare"))),
         },
         facts=(
             item("A", unit="usd"),

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import pytest
-
 import oracle_xml
 from conftest import fixture_bytes
 from xbrlcore import (
@@ -13,8 +11,6 @@ from xbrlcore import (
     ParseOptions,
     QName,
     Tuple,
-    UnresolvedContextRef,
-    UnresolvedUnitRef,
     parse_instance,
     read_document,
 )
@@ -86,45 +82,23 @@ def test_iter_items_visits_fact_count_minus_tuple_count():
     assert sum(1 for _ in instance.iter_items()) == instance.fact_count() - tuples
 
 
-def test_resolve_context_direct_lookup():
-    c = context()
-    instance = Instance(contexts={"c1": c}, facts=(item("a"),))
-    assert instance.resolve_context(item("a")) is c
-
-
-def test_resolve_context_unknown_id_raises():
-    instance = Instance(contexts={"c1": context()})
-    with pytest.raises(UnresolvedContextRef):
-        instance.resolve_context(item("a", ctx="cX"))
-
-
 def test_every_fixture_item_resolves():
     # cross-checked by hand: the fixture's contextRefs are c-2008i / c-2008d
     data = fixture_bytes("mini-instance.xml")
     instance = parse_instance(read_document(data)).instance
     for it in instance.iter_items():
-        assert instance.resolve_context(it).id in ("c-2008i", "c-2008d")
-
-
-def test_resolve_unit_absent_is_none():
-    instance = Instance(contexts={"c1": context()})
-    assert instance.resolve_unit(item("a")) is None
+        assert instance.contexts[it.context_ref].id in ("c-2008i", "c-2008d")
 
 
 def test_resolve_unit_present():
     data = fixture_bytes("mini-instance.xml")
     instance = parse_instance(read_document(data)).instance
     assets = next(instance.iter_items())
-    unit = instance.resolve_unit(assets)
-    assert unit is not None and unit.id == "u-usd"
+    unit = instance.units[assets.unit_ref]
+    assert unit.id == "u-usd"
     iso4217 = "http://www.xbrl.org/2003/iso4217"
-    assert unit.body.measures == (QName(iso4217, "USD"),)
-
-
-def test_resolve_unit_unknown_id_raises():
-    instance = Instance(contexts={"c1": context()})
-    with pytest.raises(UnresolvedUnitRef):
-        instance.resolve_unit(item("a", unit_ref="uZ"))
+    assert unit.numerator == (QName(iso4217, "USD"),)
+    assert unit.denominator == ()
 
 
 def test_model_equality_ignores_prefixes_and_positions():

@@ -5,18 +5,18 @@ import pytest
 import oracle_xml
 from conftest import fixture_bytes
 from xbrlcore import (
-    Divide,
     Duration,
     Forever,
     Instant,
     Item,
-    Measures,
+    ParseError,
     ParseMode,
     ParseOptions,
     QName,
-    RefKind,
+    TaxonomyRef,
     Tuple,
     UnboundPrefix,
+    fact_rows,
     find_instances,
     parse_instance,
     parse_period,
@@ -29,15 +29,18 @@ from xbrlcore.parser import (
     DuplicateContextId,
     DuplicateUnitId,
     EmptyUnit,
+    InvalidContextShape,
     InvalidIso8601,
     InvalidItemAttributes,
     InvalidPeriodShape,
     MalformedDivide,
+    MalformedFootnoteLink,
     MissingContextRef,
     NotAnXbrlRoot,
     StartAfterEnd,
     TupleDepthExceeded,
 )
+from xbrlcore.cli import main
 
 XBRLI = "http://www.xbrl.org/2003/instance"
 ISO4217 = "http://www.xbrl.org/2003/iso4217"
@@ -81,8 +84,7 @@ def test_minimal_document():
     assert len(instance.contexts) == 1
     assert len(instance.units) == 1
     assert len(instance.facts) == 1
-    assert instance.schema_refs[0].href == "t.xsd"
-    assert instance.schema_refs[0].kind is RefKind.SCHEMA
+    assert instance.schema_refs == (TaxonomyRef("t.xsd"),)
 
 
 def test_empty_root_is_empty_instance():
@@ -139,6 +141,25 @@ def test_root_children_order_free():
     data = wrap('<ex:Assets contextRef="c1">10</ex:Assets>' + CONTEXT)
     instance = parse_instance(read_document(data)).instance
     assert len(instance.contexts) == 1 and len(instance.facts) == 1
+
+
+def test_only_xml_whitespace_is_trimmed():
+    data = wrap(
+        CONTEXT
+        + '<ex:Note contextRef="c1"> \u3000\u6ce8\u8a18\n</ex:Note>'
+        + '<ex:Blank contextRef="c1">\t\u00a0 </ex:Blank>'
+    )
+    instance = parse_instance(read_document(data)).instance
+    values = ["\u3000\u6ce8\u8a18", "\u00a0"]
+    assert [item.value for item in instance.iter_items()] == values
+    assert [row.value for row in fact_rows(instance)] == values
+    assert parse_instance(read_document(serialize(instance))).instance == instance
+    # a date padded with a non-XML space is not a date
+    padded = wrap(CONTEXT.replace("2008-12-31", "\u00a02008-12-31"))
+    with pytest.raises(InvalidIso8601):
+        parse_instance(read_document(padded))
+    outcome = parse_instance(read_document(padded), LENIENT)
+    assert [f.code for f in outcome.recovered_findings] == ["PER-001"]
 
 
 def test_item_value_trimmed_and_attrs_kept():
@@ -243,8 +264,21 @@ def test_footnote_link_keeps_shared_labels_and_role():
 def test_linkbase_ref_captured():
     data = wrap('<link:linkbaseRef xlink:type="simple" xlink:href="labels.xml"/>')
     instance = parse_instance(read_document(data)).instance
-    assert instance.linkbase_refs[0].href == "labels.xml"
-    assert instance.linkbase_refs[0].kind is RefKind.LINKBASE
+    assert instance.linkbase_refs == (TaxonomyRef("labels.xml"),)
+
+
+def test_linkbase_ref_keeps_role_and_arcrole():
+    role = "http://www.xbrl.org/2003/role/labelLinkbaseRef"
+    arcrole = "http://www.w3.org/1999/xlink/properties/linkbase"
+    data = wrap(
+        '<link:linkbaseRef xlink:type="simple" xlink:href="labels.xml"'
+        f' xlink:role="{role}" xlink:arcrole="{arcrole}"/>'
+    )
+    instance = parse_instance(read_document(data)).instance
+    assert instance.linkbase_refs == (TaxonomyRef("labels.xml", arcrole=arcrole, role=role),)
+    text = serialize(instance).decode()
+    assert f'xlink:role="{role}"' in text and f'xlink:arcrole="{arcrole}"' in text
+    assert parse_instance(read_document(text.encode())).instance == instance
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +353,8 @@ def unit_element(inner: str, unit_id: str = "u1"):
 
 def test_parse_unit_single_measure():
     unit = parse_unit(unit_element("<xbrli:measure>iso4217:USD</xbrli:measure>"))
-    assert unit.body == Measures(measures=(QName(ISO4217, "USD"),))
+    assert unit.numerator == (QName(ISO4217, "USD"),)
+    assert unit.denominator == ()
 
 
 def test_parse_unit_divide():
@@ -329,10 +364,8 @@ def test_parse_unit_divide():
         "<xbrli:unitDenominator><xbrli:measure>xbrli:shares</xbrli:measure></xbrli:unitDenominator>"
         "</xbrli:divide>"
     ))
-    assert unit.body == Divide(
-        numerator=(QName(ISO4217, "USD"),),
-        denominator=(QName(XBRLI, "shares"),),
-    )
+    assert unit.numerator == (QName(ISO4217, "USD"),)
+    assert unit.denominator == (QName(XBRLI, "shares"),)
 
 
 def test_parse_unit_empty():
@@ -352,6 +385,57 @@ def test_parse_unit_malformed_divide():
 def test_parse_unit_unbound_measure_prefix():
     with pytest.raises(UnboundPrefix):
         parse_unit(unit_element("<xbrli:measure>nope:USD</xbrli:measure>"))
+
+
+# ---------------------------------------------------------------------------
+# structural errors
+# ---------------------------------------------------------------------------
+
+ENTITY = '<xbrli:entity><xbrli:identifier scheme="s">CO</xbrli:identifier></xbrli:entity>'
+PERIOD = "<xbrli:period><xbrli:forever/></xbrli:period>"
+MEASURE = "<xbrli:measure>iso4217:USD</xbrli:measure>"
+
+
+# Each body puts the offending element at the start of line 2, column 2.
+@pytest.mark.parametrize("error, message, body", [
+    (InvalidContextShape, "context has no id",
+     f"\n  <xbrli:context>{ENTITY}{PERIOD}</xbrli:context>"),
+    (InvalidContextShape, "context 'c1' has no entity",
+     f'\n  <xbrli:context id="c1">{PERIOD}</xbrli:context>'),
+    (InvalidContextShape, "entity has no identifier",
+     f'<xbrli:context id="c1">\n  <xbrli:entity/>{PERIOD}</xbrli:context>'),
+    (InvalidContextShape, "entity identifier requires a scheme and a non-empty value",
+     '<xbrli:context id="c1"><xbrli:entity>\n  <xbrli:identifier scheme="s"> </xbrli:identifier>'
+     f"</xbrli:entity>{PERIOD}</xbrli:context>"),
+    (MalformedFootnoteLink, "locator requires xlink:label and xlink:href",
+     '<link:footnoteLink xlink:type="extended">'
+     '\n  <link:loc xlink:type="locator" xlink:label="l"/></link:footnoteLink>'),
+    (MalformedFootnoteLink, "footnote requires xlink:label",
+     '<link:footnoteLink xlink:type="extended">'
+     '\n  <link:footnote xlink:type="resource">note</link:footnote></link:footnoteLink>'),
+    (MalformedFootnoteLink, "footnote arc requires xlink:from and xlink:to",
+     '<link:footnoteLink xlink:type="extended">'
+     '\n  <link:footnoteArc xlink:type="arc" xlink:from="l"/></link:footnoteLink>'),
+    (EmptyUnit, "unit contains non-measure content",
+     f'\n  <xbrli:unit id="u1">{MEASURE}<ex:Other/></xbrli:unit>'),
+    (MalformedDivide, "unit mixes divide with other content",
+     f'\n  <xbrli:unit id="u1">{MEASURE}<xbrli:divide/></xbrli:unit>'),
+    (MalformedDivide, "unit mixes divide with other content",
+     f'\n  <xbrli:unit id="u1"><xbrli:divide/><ex:Other/></xbrli:unit>'),
+    (ParseError, "unit has no id",
+     f"\n  <xbrli:unit>{MEASURE}</xbrli:unit>"),
+])
+def test_structural_error_is_blocking_in_strict_mode(error, message, body, tmp_path, capsys):
+    data = wrap(body)
+    with pytest.raises(ParseError) as info:
+        parse_instance(read_document(data))
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert str(info.value.location) == "2:2"
+    path = tmp_path / "bad.xml"
+    path.write_bytes(data)
+    assert main(["parse", str(path)]) == 2
+    assert capsys.readouterr().err == f"xbrlcore: parse failed at 2:2: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +514,7 @@ def test_serialize_divide_unit_keeps_both_legs():
     output = serialize(instance)
     assert b"divide" in output and b"unitNumerator" in output and b"unitDenominator" in output
     again = parse_instance(read_document(output)).instance
-    assert again.units["u-ratio"].body == instance.units["u-ratio"].body
+    assert again.units["u-ratio"] == instance.units["u-ratio"]
 
 
 def test_round_trip_idempotent_at_tree_level():

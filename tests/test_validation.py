@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from conftest import FIXTURES, fixture_bytes
 from xbrlcore import (
+    Instance,
     Item,
     ParseMode,
     ParseOptions,
@@ -11,7 +12,6 @@ from xbrlcore import (
     QName,
     Severity,
     Tuple,
-    UnresolvedContextRef,
     discover,
     load_taxonomy_schema,
     parse_instance,
@@ -159,6 +159,24 @@ def test_tdepth_flagged_when_validating_deep_parse():
     assert codes(report) == ["T-DEPTH", "T-DEPTH"]  # depths 65 and 66
 
 
+def test_validate_reports_a_chain_deeper_than_the_recursion_limit():
+    fact = Tuple(concept=QName("urn:deep", "T"))
+    for _ in range(1999):
+        fact = Tuple(concept=QName("urn:deep", "T"), children=(fact,))
+    report = validate(Instance(facts=(fact,)))
+    assert codes(report) == ["T-DEPTH"] * (2000 - 64)
+
+
+def test_findings_at_one_location_keep_document_order():
+    # Every finding below shares one location and code, so the report keeps
+    # the emission order, which must be the pre-order of the facts.
+    def tup(name, *children):
+        return Tuple(concept=QName("", name), children=children, context_ref="c")
+
+    instance = Instance(facts=(tup("A", tup("B", tup("C"))), tup("D")))
+    assert [f.subject for f in validate(instance).findings] == ["A", "B", "C", "D"]
+
+
 # ---------------------------------------------------------------------------
 # report mechanics
 # ---------------------------------------------------------------------------
@@ -203,12 +221,11 @@ def test_ctx001_soundness_against_brute_force():
         instance = load(name).instance
         report = validate(instance)
         flagged = {f.subject for f in report.findings if f.code == "CTX-001"}
-        brute = set()
-        for item in instance.iter_items():
-            try:
-                instance.resolve_context(item)
-            except UnresolvedContextRef:
-                brute.add(item.id if item.id else item.concept.clark())
+        brute = {
+            item.id if item.id else item.concept.clark()
+            for item in instance.iter_items()
+            if all(cid != item.context_ref for cid in instance.contexts)
+        }
         assert flagged == brute
 
 

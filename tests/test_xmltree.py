@@ -160,6 +160,26 @@ def test_serialize_walks_a_deep_tree():
     assert names == ["w"] * depth + ["x"]
 
 
+def test_serialize_numbers_past_a_hinted_ns1():
+    root = XmlElement(name=QName("urn:a", "r"), children=(
+        XmlElement(name=QName("urn:b", "c"), attributes={QName("urn:c", "k"): "v"}),
+    ))
+    data = serialize_element(root, {"urn:a": "ns1"})
+    assert data == (
+        b'<?xml version="1.0" encoding="UTF-8"?>\n'
+        b'<ns1:r xmlns:ns1="urn:a" xmlns:ns2="urn:b" xmlns:ns3="urn:c">'
+        b'<ns2:c ns3:k="v"/></ns1:r>'
+    )
+    assert read_document(data) == root
+
+
+def test_resolve_qname_text_trims_only_xml_whitespace():
+    element = read_document(b'<r xmlns:p="urn:p"/>')
+    assert element.resolve_qname_text(" \tp:x\r\n") == QName("urn:p", "x")
+    with pytest.raises(UnboundPrefix):
+        element.resolve_qname_text("\u00a0p:x")
+
+
 def test_prefix_rebound_in_sibling_scopes_gives_different_names():
     root = read_document(
         b'<r><a xmlns:p="urn:1"><p:x p:k="1"/></a><b xmlns:p="urn:2"><p:x p:k="2"/></b></r>'
