@@ -5,16 +5,18 @@ references, following schema imports/includes and embedded linkbaseRefs,
 with a visited set on resolved URIs so cycles terminate. Every reachable
 href ends up either in ``documents`` or in ``unresolved``; nothing is
 dropped silently. Relationship networks inside linkbases are fetched and
-recorded but not interpreted.
+recorded but not interpreted. What each URI yields is loaded once per
+resolver and reused by every later discovery through that resolver.
 """
 
 from __future__ import annotations
 
 import posixpath
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Union
 from urllib.parse import urlsplit, urljoin
 
 from . import constants as c
@@ -303,16 +305,49 @@ def _load_schema_root(root: XmlElement, uri: str) -> tuple[list[Concept], list[s
 # ---------------------------------------------------------------------------
 
 
+_Outcome = Union[str, tuple[DtsDocument, tuple[Concept, ...], tuple[Finding, ...]]]
+
+# Per resolver, the outcome of loading each resolved URI: the reason it
+# stays unresolved, or its document with the concepts and findings of its
+# own schema. Keyed weakly, so an entry lives exactly as long as its resolver.
+_LOADED: weakref.WeakKeyDictionary[Resolver, dict[str, _Outcome]] = weakref.WeakKeyDictionary()
+
+
+def _load(resolver: Resolver, uri: str) -> _Outcome:
+    """Fetch, read and classify one resolved URI."""
+    try:
+        data = resolver.fetch(uri)
+    except ResolutionError as exc:
+        return str(exc)
+    try:
+        root = read_document(data)
+    except XmlReadError as exc:
+        return f"not XML: {exc}"
+    if root.name == c.QN_XSD_SCHEMA:
+        concepts, refs, findings = _load_schema_root(root, uri)
+        document = DtsDocument(uri, DocumentKind.TAXONOMY_SCHEMA, tuple(refs))
+        return document, tuple(concepts), tuple(findings)
+    if root.name == c.QN_LINKBASE:
+        return DtsDocument(uri, DocumentKind.LINKBASE, tuple(_outgoing_refs(root))), (), ()
+    return "root element is neither a schema nor a linkbase"
+
+
 def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
              max_documents: int = DEFAULT_MAX_DOCUMENTS,
              max_depth: int = DEFAULT_MAX_DEPTH) -> Dts:
     """Breadth-first closure over taxonomy references.
 
     Deterministic for deterministic resolvers: each URI is fetched at most
-    once per run, documents appear in discovery order, and unresolved
+    once per resolver, documents appear in discovery order, and unresolved
     entries keep the order of the referencing edge. When a limit is hit the
     partial result is returned with ``limit_exceeded`` set.
+
+    The resolver keeps what each fetch yielded for its lifetime, so a
+    resolver shared across instances assumes its taxonomy does not change
+    meanwhile. It must be hashable and weakly referenceable, as instances
+    of any plain class are.
     """
+    loaded = _LOADED.setdefault(resolver, {})
     queue: list[tuple[str, int]] = []
     seen: set[str] = set()
     for ref in (*instance.schema_refs, *instance.linkbase_refs):
@@ -340,39 +375,27 @@ def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
             unresolved.append((uri, f"document limit {max_documents} reached"))
             limit_exceeded = True
             continue
-        try:
-            data = resolver.fetch(uri)
-        except ResolutionError as exc:
-            unresolved.append((uri, str(exc)))
+        outcome = loaded.get(uri)
+        if outcome is None:
+            outcome = loaded[uri] = _load(resolver, uri)
+        if isinstance(outcome, str):
+            unresolved.append((uri, outcome))
             continue
-        try:
-            root = read_document(data)
-        except XmlReadError as exc:
-            unresolved.append((uri, f"not XML: {exc}"))
-            continue
-        if root.name == c.QN_XSD_SCHEMA:
-            kind = DocumentKind.TAXONOMY_SCHEMA
-            concepts, refs, schema_findings = _load_schema_root(root, uri)
-            findings.extend(schema_findings)
-            for concept in concepts:
-                if concept.qname in registry:
-                    findings.append(Finding.of(
-                        "DTS-003",
-                        f"concept {concept.qname.clark()} in {uri} duplicates the "
-                        f"declaration in {concept_sources[concept.qname]}; first wins",
-                        subject=concept.qname.clark(),
-                    ))
-                    continue
-                registry[concept.qname] = concept
-                concept_sources[concept.qname] = uri
-        elif root.name == c.QN_LINKBASE:
-            kind = DocumentKind.LINKBASE
-            refs = _outgoing_refs(root)
-        else:
-            unresolved.append((uri, "root element is neither a schema nor a linkbase"))
-            continue
-        documents[uri] = DtsDocument(uri=uri, kind=kind, outgoing_refs=tuple(refs))
-        for href in refs:
+        document, concepts, schema_findings = outcome
+        findings.extend(schema_findings)
+        for concept in concepts:
+            if concept.qname in registry:
+                findings.append(Finding.of(
+                    "DTS-003",
+                    f"concept {concept.qname.clark()} in {uri} duplicates the "
+                    f"declaration in {concept_sources[concept.qname]}; first wins",
+                    subject=concept.qname.clark(),
+                ))
+                continue
+            registry[concept.qname] = concept
+            concept_sources[concept.qname] = uri
+        documents[uri] = document
+        for href in document.outgoing_refs:
             queue.append((resolver.resolve(uri, href), depth + 1))
 
     return Dts(

@@ -10,6 +10,7 @@ concepts, empty for top-level items.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .model import Duration, Fact, Forever, Instance, Instant, Item, Tuple, Unit
 from .xmltree import QName
@@ -60,8 +61,11 @@ def fact_rows(instance: Instance) -> list[FactRow]:
     concept_text: dict[QName, str] = {}
     no_context = ("", "")
     rows: list[FactRow] = []
-
-    def walk(facts: tuple[Fact, ...], tuple_path: str, path: tuple[str, ...]) -> None:
+    # An explicit stack of (facts left, tuple_path, path) per open tuple, so
+    # nesting depth is bounded by memory and not by the recursion limit.
+    stack: list[tuple[Iterator[Fact], str, tuple[str, ...]]] = [(iter(instance.facts), "", ())]
+    while stack:
+        facts, tuple_path, path = stack[-1]
         for fact in facts:
             concept = concept_text.get(fact.concept)
             if concept is None:
@@ -73,7 +77,8 @@ def fact_rows(instance: Instance) -> list[FactRow]:
                                     period, unit, tuple_path))
             elif isinstance(fact, Tuple):
                 inner = path + (concept,)
-                walk(fact.children, "/".join(inner), inner)
-
-    walk(instance.facts, "", ())
+                stack.append((iter(fact.children), "/".join(inner), inner))
+                break
+        else:
+            stack.pop()
     return rows

@@ -159,14 +159,17 @@ class Instance:
 
     def iter_facts(self) -> Iterator[Fact]:
         """Every fact (items and tuples), depth-first in document order."""
-
-        def walk(facts: tuple[Fact, ...]) -> Iterator[Fact]:
-            for fact in facts:
+        # One iterator per open tuple, so nesting depth is bounded by
+        # memory and not by the recursion limit.
+        stack = [iter(self.facts)]
+        while stack:
+            for fact in stack[-1]:
                 yield fact
                 if isinstance(fact, Tuple):
-                    yield from walk(fact.children)
-
-        return walk(self.facts)
+                    stack.append(iter(fact.children))
+                    break
+            else:
+                stack.pop()
 
     def fact_count(self) -> int:
         """Total number of facts, nested ones included."""

@@ -313,6 +313,12 @@ def read_document(data: bytes) -> XmlElement:
         # pyexpat consults Python codecs for declared encodings it does not
         # handle natively and surfaces misses as LookupError.
         raise UnsupportedEncoding(str(exc), 1, 0) from None
+    finally:
+        # The parser's handlers are bound methods of the builder: dropping
+        # the builder's hold on the parser breaks that cycle on every path,
+        # so reference counting frees both, and the tree, without waiting
+        # for the cyclic collector.
+        del builder.parser
     return builder.stack[0][2][0]
 
 

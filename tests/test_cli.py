@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from xbrlcore import Resolver
 from xbrlcore.cli import main
 
 
@@ -228,6 +229,49 @@ def test_dts_counts_each_concept_once_across_instances(repo_root, capsys, tmp_pa
     payload = json.loads(out)
     assert len(payload["documents"]) == 1
     assert payload["concept_count"] == 4
+
+
+TWO_INSTANCE_DTS = """\
+twice.xml: 1 documents, 4 concepts, 1 unresolved
+  schema: mini-taxonomy.xsd
+  unresolved: labels.xml (not found: labels.xml)
+"""
+TWO_INSTANCE_VALIDATE = """\
+twice.xml: 0 error(s), 2 warning(s), 0 info
+  13:2 DTS-002 warning: mini-taxonomy.xsd: concept {http://example.com/taxonomy/mini}\
+SharesOutstanding declares no periodType [{http://example.com/taxonomy/mini}SharesOutstanding]
+  13:2 DTS-002 warning: mini-taxonomy.xsd: concept {http://example.com/taxonomy/mini}\
+SharesOutstanding declares no periodType [{http://example.com/taxonomy/mini}SharesOutstanding]
+"""
+
+
+def test_two_instances_fetch_each_uri_once_with_unchanged_output(
+        repo_root, capsys, tmp_path, monkeypatch):
+    # Both instances reference one taxonomy copy, in which one concept lacks
+    # its periodType, and one missing linkbase. Each command builds one
+    # resolver, so each URI is fetched once, and the findings of the cached
+    # schema are still reported for both instances.
+    instance = Path("fixtures/mini-instance.xml").read_text().split("?>", 1)[1].replace(
+        'xlink:href="mini-taxonomy.xsd"/>',
+        'xlink:href="mini-taxonomy.xsd"/><link:linkbaseRef xlink:type="simple"'
+        ' xlink:href="labels.xml"/>')
+    (tmp_path / "twice.xml").write_text(f"<wrap>{instance}{instance}</wrap>")
+    taxonomy = Path("fixtures/mini-taxonomy.xsd").read_text().replace(
+        'xbrli:periodType="instant" nillable="true"', 'nillable="true"')
+    (tmp_path / "mini-taxonomy.xsd").write_text(taxonomy)
+    fetched = []
+    fetch = Resolver.fetch
+
+    def counting_fetch(self, uri):
+        fetched.append(uri)
+        return fetch(self, uri)
+
+    monkeypatch.setattr(Resolver, "fetch", counting_fetch)
+    monkeypatch.chdir(tmp_path)
+    for command, expected in (("dts", TWO_INSTANCE_DTS), ("validate", TWO_INSTANCE_VALIDATE)):
+        fetched.clear()
+        assert run(capsys, command, "twice.xml", "--taxonomy-root", ".") == (0, expected, "")
+        assert sorted(fetched) == ["labels.xml", "mini-taxonomy.xsd"]
 
 
 def test_dts_parse_failure_exits_2(repo_root, capsys):

@@ -412,3 +412,76 @@ def test_build_resolver_behaviour_table(tmp_path, fake_urlopen):
 def test_null_resolver_unresolves_everything():
     dts = discover(instance_with_refs("anything.xsd"), Resolver())
     assert dts.unresolved == (("anything.xsd", "no taxonomy source configured"),)
+
+
+# ---------------------------------------------------------------------------
+# loading each document once per resolver
+# ---------------------------------------------------------------------------
+
+ITEM_DECL = ('<xsd:element name="{}" type="xbrli:monetaryItemType"'
+             ' substitutionGroup="xbrli:item" xbrli:periodType="instant"/>')
+
+
+def imports(*locations: str) -> str:
+    return "".join(f'<xsd:import namespace="x" schemaLocation="{loc}"/>' for loc in locations)
+
+
+# One taxonomy with every outcome a document can have: concepts, a DTS-002
+# and a DTS-004 finding, duplicates for DTS-003 (whose order follows the
+# walk), a fourth level, a linkbase, a missing document, one that is not
+# XML and one whose root is neither a schema nor a linkbase.
+EVERY_OUTCOME = {
+    "root.xsd": schema("urn:r", ITEM_DECL.format("A") + imports(
+        "dup1.xsd", "noperiod.xsd", "notns.xsd", "ghost.xsd", "bad.xsd", "odd.xsd", "lb.xml")),
+    "dup1.xsd": schema("urn:r", ITEM_DECL.format("A") + ITEM_DECL.format("B") + imports("dup2.xsd")),
+    "dup2.xsd": schema("urn:r", ITEM_DECL.format("B") + ITEM_DECL.format("A") + imports("deep.xsd")),
+    "deep.xsd": schema("urn:d", ITEM_DECL.format("D")),
+    "noperiod.xsd": schema("urn:n", '<xsd:element name="N" substitutionGroup="xbrli:item"/>'),
+    "notns.xsd": schema(None, ITEM_DECL.format("Orphan")),
+    "bad.xsd": b"<xsd:schema",
+    "odd.xsd": b"<not-a-schema/>",
+    "lb.xml": b'<link:linkbase xmlns:link="http://www.xbrl.org/2003/linkbase"'
+              b' xmlns:xlink="http://www.w3.org/1999/xlink">'
+              b'<link:linkbaseRef xlink:href="dup2.xsd"/></link:linkbase>',
+}
+
+
+def as_compared(dts) -> tuple:
+    """Everything a Dts holds, in order, so equal values mean equal output."""
+    return (list(dts.documents.items()), list(dts.concepts.items()),
+            dts.unresolved, dts.findings, dts.limit_exceeded)
+
+
+def test_every_outcome_taxonomy_covers_every_outcome():
+    dts = discover(instance_with_refs("root.xsd"), DictResolver(EVERY_OUTCOME))
+    assert [f.code for f in dts.findings] == ["DTS-003", "DTS-002", "DTS-004", "DTS-003", "DTS-003"]
+    assert [reason.split(":")[0] for _, reason in dts.unresolved] == [
+        "not found", "not XML", "root element is neither a schema nor a linkbase"]
+    assert dts.documents["lb.xml"].kind is DocumentKind.LINKBASE
+
+
+def test_one_resolver_fetches_each_uri_once_across_instances():
+    resolver = DictResolver(EVERY_OUTCOME)
+    discover(instance_with_refs("root.xsd"), resolver)
+    discover(instance_with_refs("dup2.xsd", "root.xsd"), resolver)
+    assert sorted(resolver.fetches) == sorted([*EVERY_OUTCOME, "ghost.xsd"])
+
+
+@pytest.mark.parametrize("first", [("root.xsd",), ("dup2.xsd", "lb.xml", "notns.xsd")])
+def test_warm_resolver_discovers_what_a_fresh_one_does(first):
+    warm = DictResolver(EVERY_OUTCOME)
+    discover(instance_with_refs(*first), warm)
+    got = discover(instance_with_refs("root.xsd"), warm)
+    want = discover(instance_with_refs("root.xsd"), DictResolver(EVERY_OUTCOME))
+    assert as_compared(got) == as_compared(want)
+    assert len(warm.fetches) == len(set(warm.fetches))
+
+
+@pytest.mark.parametrize("limits", [{"max_documents": 2}, {"max_depth": 3}, {"max_depth": 1}])
+def test_limited_run_on_a_warm_resolver_equals_a_cold_one(limits):
+    warm = DictResolver(EVERY_OUTCOME)
+    discover(instance_with_refs("root.xsd"), warm)
+    got = discover(instance_with_refs("root.xsd"), warm, **limits)
+    want = discover(instance_with_refs("root.xsd"), DictResolver(EVERY_OUTCOME), **limits)
+    assert want.limit_exceeded
+    assert as_compared(got) == as_compared(want)

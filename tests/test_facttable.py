@@ -129,3 +129,15 @@ def test_fact_rows_match_reference_on_generated_instances():
     for _ in range(100):
         instance = gen.corrupt_context_refs(rng, gen.random_instance(rng))
         assert fact_rows(instance) == reference_rows(instance)
+
+
+def test_fact_rows_and_fact_count_walk_a_chain_deeper_than_the_recursion_limit():
+    fact = Item(concept=QName(EX, "V"), context_ref="c", value="1")
+    for _ in range(2000):
+        fact = Tuple(concept=QName(EX, "T"), children=(fact,))
+    instance = Instance(facts=(fact, Item(concept=QName(EX, "W"), context_ref="c")))
+    assert instance.fact_count() == 2002
+    assert [f.concept.local_name for f in instance.iter_facts()] == ["T"] * 2000 + ["V", "W"]
+    rows = fact_rows(instance)
+    assert [(r.concept, r.tuple_path) for r in rows] == [
+        (f"{{{EX}}}V", "/".join([f"{{{EX}}}T"] * 2000)), (f"{{{EX}}}W", "")]

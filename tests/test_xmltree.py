@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 import oracle_xml
-from conftest import fixture_bytes
+from conftest import FIXTURES, fixture_bytes
 from xbrlcore import (
     MalformedXml,
     QName,
     SourceLocation,
     UnboundPrefix,
     UnsupportedEncoding,
+    Resolver,
     XmlElement,
+    discover,
+    fact_rows,
+    find_instances,
     read_document,
+    validate,
 )
 from xbrlcore.xmltree import serialize_element
 
@@ -308,3 +315,22 @@ def test_resolve_qname_text_uses_in_scope_prefixes():
         QName("", "b"), QName("", "u"), QName("urn:d", "u"))
     assert inner.resolve_qname_text("X") == QName("", "X")
     assert outer.resolve_qname_text("X") == QName("urn:d", "X")
+
+
+def test_a_pipeline_pass_leaves_nothing_for_the_cyclic_collector():
+    # Trees, parsers, models and results hold no reference cycles, so
+    # reference counting frees each as soon as it is dropped.
+    path = FIXTURES / "mini-instance.xml"
+    data = path.read_bytes()
+    gc.disable()
+    try:
+        gc.collect()
+        resolver = Resolver(FIXTURES)
+        for outcome in find_instances(read_document(data)):
+            dts = discover(outcome.instance, resolver, base_uri=str(path))
+            validate(outcome, dts)
+            fact_rows(outcome.instance)
+        del resolver, outcome, dts
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
