@@ -34,7 +34,7 @@ from .model import (
     Tuple,
     Unit,
 )
-from .xmltree import XML_WHITESPACE, QName, SourceLocation, XmlElement, serialize_element
+from .xmltree import XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter
 
 _DECIMALS_RE = re.compile(r"(INF|[+-]?\d+)$")
 _PRECISION_RE = re.compile(r"(INF|[1-9]\d*)$")
@@ -517,133 +517,136 @@ def serialize(instance: Instance) -> bytes:
 
     Root children are written in canonical section order (schema refs,
     linkbase refs, contexts, units, facts, footnote links); re-parsing the
-    output yields a structurally equal instance.
+    output yields a structurally equal instance. The model is written
+    straight to text in one pass (see ``XmlWriter``); a value holding a
+    character XML 1.0 cannot carry raises ValueError.
     """
-    children: list[XmlElement] = []
-    for ref in instance.schema_refs:
-        children.append(_ref_element(c.QN_SCHEMA_REF, ref))
-    for ref in instance.linkbase_refs:
-        children.append(_ref_element(c.QN_LINKBASE_REF, ref))
+    w = XmlWriter(c.PREFERRED_PREFIXES)
+    names, attr, text, write = w.names, w.attr, w.text, w.out.append
+    root = w.start(c.QN_XBRL)
+    if not (instance.schema_refs or instance.linkbase_refs or instance.contexts
+            or instance.units or instance.facts or instance.footnote_links):
+        write("/>")
+        return w.finish()
+    write(">")
+    for name, refs in ((c.QN_SCHEMA_REF, instance.schema_refs),
+                       (c.QN_LINKBASE_REF, instance.linkbase_refs)):
+        for ref in refs:
+            attrs = [(c.QN_XLINK_TYPE, "simple"), (c.QN_XLINK_HREF, ref.href)]
+            if ref.role:
+                attrs.append((c.QN_XLINK_ROLE, ref.role))
+            if ref.arcrole:
+                attrs.append((c.QN_XLINK_ARCROLE, ref.arcrole))
+            w.start(name, attrs)
+            write("/>")
     for context in instance.contexts.values():
-        children.append(_context_element(context))
-    for unit in instance.units.values():
-        children.append(_unit_element(unit))
-    for fact in instance.facts:
-        children.append(_fact_element(fact))
-    for link in instance.footnote_links:
-        children.append(_footnote_link_element(link))
-    root = XmlElement(name=c.QN_XBRL, attributes={}, children=tuple(children))
-    return serialize_element(root, c.PREFERRED_PREFIXES)
-
-
-def _el(name: QName, attrs: dict[QName, str] | None = None,
-        children: tuple = ()) -> XmlElement:
-    return XmlElement(name=name, attributes=attrs or {}, children=children)
-
-
-def _ref_element(name: QName, ref: TaxonomyRef) -> XmlElement:
-    attrs = {c.QN_XLINK_TYPE: "simple", c.QN_XLINK_HREF: ref.href}
-    if ref.role:
-        attrs[c.QN_XLINK_ROLE] = ref.role
-    if ref.arcrole:
-        attrs[c.QN_XLINK_ARCROLE] = ref.arcrole
-    return _el(name, attrs)
-
-
-def _context_element(context: Context) -> XmlElement:
-    entity_children: list = [
-        _el(c.QN_IDENTIFIER, {c.QN_ATTR_SCHEME: context.entity.scheme},
-            (context.entity.identifier,))
-    ]
-    if context.entity.segment is not None:
-        entity_children.append(context.entity.segment)
-    period = context.period
-    if isinstance(period, Forever):
-        period_children: tuple = (_el(c.QN_FOREVER),)
-    elif isinstance(period, Instant):
-        period_children = (_el(c.QN_INSTANT, None, (period.when.raw,)),)
-    else:
-        period_children = (
-            _el(c.QN_START_DATE, None, (period.start.raw,)),
-            _el(c.QN_END_DATE, None, (period.end.raw,)),
-        )
-    children: list = [
-        _el(c.QN_ENTITY, None, tuple(entity_children)),
-        _el(c.QN_PERIOD, None, period_children),
-    ]
-    if context.scenario is not None:
-        children.append(context.scenario)
-    return _el(c.QN_CONTEXT, {c.QN_ATTR_ID: context.id}, tuple(children))
-
-
-def _measure_elements(measures: tuple[QName, ...]) -> tuple[XmlElement, ...]:
-    # Measure text is QName-valued; bind the needed prefix locally so the
-    # value resolves no matter which prefixes the serializer picks.
-    out = []
-    for i, measure in enumerate(measures):
-        if measure.namespace_uri:
-            prefix = c.PREFERRED_PREFIXES.get(measure.namespace_uri, f"m{i}")
-            attrs = {QName("", f"xmlns:{prefix}"): measure.namespace_uri}
-            text = f"{prefix}:{measure.local_name}"
+        entity = context.entity
+        identifier = names[c.QN_IDENTIFIER]
+        write(f'<{names[c.QN_CONTEXT]} id="{attr[context.id]}"><{names[c.QN_ENTITY]}>'
+              f'<{identifier} scheme="{attr[entity.scheme]}">{text(entity.identifier)}'
+              f"</{identifier}>")
+        if entity.segment is not None:
+            w.element(entity.segment)
+        write(f"</{names[c.QN_ENTITY]}><{names[c.QN_PERIOD]}>")
+        period = context.period
+        if isinstance(period, Forever):
+            write(f"<{names[c.QN_FOREVER]}/>")
+        elif isinstance(period, Instant):
+            instant = names[c.QN_INSTANT]
+            write(f"<{instant}>{text(period.when.raw)}</{instant}>")
         else:
-            attrs = {}
-            text = measure.local_name
-        out.append(_el(c.QN_MEASURE, attrs, (text,)))
-    return tuple(out)
+            start, end = names[c.QN_START_DATE], names[c.QN_END_DATE]
+            write(f"<{start}>{text(period.start.raw)}</{start}>"
+                  f"<{end}>{text(period.end.raw)}</{end}>")
+        write(f"</{names[c.QN_PERIOD]}>")
+        if context.scenario is not None:
+            w.element(context.scenario)
+        write(f"</{names[c.QN_CONTEXT]}>")
+    for unit in instance.units.values():
+        tag = names[c.QN_UNIT]
+        write(f'<{tag} id="{attr[unit.id]}"')
+        if unit.denominator:
+            divide = names[c.QN_DIVIDE]
+            numerator, denominator = names[c.QN_UNIT_NUMERATOR], names[c.QN_UNIT_DENOMINATOR]
+            write(f"><{divide}><{numerator}")
+            _write_measures(w, numerator, unit.numerator)
+            write(f"<{denominator}")
+            _write_measures(w, denominator, unit.denominator)
+            write(f"</{divide}></{tag}>")
+        else:
+            _write_measures(w, tag, unit.numerator)
+    # Strings on the stack are end tags of open tuples; an explicit stack,
+    # so tuple depth is bounded by memory and not by the recursion limit.
+    stack: list = [*reversed(instance.facts)]
+    while stack:
+        fact = stack.pop()
+        if isinstance(fact, str):
+            write(fact)
+            continue
+        tag = names[fact.concept]
+        write(f"<{tag}" if fact.id is None else f'<{tag} id="{attr[fact.id]}"')
+        if isinstance(fact, Item):
+            write(f' contextRef="{attr[fact.context_ref]}"')
+            if fact.unit_ref is not None:
+                write(f' unitRef="{attr[fact.unit_ref]}"')
+            if fact.decimals is not None:
+                write(f' decimals="{attr[fact.decimals]}"')
+            if fact.precision is not None:
+                write(f' precision="{attr[fact.precision]}"')
+            write(f">{text(fact.value)}</{tag}>" if fact.value else "/>")
+            continue
+        if fact.context_ref is not None:
+            write(f' contextRef="{attr[fact.context_ref]}"')
+        if fact.children:
+            write(">")
+            stack.append(f"</{tag}>")
+            stack.extend(reversed(fact.children))
+        else:
+            write("/>")
+    for link in instance.footnote_links:
+        attrs = [(c.QN_XLINK_TYPE, "extended")]
+        if link.role:
+            attrs.append((c.QN_XLINK_ROLE, link.role))
+        tag = w.start(c.QN_FOOTNOTE_LINK, attrs)
+        if not (link.locators or link.footnotes or link.arcs):
+            write("/>")
+            continue
+        write(">")
+        for label, href in link.locators:
+            w.start(c.QN_LOC, ((c.QN_XLINK_TYPE, "locator"), (c.QN_XLINK_LABEL, label),
+                               (c.QN_XLINK_HREF, href)))
+            write("/>")
+        for _, note in link.footnotes:
+            w.element(note.content)
+        for arc in link.arcs:
+            w.start(c.QN_FOOTNOTE_ARC, ((c.QN_XLINK_TYPE, "arc"),
+                                        (c.QN_XLINK_ARCROLE, arc.arc_role),
+                                        (c.QN_XLINK_FROM, arc.from_label),
+                                        (c.QN_XLINK_TO, arc.to_label)))
+            write("/>")
+        write(f"</{tag}>")
+    write(f"</{root}>")
+    return w.finish()
 
 
-def _unit_element(unit: Unit) -> XmlElement:
-    children = _measure_elements(unit.numerator)
-    if unit.denominator:
-        children = (
-            _el(c.QN_DIVIDE, None, (
-                _el(c.QN_UNIT_NUMERATOR, None, children),
-                _el(c.QN_UNIT_DENOMINATOR, None, _measure_elements(unit.denominator)),
-            )),
-        )
-    return _el(c.QN_UNIT, {c.QN_ATTR_ID: unit.id}, children)
+def _write_measures(w: XmlWriter, parent: str, measures: tuple[QName, ...]) -> None:
+    """Close the open start tag of ``parent``, write its measures and its end tag.
 
-
-def _fact_element(fact: Fact) -> XmlElement:
-    if isinstance(fact, Item):
-        attrs: dict[QName, str] = {}
-        if fact.id is not None:
-            attrs[c.QN_ATTR_ID] = fact.id
-        attrs[c.QN_ATTR_CONTEXT_REF] = fact.context_ref
-        if fact.unit_ref is not None:
-            attrs[c.QN_ATTR_UNIT_REF] = fact.unit_ref
-        if fact.decimals is not None:
-            attrs[c.QN_ATTR_DECIMALS] = fact.decimals
-        if fact.precision is not None:
-            attrs[c.QN_ATTR_PRECISION] = fact.precision
-        children: tuple = (fact.value,) if fact.value else ()
-        return _el(fact.concept, attrs, children)
-    attrs = {}
-    if fact.id is not None:
-        attrs[c.QN_ATTR_ID] = fact.id
-    if fact.context_ref is not None:
-        attrs[c.QN_ATTR_CONTEXT_REF] = fact.context_ref
-    return _el(fact.concept, attrs, tuple(_fact_element(ch) for ch in fact.children))
-
-
-def _footnote_link_element(link: FootnoteLink) -> XmlElement:
-    children: list[XmlElement] = []
-    for label, href in link.locators:
-        children.append(_el(c.QN_LOC, {
-            c.QN_XLINK_TYPE: "locator",
-            c.QN_XLINK_LABEL: label,
-            c.QN_XLINK_HREF: href,
-        }))
-    for _, note in link.footnotes:
-        children.append(note.content)
-    for arc in link.arcs:
-        children.append(_el(c.QN_FOOTNOTE_ARC, {
-            c.QN_XLINK_TYPE: "arc",
-            c.QN_XLINK_ARCROLE: arc.arc_role,
-            c.QN_XLINK_FROM: arc.from_label,
-            c.QN_XLINK_TO: arc.to_label,
-        }))
-    attrs = {c.QN_XLINK_TYPE: "extended"}
-    if link.role:
-        attrs[c.QN_XLINK_ROLE] = link.role
-    return _el(c.QN_FOOTNOTE_LINK, attrs, tuple(children))
+    With no measures the start tag is closed as an empty element.
+    """
+    if not measures:
+        w.out.append("/>")
+        return
+    w.out.append(">")
+    # Measure text is QName-valued; bind the needed prefix locally so the
+    # value resolves no matter which prefixes the writer picks.
+    tag = w.names[c.QN_MEASURE]
+    for i, measure in enumerate(measures):
+        uri = measure.namespace_uri
+        if uri:
+            prefix = c.PREFERRED_PREFIXES.get(uri, f"m{i}")
+            w.out.append(f'<{tag} xmlns:{prefix}="{w.attr[uri]}">'
+                         f"{w.text(prefix + ':' + measure.local_name)}</{tag}>")
+        else:
+            w.out.append(f"<{tag}>{w.text(measure.local_name)}</{tag}>")
+    w.out.append(f"</{parent}>")

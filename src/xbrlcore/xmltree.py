@@ -3,8 +3,8 @@
 The stdlib expat parser, in namespace mode, tokenizes, resolves every
 prefix and enforces the Namespaces in XML 1.0 constraints. This module
 turns its events into QName-keyed trees, rejects DTDs, maps expat's errors
-to the exceptions below and serializes trees back, so that no other module
-touches XML mechanics.
+to the exceptions below and, through ``XmlWriter``, writes XML back, so
+that prefix choice, escaping and character checks live nowhere else.
 
 Trees are immutable after construction and safe to share between threads.
 Equality of elements is structural: source positions and the prefix
@@ -14,9 +14,10 @@ differ only in prefix choice compare equal.
 
 from __future__ import annotations
 
+import re
 import xml.parsers.expat
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import XbrlError
 
@@ -332,6 +333,14 @@ _ATTR_ESCAPES = {
     "\r": "&#13;", "\n": "&#10;", "\t": "&#9;",
 }
 
+# The C0 controls XML 1.0 cannot carry: production Char allows only tab,
+# LF and CR below U+0020. It also excludes the surrogates, which UTF-8
+# cannot encode, and U+FFFE and U+FFFF.
+_C0_NOT_CHAR = bytes(b for b in range(0x20) if b not in b"\t\n\r")
+# Compiled only when a document fails the checks above: compiling it
+# takes milliseconds, a cost every import would otherwise pay.
+_NOT_CHAR = "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]"
+
 
 def _escape(value: str, table: dict[str, str]) -> str:
     for raw, repl in table.items():
@@ -340,62 +349,137 @@ def _escape(value: str, table: dict[str, str]) -> str:
     return value
 
 
-def serialize_element(root: XmlElement, prefix_hints: Mapping[str, str] | None = None) -> bytes:
-    """Serialize an element tree to UTF-8 bytes.
+class _EscapedAttributes(dict):
+    """Attribute value -> its escaped text, escaped once per writer."""
 
-    All namespace declarations are emitted on the root and every qualified
-    name is prefixed (no default namespace), so unqualified names stay
-    unambiguous. Re-reading the output yields a structurally equal tree.
+    def __missing__(self, value: str) -> str:
+        escaped = self[value] = _escape(value, _ATTR_ESCAPES)
+        return escaped
+
+
+class _PrefixedNames(dict):
+    """QName -> its written name, ``prefix:local`` or a bare local name.
+
+    A namespace gets its prefix the first time a name in it is written:
+    its hinted prefix if that is still free, else the next free ``ns<N>``.
+    ``prefixes`` keeps the namespaces in that order.
     """
-    hints = prefix_hints or {}
-    prefixes: dict[str, str] = {XML_NAMESPACE: "xml"}
-    used: set[str] = {"xml", ""}
-    counter = 0
 
-    def tag(qn: QName) -> str:
-        # A namespace gets its prefix the first time the walk meets it.
-        nonlocal counter
-        uri = qn.namespace_uri
-        if not uri:
-            return qn.local_name
-        prefix = prefixes.get(uri)
-        if prefix is None:
-            prefix = hints.get(uri)
-            if not prefix or prefix in used:
-                counter += 1
-                while f"ns{counter}" in used:
-                    counter += 1
-                prefix = f"ns{counter}"
-            prefixes[uri] = prefix
-            used.add(prefix)
-        return f"{prefix}:{qn.local_name}"
+    def __init__(self, hints: Mapping[str, str]):
+        super().__init__()
+        self.hints = hints
+        self.prefixes: dict[str, str] = {XML_NAMESPACE: "xml"}
+        self.counter = 0
 
-    # out[2] holds the root's namespace declarations, known after the walk.
-    out: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>\n']
-    # Explicit stack, so depth is bounded by memory and not by the
-    # recursion limit. Strings on it are ready-to-write output (escaped
-    # text and end tags); elements still have to be opened.
-    stack: list[XmlNode] = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-            continue
-        name = tag(node.name)
-        out.append(f"<{name}")
-        if node is root:
+    def __missing__(self, qn: QName) -> str:
+        uri, local = qn
+        if uri and uri not in self.prefixes:
+            taken = self.prefixes.values()
+            prefix = self.hints.get(uri)
+            if not prefix or prefix in taken:
+                self.counter += 1
+                while f"ns{self.counter}" in taken:
+                    self.counter += 1
+                prefix = f"ns{self.counter}"
+            self.prefixes[uri] = prefix
+        name = self[qn] = f"{self.prefixes[uri]}:{local}" if uri else local
+        return name
+
+
+class XmlWriter:
+    """Writes one XML document in a single pass, straight into a list of strings.
+
+    All namespace declarations go on the root and every qualified name is
+    prefixed (no default namespace), so unqualified names stay
+    unambiguous. ``names`` gives each QName its written form, ``attr`` each
+    attribute value its escaped form; callers may write ``out`` directly
+    with them. The first element started is the root: its declarations are
+    only known at the end, so ``finish`` fills the slot kept for them.
+    """
+
+    def __init__(self, prefix_hints: Mapping[str, str] | None = None):
+        self.names = _PrefixedNames(prefix_hints or {})
+        self.attr = _EscapedAttributes()
+        self.out: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>\n']
+        self._declarations = 0  # index of the root's slot in out, once started
+
+    @staticmethod
+    def text(value: str) -> str:
+        return _escape(value, _TEXT_ESCAPES)
+
+    def start(self, name: QName, attributes: Iterable[tuple[QName, str]] = ()) -> str:
+        """Write ``<name`` and the (QName, value) attribute pairs; return the written name.
+
+        The start tag is left open: the caller writes ``>`` or ``/>``.
+        """
+        tag = self.names[name]
+        out = self.out
+        out.append("<" + tag)
+        if not self._declarations:
+            self._declarations = len(out)
             out.append("")
-        for aq, value in node.attributes.items():
-            out.append(f' {tag(aq)}="{_escape(value, _ATTR_ESCAPES)}"')
-        if not node.children:
-            out.append("/>")
-            continue
-        out.append(">")
-        stack.append(f"</{name}>")
-        for child in reversed(node.children):
-            stack.append(_escape(child, _TEXT_ESCAPES) if isinstance(child, str) else child)
-    out[2] = "".join(
-        f' xmlns:{prefix}="{_escape(uri, _ATTR_ESCAPES)}"'
-        for uri, prefix in prefixes.items() if uri != XML_NAMESPACE
-    )
-    return "".join(out).encode("utf-8")
+        for aq, value in attributes:
+            out.append(f' {self.names[aq]}="{self.attr[value]}"')
+        return tag
+
+    def element(self, root: XmlElement) -> None:
+        """Write an element with its subtree."""
+        out = self.out
+        # Explicit stack, so depth is bounded by memory and not by the
+        # recursion limit. Strings on it are ready-to-write output (escaped
+        # text and end tags); elements still have to be opened.
+        stack: list[XmlNode] = [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                out.append(node)
+                continue
+            tag = self.start(node.name, node.attributes.items())
+            if not node.children:
+                out.append("/>")
+                continue
+            out.append(">")
+            stack.append(f"</{tag}>")
+            for child in reversed(node.children):
+                stack.append(_escape(child, _TEXT_ESCAPES) if isinstance(child, str) else child)
+
+    def finish(self) -> bytes:
+        """Fill in the root's namespace declarations and return the UTF-8 bytes.
+
+        Raises ValueError, naming the code point and its byte offset in the
+        output, when the text holds a character outside the XML 1.0 Char
+        production (a C0 control other than tab, LF and CR, a surrogate,
+        U+FFFE or U+FFFF): no XML reader would accept the document.
+        """
+        out = self.out
+        attr = self.attr
+        out[self._declarations] = "".join(
+            f' xmlns:{prefix}="{attr[uri]}"'
+            for uri, prefix in self.names.prefixes.items() if uri != XML_NAMESPACE
+        )
+        text = "".join(out)
+        try:
+            data = text.encode("utf-8")
+        except UnicodeEncodeError:  # a surrogate
+            pass
+        else:
+            if (len(data.translate(None, _C0_NOT_CHAR)) == len(data)
+                    and (text.isascii() or ("\ufffe" not in text and "\uffff" not in text))):
+                return data
+        bad = re.search(_NOT_CHAR, text)
+        offset = len(text[:bad.start()].encode("utf-8"))
+        raise ValueError(
+            f"U+{ord(bad.group()):04X} at byte {offset} of the output is not"
+            " a character XML 1.0 can carry"
+        )
+
+
+def serialize_element(root: XmlElement, prefix_hints: Mapping[str, str] | None = None) -> bytes:
+    """Serialize an element tree to UTF-8 bytes (see ``XmlWriter``).
+
+    Re-reading the output yields a structurally equal tree. Raises
+    ValueError for text that holds a character XML 1.0 cannot carry.
+    """
+    writer = XmlWriter(prefix_hints)
+    writer.element(root)
+    return writer.finish()

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
+import gen
 import oracle_xml
 from conftest import fixture_bytes
 from xbrlcore import (
     Duration,
     Forever,
+    Instance,
     Instant,
     Item,
     ParseError,
@@ -496,8 +501,6 @@ def test_round_trip_fixture(name):
 
 
 def test_serialize_empty_instance_has_xbrl_root():
-    from xbrlcore import Instance
-
     root = read_document(serialize(Instance()))
     assert root.name == QName(XBRLI, "xbrl")
     assert root.child_elements() == []
@@ -522,6 +525,40 @@ def test_round_trip_idempotent_at_tree_level():
     once = serialize(instance)
     twice = serialize(parse_instance(read_document(once)).instance)
     assert once == twice
+
+
+def test_serialize_bytes_match_the_goldens():
+    # golden/mini-embedded.serialize.xml holds the outputs of the fixture's
+    # instances in document order, joined by one newline.
+    for name in ("mini-instance", "mini-embedded"):
+        outcomes = find_instances(read_document(fixture_bytes(f"{name}.xml")))
+        written = b"\n".join(serialize(outcome.instance) for outcome in outcomes)
+        assert written == fixture_bytes(f"golden/{name}.serialize.xml")
+    digest = hashlib.sha256()
+    for seed in range(200):
+        digest.update(serialize(gen.random_instance(random.Random(seed))))
+    assert digest.hexdigest() == (
+        "79c31be488e982e4d6a522f2ce8d34f9aea0f06990e1d605477df1025ceef0a0"
+    )
+
+
+def test_serialize_writes_a_deep_tuple_chain():
+    fact = Item(QName(EX, "Leaf"), "c1", "1")
+    for _ in range(2000):
+        fact = Tuple(QName(EX, "Group"), (fact,))
+    root = read_document(serialize(Instance(facts=(fact,))))
+    assert sum(1 for _ in root.iter_elements()) == 2002
+
+
+@pytest.mark.parametrize("bad", ["\x00", "\x01", "\ud800", "\ufffe"])
+def test_serialize_rejects_characters_xml_cannot_carry(bad):
+    def instance(value: str) -> Instance:
+        return Instance(facts=(Item(QName(EX, "Note"), "c1", value),))
+
+    offset = serialize(instance("aXb")).index(b"aXb") + 1
+    with pytest.raises(ValueError) as info:
+        serialize(instance(f"a{bad}b"))
+    assert str(info.value).startswith(f"U+{ord(bad):04X} at byte {offset} ")
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,15 @@ def test_serialize_escapes_attribute_whitespace():
     assert back.text_content() == "text & <markup>"
 
 
+@pytest.mark.parametrize("bad", ["\x00", "\x01", "\ud800", "\ufffe"])
+def test_serialize_rejects_characters_xml_cannot_carry(bad):
+    # The XML declaration and its newline are 39 bytes.
+    for el, offset in ((XmlElement(QName("", "a"), {QName("", "k"): f"x{bad}"}), 46),
+                       (XmlElement(QName("", "a"), children=(f"y{bad}",)), 43)):
+        with pytest.raises(ValueError, match=f"^U\\+{ord(bad):04X} at byte {offset} "):
+            serialize_element(el)
+
+
 def test_resolve_qname_text_uses_in_scope_prefixes():
     root = read_document(b'<a xmlns:m="urn:m"><u>m:USD</u></a>')
     u = root.child_elements()[0]
