@@ -44,12 +44,14 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
-        if with_input:
-            p.add_argument("input", help="instance document path")
+    def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default=_env("FORMAT", "text"),
                        help="output format (default: text; csv applies to facts only)")
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("input", help="instance document path")
+        add_format(p)
         p.add_argument("--mode", choices=("strict", "lenient"),
                        default=_env("MODE", "strict"),
                        help="strict fails on the first blocking error; "
@@ -83,8 +85,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_dts = sub.add_parser("dts", help="list the discoverable taxonomy set")
     add_common(p_dts)
     add_taxonomy(p_dts)
-    add_common(sub.add_parser("rules", help="list the validation rule catalog"),
-               with_input=False)
+    add_format(sub.add_parser("rules", help="list the validation rule catalog"))
     return parser
 
 
@@ -194,18 +195,17 @@ def cmd_facts(args: argparse.Namespace) -> int:
     _, outcomes = _load_instances(args)
     rows = [row for outcome in outcomes for row in fact_rows(outcome.instance)]
     if args.format == "json":
-        _print_json([dict(zip(CSV_HEADER, row.as_tuple())) for row in rows])
+        _print_json([row._asdict() for row in rows])
     elif args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.as_tuple())
+        writer.writerows(rows)
         sys.stdout.write(buffer.getvalue())
     else:
         print("\t".join(CSV_HEADER))
         for row in rows:
-            print("\t".join(row.as_tuple()))
+            print("\t".join(row))
     return EXIT_OK
 
 

@@ -9,17 +9,15 @@ concepts, empty for top-level items.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
-from .model import Duration, Fact, Forever, Instance, Instant, Item, Tuple, Unit
+from .model import Duration, Forever, Instance, Instant, Item, Unit
 from .xmltree import QName
 
-CSV_HEADER = ("concept", "value", "context_id", "entity", "period", "unit", "tuple_path")
 
+class FactRow(NamedTuple):
+    """One item as text; equal to the plain tuple of its fields, in this order."""
 
-@dataclass(frozen=True, slots=True)
-class FactRow:
     concept: str
     value: str
     context_id: str
@@ -29,8 +27,10 @@ class FactRow:
     tuple_path: str
 
     def as_tuple(self) -> tuple[str, ...]:
-        return (self.concept, self.value, self.context_id, self.entity,
-                self.period, self.unit, self.tuple_path)
+        return tuple(self)
+
+
+CSV_HEADER = FactRow._fields
 
 
 def _period_text(period) -> str:
@@ -61,24 +61,18 @@ def fact_rows(instance: Instance) -> list[FactRow]:
     concept_text: dict[QName, str] = {}
     no_context = ("", "")
     rows: list[FactRow] = []
-    # An explicit stack of (facts left, tuple_path, path) per open tuple, so
-    # nesting depth is bounded by memory and not by the recursion limit.
-    stack: list[tuple[Iterator[Fact], str, tuple[str, ...]]] = [(iter(instance.facts), "", ())]
-    while stack:
-        facts, tuple_path, path = stack[-1]
-        for fact in facts:
-            concept = concept_text.get(fact.concept)
-            if concept is None:
-                concept = concept_text[fact.concept] = fact.concept.clark()
-            if isinstance(fact, Item):
-                entity, period = context_text.get(fact.context_ref, no_context)
-                unit = unit_text.get(fact.unit_ref, "") if fact.unit_ref else ""
-                rows.append(FactRow(concept, fact.value, fact.context_ref, entity,
-                                    period, unit, tuple_path))
-            elif isinstance(fact, Tuple):
-                inner = path + (concept,)
-                stack.append((iter(fact.children), "/".join(inner), inner))
-                break
-        else:
-            stack.pop()
+    last_ancestors, tuple_path = (), ""
+    for fact, ancestors in instance.walk():
+        if not isinstance(fact, Item):
+            continue
+        if ancestors is not last_ancestors:
+            last_ancestors = ancestors
+            tuple_path = "/".join(t.concept.clark() for t in ancestors)
+        concept = concept_text.get(fact.concept)
+        if concept is None:
+            concept = concept_text[fact.concept] = fact.concept.clark()
+        entity, period = context_text.get(fact.context_ref, no_context)
+        unit = unit_text.get(fact.unit_ref, "") if fact.unit_ref else ""
+        rows.append(FactRow(concept, fact.value, fact.context_ref, entity, period, unit,
+                            tuple_path))
     return rows

@@ -17,11 +17,12 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
-_DATE_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})$")
+# [0-9] since \d matches any script's digits; fullmatch since $ matches before "\n".
+_DATE_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
 _DATETIME_RE = re.compile(
-    r"(\d{4})-(\d{2})-(\d{2})"
-    r"T(\d{2}):(\d{2}):(\d{2})(\.\d+)?"
-    r"(Z|[+-]\d{2}:\d{2})?$"
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
+    r"T([0-9]{2}):([0-9]{2}):([0-9]{2})(\.[0-9]+)?"
+    r"(Z|[+-][0-9]{2}:[0-9]{2})?"
 )
 
 
@@ -46,7 +47,7 @@ class TimePoint:
 
 def parse_point(text: str) -> TimePoint:
     """Parse a date or date-time; raises ValueError on any lexical failure."""
-    m = _DATE_RE.match(text)
+    m = _DATE_RE.fullmatch(text)
     if m:
         year, month, day = (int(g) for g in m.groups())
         try:
@@ -55,7 +56,7 @@ def parse_point(text: str) -> TimePoint:
             raise ValueError(f"invalid calendar date {text!r}: {exc}") from None
         return TimePoint(raw=text, moment=moment, offset_minutes=None, is_date=True)
 
-    m = _DATETIME_RE.match(text)
+    m = _DATETIME_RE.fullmatch(text)
     if not m:
         raise ValueError(f"not an ISO 8601 date or date-time: {text!r}")
     year, month, day = int(m.group(1)), int(m.group(2)), int(m.group(3))

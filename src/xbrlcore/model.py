@@ -157,24 +157,32 @@ class Instance:
     footnote_links: tuple[FootnoteLink, ...] = ()
     source_location: SourceLocation = field(default=SourceLocation(), compare=False)
 
-    def iter_facts(self) -> Iterator[Fact]:
-        """Every fact (items and tuples), depth-first in document order."""
+    def walk(self) -> Iterator[tuple[Fact, tuple[Tuple, ...]]]:
+        """Every fact with its enclosing tuples (outermost first, ``()`` at top
+        level), depth-first in document order. Siblings share one ancestors object."""
         # One iterator per open tuple, so nesting depth is bounded by
         # memory and not by the recursion limit.
         stack = [iter(self.facts)]
+        ancestors: tuple[Tuple, ...] = ()
         while stack:
             for fact in stack[-1]:
-                yield fact
+                yield fact, ancestors
                 if isinstance(fact, Tuple):
                     stack.append(iter(fact.children))
+                    ancestors += (fact,)
                     break
             else:
                 stack.pop()
+                ancestors = ancestors[:-1]
+
+    def iter_facts(self) -> Iterator[Fact]:
+        """Every fact (items and tuples), depth-first in document order."""
+        return (fact for fact, _ in self.walk())
 
     def fact_count(self) -> int:
         """Total number of facts, nested ones included."""
-        return sum(1 for _ in self.iter_facts())
+        return sum(1 for _ in self.walk())
 
     def iter_items(self) -> Iterator[Item]:
         """Every Item exactly once, document order, tuples traversed depth-first."""
-        return (f for f in self.iter_facts() if isinstance(f, Item))
+        return (f for f, _ in self.walk() if isinstance(f, Item))

@@ -36,8 +36,8 @@ from .model import (
 )
 from .xmltree import XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter
 
-_DECIMALS_RE = re.compile(r"(INF|[+-]?\d+)$")
-_PRECISION_RE = re.compile(r"(INF|[1-9]\d*)$")
+_DECIMALS_RE = re.compile(r"INF|[+-]?[0-9]+")
+_PRECISION_RE = re.compile(r"INF|[1-9][0-9]*")
 
 
 class ParseError(XbrlError):
@@ -159,13 +159,14 @@ def parse_unit(element: XmlElement) -> Unit:
         raise EmptyUnit("unit has no measure or divide content", loc)
     divide = element.first_child(c.QN_DIVIDE)
     if divide is None:
-        if any(ch.name != c.QN_MEASURE for ch in children):
-            raise EmptyUnit("unit contains non-measure content", loc)
-        return Unit(unit_id, _measure_qnames(element), source_location=loc)
+        return Unit(unit_id, _measure_qnames(element, EmptyUnit), source_location=loc)
     if len(children) > 1:
         raise MalformedDivide("unit mixes divide with other content", loc)
-    numerator = _measure_qnames(divide.first_child(c.QN_UNIT_NUMERATOR))
-    denominator = _measure_qnames(divide.first_child(c.QN_UNIT_DENOMINATOR))
+    legs = divide.child_elements()
+    if [leg.name for leg in legs] != [c.QN_UNIT_NUMERATOR, c.QN_UNIT_DENOMINATOR]:
+        raise MalformedDivide("divide must hold one unitNumerator followed by one "
+                              "unitDenominator", divide.source_location)
+    numerator, denominator = (_measure_qnames(leg, MalformedDivide) for leg in legs)
     if not numerator or not denominator:
         raise MalformedDivide(
             "divide requires measures in both numerator and denominator",
@@ -174,14 +175,13 @@ def parse_unit(element: XmlElement) -> Unit:
     return Unit(unit_id, numerator, denominator, loc)
 
 
-def _measure_qnames(leg: XmlElement | None) -> tuple[QName, ...]:
-    if leg is None:
-        return ()
-    return tuple(
-        ch.resolve_qname_text(ch.text_content())
-        for ch in leg.child_elements()
-        if ch.name == c.QN_MEASURE
-    )
+def _measure_qnames(parent: XmlElement, error: type[ParseError]) -> tuple[QName, ...]:
+    """The measures under ``parent``; raises ``error`` if it holds anything else."""
+    children = parent.child_elements()
+    if any(ch.name != c.QN_MEASURE for ch in children):
+        raise error(f"{parent.name.local_name} contains non-measure content",
+                    parent.source_location)
+    return tuple(ch.resolve_qname_text(ch.text_content()) for ch in children)
 
 
 def _parse_entity(element: XmlElement) -> Entity:
@@ -292,6 +292,14 @@ class _InstanceBuilder:
                 subject: str | None = None) -> None:
         self.findings.append(Finding.of(code, message, location, subject))
 
+    def reject(self, element: XmlElement, error: type[ParseError], message: str,
+               code: str, recovery: str) -> None:
+        """Raise ``error(message)`` in strict mode; in lenient mode record ``code``
+        with ``recovery`` instead. Both carry the element's location."""
+        if not self.lenient:
+            raise error(message, element.source_location)
+        self.recover(code, recovery, element.source_location, subject=element.name.clark())
+
     def build(self, root: XmlElement) -> Instance:
         if root.name != c.QN_XBRL:
             raise NotAnXbrlRoot(
@@ -394,17 +402,10 @@ class _InstanceBuilder:
 
     def _build_tuple(self, element: XmlElement, kids: list[XmlElement],
                      depth: int) -> Tuple | None:
-        loc = element.source_location
         if depth > c.DEFAULT_MAX_TUPLE_DEPTH:
-            if not self.lenient:
-                raise TupleDepthExceeded(
-                    f"tuple nesting exceeds {c.DEFAULT_MAX_TUPLE_DEPTH}", loc
-                )
-            self.recover(
-                "T-DEPTH",
-                f"tuple subtree beyond depth {c.DEFAULT_MAX_TUPLE_DEPTH} truncated",
-                loc, subject=element.name.clark(),
-            )
+            self.reject(element, TupleDepthExceeded,
+                        f"tuple nesting exceeds {c.DEFAULT_MAX_TUPLE_DEPTH}", "T-DEPTH",
+                        f"tuple subtree beyond depth {c.DEFAULT_MAX_TUPLE_DEPTH} truncated")
             return None
         children: list[Fact] = []
         for ch in kids:
@@ -417,35 +418,23 @@ class _InstanceBuilder:
             children=tuple(children),
             id=attrs.get(c.QN_ATTR_ID),
             context_ref=attrs.get(c.QN_ATTR_CONTEXT_REF),
-            source_location=loc,
+            source_location=element.source_location,
         )
 
     def _build_item(self, element: XmlElement, text: str) -> Item | None:
-        loc = element.source_location
         attrs = element.attributes
         context_ref = attrs.get(c.QN_ATTR_CONTEXT_REF)
         if context_ref is None:
-            if not self.lenient:
-                raise MissingContextRef(
-                    f"item {element.name.clark()} has no contextRef", loc
-                )
-            self.recover(
-                "CTX-002",
-                f"item {element.name.clark()} dropped: no contextRef",
-                loc, subject=element.name.clark(),
-            )
+            concept = element.name.clark()
+            self.reject(element, MissingContextRef, f"item {concept} has no contextRef",
+                        "CTX-002", f"item {concept} dropped: no contextRef")
             return None
         decimals = self._fidelity_attr(element, c.QN_ATTR_DECIMALS, _DECIMALS_RE)
         precision = self._fidelity_attr(element, c.QN_ATTR_PRECISION, _PRECISION_RE)
         if decimals is not None and precision is not None:
-            if not self.lenient:
-                raise InvalidItemAttributes(
-                    "item carries both decimals and precision", loc
-                )
-            self.recover(
-                "ITM-001", "precision ignored: decimals is also present",
-                loc, subject=element.name.clark(),
-            )
+            self.reject(element, InvalidItemAttributes,
+                        "item carries both decimals and precision",
+                        "ITM-001", "precision ignored: decimals is also present")
             precision = None
         return Item(
             concept=element.name,
@@ -455,7 +444,7 @@ class _InstanceBuilder:
             decimals=decimals,
             precision=precision,
             id=attrs.get(c.QN_ATTR_ID),
-            source_location=loc,
+            source_location=element.source_location,
         )
 
     def _fidelity_attr(self, element: XmlElement, name: QName,
@@ -463,16 +452,10 @@ class _InstanceBuilder:
         raw = element.attributes.get(name)
         if raw is None:
             return None
-        if pattern.match(raw):
+        if pattern.fullmatch(raw):
             return raw
-        if not self.lenient:
-            raise InvalidItemAttributes(
-                f"invalid {name.local_name} value {raw!r}", element.source_location
-            )
-        self.recover(
-            "ITM-001", f"invalid {name.local_name} value {raw!r} ignored",
-            element.source_location, subject=element.name.clark(),
-        )
+        message = f"invalid {name.local_name} value {raw!r}"
+        self.reject(element, InvalidItemAttributes, message, "ITM-001", f"{message} ignored")
         return None
 
 
@@ -575,14 +558,11 @@ def serialize(instance: Instance) -> bytes:
             write(f"</{divide}></{tag}>")
         else:
             _write_measures(w, tag, unit.numerator)
-    # Strings on the stack are end tags of open tuples; an explicit stack,
-    # so tuple depth is bounded by memory and not by the recursion limit.
-    stack: list = [*reversed(instance.facts)]
-    while stack:
-        fact = stack.pop()
-        if isinstance(fact, str):
-            write(fact)
-            continue
+    # End tags of the open tuples with children, innermost last.
+    open_tags: list[str] = []
+    for fact, ancestors in instance.walk():
+        while len(open_tags) > len(ancestors):
+            write(open_tags.pop())
         tag = names[fact.concept]
         write(f"<{tag}" if fact.id is None else f'<{tag} id="{attr[fact.id]}"')
         if isinstance(fact, Item):
@@ -599,10 +579,11 @@ def serialize(instance: Instance) -> bytes:
             write(f' contextRef="{attr[fact.context_ref]}"')
         if fact.children:
             write(">")
-            stack.append(f"</{tag}>")
-            stack.extend(reversed(fact.children))
+            open_tags.append(f"</{tag}>")
         else:
             write("/>")
+    while open_tags:
+        write(open_tags.pop())
     for link in instance.footnote_links:
         attrs = [(c.QN_XLINK_TYPE, "extended")]
         if link.role:

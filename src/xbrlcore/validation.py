@@ -72,17 +72,12 @@ class _Checker:
         self.findings.append(Finding.of(code, message, location, subject))
 
     def run(self) -> list[Finding]:
-        # Pre-order over an explicit stack, so nesting depth is bounded by
-        # memory and not by the recursion limit; findings with equal sort
-        # keys keep this emission order.
-        stack: list[tuple[Fact, int]] = [(fact, 1) for fact in reversed(self.instance.facts)]
-        while stack:
-            fact, depth = stack.pop()
+        # Findings with equal sort keys keep this pre-order emission order.
+        for fact, ancestors in self.instance.walk():
             if isinstance(fact, Item):
                 self._check_item(fact)
             else:
-                self._check_tuple(fact, depth)
-                stack.extend((child, depth + 1) for child in reversed(fact.children))
+                self._check_tuple(fact, len(ancestors) + 1)
         self._check_contexts()
         self._check_footnotes()
         return self.findings

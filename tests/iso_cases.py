@@ -45,6 +45,9 @@ INVALID_POINTS = [
     "2008-12-31 ",           # trailing space
     "",
     "forever",
+    "٢٠٠٨-١٢-٣١",            # Arabic-Indic digits
+    "２００８-12-31",          # fullwidth digits
+    "2008-12-31\n",          # trailing line feed
 ]
 
 # Cases still invalid after the parser trims element content; the rest are

@@ -292,6 +292,12 @@ def test_rules_text_one_line_per_rule(repo_root, capsys):
     assert len(lines) == len(rule_catalog())
 
 
+def test_rules_takes_no_mode(repo_root):
+    proc = run_module(repo_root, "rules", "--mode", "lenient")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --mode lenient" in proc.stderr
+
+
 def test_rules_json_codes_unique(repo_root, capsys):
     _, out, _ = run(capsys, "rules", "--format", "json")
     payload = json.loads(out)

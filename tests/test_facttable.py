@@ -138,6 +138,9 @@ def test_fact_rows_and_fact_count_walk_a_chain_deeper_than_the_recursion_limit()
     instance = Instance(facts=(fact, Item(concept=QName(EX, "W"), context_ref="c")))
     assert instance.fact_count() == 2002
     assert [f.concept.local_name for f in instance.iter_facts()] == ["T"] * 2000 + ["V", "W"]
+    (leaf, leaf_ancestors), (last, last_ancestors) = list(instance.walk())[-2:]
+    assert (leaf.concept.local_name, len(leaf_ancestors)) == ("V", 2000)
+    assert (last.concept.local_name, last_ancestors) == ("W", ())
     rows = fact_rows(instance)
     assert [(r.concept, r.tuple_path) for r in rows] == [
         (f"{{{EX}}}V", "/".join([f"{{{EX}}}T"] * 2000)), (f"{{{EX}}}W", "")]

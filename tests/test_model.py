@@ -67,6 +67,18 @@ def test_iter_items_depth_first_order():
     assert list(instance.iter_items()) == [x, y]
 
 
+def test_walk_yields_each_fact_with_its_enclosing_tuples():
+    t2 = Tuple(concept=QName(EX, "T2"), children=(item("i1"),))
+    t1 = Tuple(concept=QName(EX, "T1"), children=(t2, item("i2")))
+    instance = Instance(contexts={"c1": context()}, facts=(t1, item("i3")))
+    walked = list(instance.walk())
+    assert [(f.concept.local_name, tuple(t.concept.local_name for t in ancestors))
+            for f, ancestors in walked] == [
+        ("T1", ()), ("T2", ("T1",)), ("i1", ("T1", "T2")), ("i2", ("T1",)), ("i3", ()),
+    ]
+    assert list(instance.iter_facts()) == [f for f, _ in walked]
+
+
 def test_iter_items_fixture_concepts_match_oracle():
     data = fixture_bytes("mini-instance.xml")
     oracle_names = oracle_xml.item_concepts(oracle_xml.outer_xbrl_roots(oracle_xml.parse(data))[0])

@@ -193,6 +193,22 @@ def test_invalid_decimals_lexical():
     assert [f.code for f in outcome.recovered_findings] == ["ITM-001"]
 
 
+@pytest.mark.parametrize("attribute, text, raw", [
+    ("decimals", "\u0662", "\u0662"),          # an Arabic-Indic digit is not [0-9]
+    ("decimals", "2&#10;", "2\n"),             # a referenced line feed survives normalization
+    ("precision", "1\u0662", "1\u0662"),
+])
+def test_decimals_and_precision_take_only_ascii_digits(attribute, text, raw):
+    data = wrap(CONTEXT + f'<ex:A contextRef="c1" {attribute}="{text}">1</ex:A>')
+    with pytest.raises(InvalidItemAttributes) as info:
+        parse_instance(read_document(data))
+    assert str(info.value) == f"invalid {attribute} value {raw!r}"
+    outcome = parse_instance(read_document(data), LENIENT)
+    assert getattr(outcome.instance.facts[0], attribute) is None
+    assert [(f.code, f.message) for f in outcome.recovered_findings] == [
+        ("ITM-001", f"invalid {attribute} value {raw!r} ignored")]
+
+
 def test_tuple_classification_and_nesting():
     data = wrap(CONTEXT + (
         "<ex:Outer>"
@@ -399,6 +415,8 @@ def test_parse_unit_unbound_measure_prefix():
 ENTITY = '<xbrli:entity><xbrli:identifier scheme="s">CO</xbrli:identifier></xbrli:entity>'
 PERIOD = "<xbrli:period><xbrli:forever/></xbrli:period>"
 MEASURE = "<xbrli:measure>iso4217:USD</xbrli:measure>"
+NUMERATOR = f"<xbrli:unitNumerator>{MEASURE}</xbrli:unitNumerator>"
+DENOMINATOR = "<xbrli:unitDenominator><xbrli:measure>xbrli:shares</xbrli:measure></xbrli:unitDenominator>"
 
 
 # Each body puts the offending element at the start of line 2, column 2.
@@ -427,6 +445,18 @@ MEASURE = "<xbrli:measure>iso4217:USD</xbrli:measure>"
      f'\n  <xbrli:unit id="u1">{MEASURE}<xbrli:divide/></xbrli:unit>'),
     (MalformedDivide, "unit mixes divide with other content",
      f'\n  <xbrli:unit id="u1"><xbrli:divide/><ex:Other/></xbrli:unit>'),
+    (MalformedDivide, "unitNumerator contains non-measure content",
+     f'<xbrli:unit id="u1"><xbrli:divide>\n  <xbrli:unitNumerator>{MEASURE}<ex:junk>x</ex:junk>'
+     f"</xbrli:unitNumerator>{DENOMINATOR}</xbrli:divide></xbrli:unit>"),
+    (MalformedDivide, "divide must hold one unitNumerator followed by one unitDenominator",
+     f'<xbrli:unit id="u1">\n  <xbrli:divide>{NUMERATOR}{DENOMINATOR}{DENOMINATOR}'
+     "</xbrli:divide></xbrli:unit>"),
+    (MalformedDivide, "divide must hold one unitNumerator followed by one unitDenominator",
+     f'<xbrli:unit id="u1">\n  <xbrli:divide>{DENOMINATOR}{NUMERATOR}'
+     "</xbrli:divide></xbrli:unit>"),
+    (MalformedDivide, "divide must hold one unitNumerator followed by one unitDenominator",
+     f'<xbrli:unit id="u1">\n  <xbrli:divide>{NUMERATOR}<ex:junk/>{DENOMINATOR}'
+     "</xbrli:divide></xbrli:unit>"),
     (ParseError, "unit has no id",
      f"\n  <xbrli:unit>{MEASURE}</xbrli:unit>"),
 ])
