@@ -1,9 +1,10 @@
 """ISO 8601 date and date-time lexing for period values.
 
 Accepted forms are calendar dates (``YYYY-MM-DD``) and date-times
-(``YYYY-MM-DDThh:mm:ss`` with optional fractional seconds and an optional
-zone, ``Z`` or ``+hh:mm``/``-hh:mm``). ``T24:00:00`` denotes the start of
-the following day. Zone offsets are capped at 14:00 as in XML Schema.
+(``YYYY-MM-DDThh:mm:ss`` with optional fractional seconds), each with an
+optional zone, ``Z`` or ``+hh:mm``/``-hh:mm``, as XML Schema's ``xs:date``
+and ``xs:dateTime`` allow. ``T24:00:00`` denotes the start of the
+following day. Zone offsets are capped at 14:00 as in XML Schema.
 
 Comparison rule for period endpoints: a plain date is the start of that
 day in start position and the start of the next day in end position, so a
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 # [0-9] since \d matches any script's digits; fullmatch since $ matches before "\n".
-_DATE_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
+_ZONE = r"(Z|[+-][0-9]{2}:[0-9]{2})?"
+_DATE_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})" + _ZONE)
 _DATETIME_RE = re.compile(
     r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
-    r"T([0-9]{2}):([0-9]{2}):([0-9]{2})(\.[0-9]+)?"
-    r"(Z|[+-][0-9]{2}:[0-9]{2})?"
+    r"T([0-9]{2}):([0-9]{2}):([0-9]{2})(\.[0-9]+)?" + _ZONE
 )
 
 
@@ -49,12 +50,13 @@ def parse_point(text: str) -> TimePoint:
     """Parse a date or date-time; raises ValueError on any lexical failure."""
     m = _DATE_RE.fullmatch(text)
     if m:
-        year, month, day = (int(g) for g in m.groups())
+        year, month, day = (int(g) for g in m.group(1, 2, 3))
         try:
             moment = datetime(year, month, day)
         except ValueError as exc:
             raise ValueError(f"invalid calendar date {text!r}: {exc}") from None
-        return TimePoint(raw=text, moment=moment, offset_minutes=None, is_date=True)
+        return TimePoint(raw=text, moment=moment, offset_minutes=_offset(m.group(4), text),
+                         is_date=True)
 
     m = _DATETIME_RE.fullmatch(text)
     if not m:
@@ -77,16 +79,21 @@ def parse_point(text: str) -> TimePoint:
     if rollover:
         moment += timedelta(days=1)
 
-    offset: int | None = None
+    return TimePoint(raw=text, moment=moment, offset_minutes=_offset(zone, text),
+                     is_date=False)
+
+
+def _offset(zone: str | None, text: str) -> int | None:
+    """Minutes east of UTC for a matched zone; None when there was none."""
+    if zone is None:
+        return None
     if zone == "Z":
-        offset = 0
-    elif zone:
-        sign = 1 if zone[0] == "+" else -1
-        oh, om = int(zone[1:3]), int(zone[4:6])
-        if oh > 14 or om > 59 or (oh == 14 and om != 0):
-            raise ValueError(f"zone offset out of range in {text!r}")
-        offset = sign * (oh * 60 + om)
-    return TimePoint(raw=text, moment=moment, offset_minutes=offset, is_date=False)
+        return 0
+    sign = 1 if zone[0] == "+" else -1
+    oh, om = int(zone[1:3]), int(zone[4:6])
+    if oh > 14 or om > 59 or (oh == 14 and om != 0):
+        raise ValueError(f"zone offset out of range in {text!r}")
+    return sign * (oh * 60 + om)
 
 
 def timeline_position(point: TimePoint, at_end: bool = False) -> datetime:

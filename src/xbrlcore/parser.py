@@ -11,6 +11,7 @@ recovery so no data is lost silently.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,10 +35,44 @@ from .model import (
     Tuple,
     Unit,
 )
-from .xmltree import XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter
+from .xmltree import (
+    XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter, _new, _slot_setters,
+)
 
 _DECIMALS_RE = re.compile(r"INF|[+-]?[0-9]+")
 _PRECISION_RE = re.compile(r"INF|[1-9][0-9]*")
+
+
+(_set_concept, _set_context_ref, _set_value, _set_unit_ref, _set_decimals, _set_precision,
+ _set_item_id, _set_item_location) = _slot_setters(Item)
+(_set_tuple_concept, _set_tuple_children, _set_tuple_id, _set_tuple_context_ref,
+ _set_tuple_location) = _slot_setters(Tuple)
+
+
+def _new_item(concept, context_ref, value, unit_ref, decimals, precision, id,
+              source_location) -> Item:
+    """``Item(concept, ...)``, built through the slot setters (see ``_slot_setters``)."""
+    item = _new(Item)
+    _set_concept(item, concept)
+    _set_context_ref(item, context_ref)
+    _set_value(item, value)
+    _set_unit_ref(item, unit_ref)
+    _set_decimals(item, decimals)
+    _set_precision(item, precision)
+    _set_item_id(item, id)
+    _set_item_location(item, source_location)
+    return item
+
+
+def _new_tuple(concept, children, id, context_ref, source_location) -> Tuple:
+    """``Tuple(concept, ...)``, built through the slot setters (see ``_slot_setters``)."""
+    fact = _new(Tuple)
+    _set_tuple_concept(fact, concept)
+    _set_tuple_children(fact, children)
+    _set_tuple_id(fact, id)
+    _set_tuple_context_ref(fact, context_ref)
+    _set_tuple_location(fact, source_location)
+    return fact
 
 
 class ParseError(XbrlError):
@@ -283,10 +318,30 @@ def _taxonomy_ref(element: XmlElement) -> TaxonomyRef:
 _RESERVED_NAMESPACES = (c.XBRLI_NS, c.LINK_NS)
 
 
+class _Lexicon(dict):
+    """Raw decimals or precision text -> its value if valid, else None.
+
+    Both are XML Schema integer-based types, whose whitespace facet is
+    collapse: the value is the text without surrounding whitespace, and it
+    is valid if it matches ``pattern``. Each distinct text is matched once.
+    """
+
+    def __init__(self, pattern: re.Pattern):
+        super().__init__()
+        self.pattern = pattern
+
+    def __missing__(self, raw: str) -> str | None:
+        value = raw.strip(XML_WHITESPACE)
+        value = self[raw] = value if self.pattern.fullmatch(value) else None
+        return value
+
+
 class _InstanceBuilder:
     def __init__(self, options: ParseOptions):
         self.lenient = options.mode is ParseMode.LENIENT
         self.findings: list[Finding] = []
+        self.decimals = _Lexicon(_DECIMALS_RE)
+        self.precision = _Lexicon(_PRECISION_RE)
 
     def recover(self, code: str, message: str, location: SourceLocation,
                 subject: str | None = None) -> None:
@@ -366,23 +421,6 @@ class _InstanceBuilder:
             )
         units[unit.id] = unit
 
-    def _classify_as_tuple(self, element: XmlElement, kids: list[XmlElement],
-                           text: str) -> bool:
-        if any(ch.name.namespace_uri not in _RESERVED_NAMESPACES for ch in kids):
-            return True
-        # A bare element with nothing item-like about it (no contextRef, no
-        # numeric attributes, no value) reads back as an empty tuple, keeping
-        # empty tuples round-trippable.
-        attrs = element.attributes
-        return (
-            not kids
-            and c.QN_ATTR_CONTEXT_REF not in attrs
-            and c.QN_ATTR_UNIT_REF not in attrs
-            and c.QN_ATTR_DECIMALS not in attrs
-            and c.QN_ATTR_PRECISION not in attrs
-            and not text.strip(XML_WHITESPACE)
-        )
-
     def _build_fact(self, element: XmlElement, depth: int) -> Fact | None:
         if element.name.namespace_uri in _RESERVED_NAMESPACES:
             # Unknown structural elements in the reserved namespaces are
@@ -394,13 +432,30 @@ class _InstanceBuilder:
                     element.source_location,
                 )
             return None
-        kids = element.child_elements()
-        text = element.text_content()
-        if self._classify_as_tuple(element, kids, text):
+        children = element.children
+        if not children:
+            kids, text = (), ""
+        elif len(children) == 1 and children[0].__class__ is str:
+            kids, text = (), children[0]
+        else:
+            kids = element.child_elements()
+            if any(ch.name.namespace_uri not in _RESERVED_NAMESPACES for ch in kids):
+                return self._build_tuple(element, kids, depth)
+            text = element.text_content()
+        # A bare element with nothing item-like about it (no child, no
+        # contextRef, no numeric attributes, no value) reads back as an
+        # empty tuple, keeping empty tuples round-trippable.
+        attrs = element.attributes
+        if (not kids
+                and c.QN_ATTR_CONTEXT_REF not in attrs
+                and c.QN_ATTR_UNIT_REF not in attrs
+                and c.QN_ATTR_DECIMALS not in attrs
+                and c.QN_ATTR_PRECISION not in attrs
+                and not text.strip(XML_WHITESPACE)):
             return self._build_tuple(element, kids, depth)
         return self._build_item(element, text)
 
-    def _build_tuple(self, element: XmlElement, kids: list[XmlElement],
+    def _build_tuple(self, element: XmlElement, kids: Sequence[XmlElement],
                      depth: int) -> Tuple | None:
         if depth > c.DEFAULT_MAX_TUPLE_DEPTH:
             self.reject(element, TupleDepthExceeded,
@@ -413,13 +468,8 @@ class _InstanceBuilder:
             if fact is not None:
                 children.append(fact)
         attrs = element.attributes
-        return Tuple(
-            concept=element.name,
-            children=tuple(children),
-            id=attrs.get(c.QN_ATTR_ID),
-            context_ref=attrs.get(c.QN_ATTR_CONTEXT_REF),
-            source_location=element.source_location,
-        )
+        return _new_tuple(element.name, tuple(children), attrs.get(c.QN_ATTR_ID),
+                          attrs.get(c.QN_ATTR_CONTEXT_REF), element.source_location)
 
     def _build_item(self, element: XmlElement, text: str) -> Item | None:
         attrs = element.attributes
@@ -429,34 +479,31 @@ class _InstanceBuilder:
             self.reject(element, MissingContextRef, f"item {concept} has no contextRef",
                         "CTX-002", f"item {concept} dropped: no contextRef")
             return None
-        decimals = self._fidelity_attr(element, c.QN_ATTR_DECIMALS, _DECIMALS_RE)
-        precision = self._fidelity_attr(element, c.QN_ATTR_PRECISION, _PRECISION_RE)
+        decimals = attrs.get(c.QN_ATTR_DECIMALS)
+        if decimals is not None:
+            decimals = self._fidelity_attr(element, c.QN_ATTR_DECIMALS, decimals, self.decimals)
+        precision = attrs.get(c.QN_ATTR_PRECISION)
+        if precision is not None:
+            precision = self._fidelity_attr(element, c.QN_ATTR_PRECISION, precision,
+                                            self.precision)
         if decimals is not None and precision is not None:
             self.reject(element, InvalidItemAttributes,
                         "item carries both decimals and precision",
                         "ITM-001", "precision ignored: decimals is also present")
             precision = None
-        return Item(
-            concept=element.name,
-            context_ref=context_ref,
-            value=text.strip(XML_WHITESPACE),
-            unit_ref=attrs.get(c.QN_ATTR_UNIT_REF),
-            decimals=decimals,
-            precision=precision,
-            id=attrs.get(c.QN_ATTR_ID),
-            source_location=element.source_location,
-        )
+        return _new_item(element.name, context_ref, text.strip(XML_WHITESPACE),
+                         attrs.get(c.QN_ATTR_UNIT_REF), decimals, precision,
+                         attrs.get(c.QN_ATTR_ID), element.source_location)
 
-    def _fidelity_attr(self, element: XmlElement, name: QName,
-                       pattern: re.Pattern) -> str | None:
-        raw = element.attributes.get(name)
-        if raw is None:
-            return None
-        if pattern.fullmatch(raw):
-            return raw
-        message = f"invalid {name.local_name} value {raw!r}"
-        self.reject(element, InvalidItemAttributes, message, "ITM-001", f"{message} ignored")
-        return None
+    def _fidelity_attr(self, element: XmlElement, name: QName, raw: str,
+                       lexicon: _Lexicon) -> str | None:
+        """The collapsed value of attribute ``name``, or None after rejecting it."""
+        value = lexicon[raw]
+        if value is None:
+            message = f"invalid {name.local_name} value {raw!r}"
+            self.reject(element, InvalidItemAttributes, message, "ITM-001",
+                        f"{message} ignored")
+        return value
 
 
 def parse_instance(root: XmlElement,

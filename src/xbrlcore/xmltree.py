@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import xml.parsers.expat
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import XbrlError
@@ -197,6 +197,35 @@ class XmlElement:
         return QName(self.prefix_bindings.get("", ""), text)
 
 
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each slot of a slots dataclass, in field order.
+
+    A record built with ``object.__new__`` and these setters equals the one
+    its public constructor builds from the same values, for about half the
+    cost: the generated ``__init__`` of a frozen dataclass pays one
+    ``object.__setattr__`` per field. The readers' hot records are built
+    this way; tests/test_fast_records.py pins them to the public constructors.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_new = object.__new__
+_tuple_new = tuple.__new__
+_set_name, _set_attributes, _set_children, _set_location, _set_bindings = (
+    _slot_setters(XmlElement))
+
+
+def _new_element(name, attributes, children, source_location, prefix_bindings) -> XmlElement:
+    """``XmlElement(name, ...)``, built through the slot setters."""
+    element = _new(XmlElement)
+    _set_name(element, name)
+    _set_attributes(element, attributes)
+    _set_children(element, children)
+    _set_location(element, source_location)
+    _set_bindings(element, prefix_bindings)
+    return element
+
+
 # Separator between namespace name and local name in expat's expanded
 # names. U+0001 cannot occur in an XML 1.0 document, so unlike a space it
 # can never be part of a namespace name (expat rejects a declaration whose
@@ -222,6 +251,8 @@ class _TreeBuilder:
     bindings are tracked only for ``XmlElement.prefix_bindings``: an element
     that declares a namespace gets a copy of its parent's bindings with the
     declarations applied, any other element shares its parent's mapping.
+    Text collected since the last tag goes to the open element's children
+    as one string; with ``buffer_text`` expat mostly delivers it in one piece.
     """
 
     def __init__(self) -> None:
@@ -258,29 +289,35 @@ class _TreeBuilder:
             self.declared.pop("", None)
 
     def _start(self, name: str, attr_list: list[str]) -> None:
-        if self.text:
-            self._flush_text()
+        stack = self.stack
+        parent = stack[-1]
+        text = self.text
+        if text:
+            parent[2].append(text[0] if len(text) == 1 else "".join(text))
+            text.clear()
         parser = self.parser
-        loc = SourceLocation(parser.CurrentLineNumber, parser.CurrentColumnNumber)
+        loc = _tuple_new(SourceLocation, (parser.CurrentLineNumber, parser.CurrentColumnNumber))
         bindings = self.declared
         if bindings is None:
-            bindings = self.stack[-1][4]
+            bindings = parent[4]
         else:
             self.declared = None
         names = self.names
-        it = iter(attr_list)
-        attrs = {names[k]: v for k, v in zip(it, it)}
-        self.stack.append([names[name], attrs, [], loc, bindings])
+        if attr_list:
+            it = iter(attr_list)
+            attrs = {names[k]: v for k, v in zip(it, it)}
+        else:
+            attrs = {}
+        stack.append([names[name], attrs, [], loc, bindings])
 
     def _end(self, name: str) -> None:
-        if self.text:
-            self._flush_text()
-        qname, attrs, children, loc, bindings = self.stack.pop()
-        self.stack[-1][2].append(XmlElement(qname, attrs, tuple(children), loc, bindings))
-
-    def _flush_text(self) -> None:
-        self.stack[-1][2].append("".join(self.text))
-        self.text.clear()
+        stack = self.stack
+        qname, attrs, children, loc, bindings = stack.pop()
+        text = self.text
+        if text:
+            children.append(text[0] if len(text) == 1 else "".join(text))
+            text.clear()
+        stack[-1][2].append(_new_element(qname, attrs, tuple(children), loc, bindings))
 
 
 _codes = xml.parsers.expat.errors.codes

@@ -18,6 +18,9 @@ VALID_POINTS = [
     "2008-12-31T23:59:59+14:00",
     "2008-12-31T23:59:59-14:00",
     "2008-06-15T00:00:00.000Z",
+    "2008-12-31Z",           # xs:date allows a zone
+    "2008-12-31+02:00",
+    "2008-12-31-14:00",
 ]
 
 INVALID_POINTS = [
@@ -41,6 +44,8 @@ INVALID_POINTS = [
     "2008-12-31T23:59:59+14:30",  # 14-hour offset must be exact
     "2008-12-31T23:59:59+02",     # offset minutes required
     "2008-12-31T23:59:59+0200",   # missing colon
+    "2008-12-31+15:00",      # date with an offset beyond 14 hours
+    "2008-12-31+02",         # date offset minutes required
     " 2008-12-31",           # leading space
     "2008-12-31 ",           # trailing space
     "",

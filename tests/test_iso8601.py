@@ -34,6 +34,17 @@ def test_date_flags():
     assert parse_point("2008-12-31T00:00:00-05:00").offset_minutes == -300
 
 
+def test_a_date_may_carry_a_zone():
+    point = parse_point("2008-12-31+02:00")
+    assert point.is_date and point.offset_minutes == 120
+    assert parse_point("2008-12-31Z").offset_minutes == 0
+    assert parse_point("2008-12-31-14:00").offset_minutes == -840
+    assert not parse_point("2008-12-31").zoned
+    # the day 2008-12-31 at +02:00 ends at 22:00 UTC
+    assert timeline_position(point, at_end=True) == datetime(2008, 12, 31, 22)
+    assert timeline_position(point) == datetime(2008, 12, 30, 22)
+
+
 def test_hour_24_is_start_of_next_day():
     point = parse_point("2008-12-31T24:00:00")
     assert point.moment == datetime(2009, 1, 1)

@@ -195,7 +195,7 @@ def test_invalid_decimals_lexical():
 
 @pytest.mark.parametrize("attribute, text, raw", [
     ("decimals", "\u0662", "\u0662"),          # an Arabic-Indic digit is not [0-9]
-    ("decimals", "2&#10;", "2\n"),             # a referenced line feed survives normalization
+    ("decimals", "2&#10;3", "2\n3"),           # a referenced line feed survives normalization
     ("precision", "1\u0662", "1\u0662"),
 ])
 def test_decimals_and_precision_take_only_ascii_digits(attribute, text, raw):
@@ -207,6 +207,46 @@ def test_decimals_and_precision_take_only_ascii_digits(attribute, text, raw):
     assert getattr(outcome.instance.facts[0], attribute) is None
     assert [(f.code, f.message) for f in outcome.recovered_findings] == [
         ("ITM-001", f"invalid {attribute} value {raw!r} ignored")]
+
+
+@pytest.mark.parametrize("attribute, text, value", [
+    ("decimals", " 2", "2"),
+    ("precision", "4 ", "4"),
+    ("decimals", "&#9;-3&#10;", "-3"),   # referenced tab and line feed survive normalization
+])
+def test_decimals_and_precision_collapse_surrounding_whitespace(attribute, text, value):
+    # Both are XML Schema integer-based types, whose whitespace facet is collapse.
+    data = wrap(CONTEXT + UNIT
+                + f'<ex:A contextRef="c1" unitRef="u1" {attribute}="{text}">1</ex:A>')
+    instance = parse_instance(read_document(data)).instance
+    assert getattr(instance.facts[0], attribute) == value
+    again = parse_instance(read_document(serialize(instance))).instance
+    assert again == instance
+    assert getattr(again.facts[0], attribute) == value
+
+
+def test_whitespace_inside_decimals_is_still_invalid():
+    data = wrap(CONTEXT + '<ex:A contextRef="c1" decimals="2 3">1</ex:A>')
+    with pytest.raises(InvalidItemAttributes) as info:
+        parse_instance(read_document(data))
+    assert str(info.value) == "invalid decimals value '2 3'"
+    outcome = parse_instance(read_document(data), LENIENT)
+    assert [f.code for f in outcome.recovered_findings] == ["ITM-001"]
+
+
+def test_a_decimals_value_is_not_taken_for_a_precision_value():
+    # "-2" and "0" are valid decimals but not valid precision; each attribute
+    # is checked against its own lexical space, whatever came before it.
+    data = wrap(CONTEXT
+                + '<ex:A contextRef="c1" decimals="-2">1</ex:A>'
+                + '<ex:B contextRef="c1" decimals="0">1</ex:B>'
+                + '<ex:C contextRef="c1" precision="-2">1</ex:C>'
+                + '<ex:D contextRef="c1" precision="0">1</ex:D>')
+    outcome = parse_instance(read_document(data), LENIENT)
+    assert [(f.decimals, f.precision) for f in outcome.instance.facts] == [
+        ("-2", None), ("0", None), (None, None), (None, None)]
+    assert [f.message for f in outcome.recovered_findings] == [
+        "invalid precision value '-2' ignored", "invalid precision value '0' ignored"]
 
 
 def test_tuple_classification_and_nesting():

@@ -143,6 +143,17 @@ def test_warning_rules_t001_scn001_per003():
     assert report.error_count() == 0
 
 
+def test_a_zoned_date_against_a_zoneless_one_is_per003():
+    data = (
+        '<x:xbrl xmlns:x="http://www.xbrl.org/2003/instance"><x:context id="c1">'
+        '<x:entity><x:identifier scheme="urn:s">CO</x:identifier></x:entity>'
+        "<x:period><x:startDate>2008-01-01</x:startDate><x:endDate>2008-12-31Z</x:endDate>"
+        "</x:period></x:context></x:xbrl>"
+    ).encode()
+    report = validate(parse_instance(read_document(data)))
+    assert codes(report) == ["PER-003"]
+
+
 def test_lenient_recoveries_appear_in_report():
     report = validate(load("bad-period.xml", LENIENT))
     assert sorted(codes(report)) == ["PER-001", "PER-002"]

@@ -326,6 +326,26 @@ def test_resolve_qname_text_uses_in_scope_prefixes():
     assert outer.resolve_qname_text("X") == QName("urn:d", "X")
 
 
+def test_text_expat_delivers_in_pieces_reads_back_as_one_string():
+    # A run of text longer than expat's text buffer arrives in several
+    # pieces (entity and character references and CDATA add more); text
+    # around a comment arrives in one. Either way it is one text child.
+    long_text = "x" * 70_000
+    source = f"head &amp; {long_text} &#233; <![CDATA[<raw> & ]]> tail"
+    value = f"head & {long_text} \u00e9 <raw> &  tail"
+    data = (
+        f'<x:xbrl xmlns:x="{XBRLI}" xmlns:ex="urn:ex">'
+        f'<ex:Long contextRef="c1">{source}</ex:Long>'
+        '<ex:Split contextRef="c1">be<!-- a comment -->fore</ex:Split></x:xbrl>'
+    ).encode()
+    root = read_document(data)
+    long_element, split = root.child_elements()
+    assert long_element.children == (value,)
+    assert split.children == ("before",)
+    [outcome] = find_instances(root)
+    assert [item.value for item in outcome.instance.facts] == [value, "before"]
+
+
 def test_a_pipeline_pass_leaves_nothing_for_the_cyclic_collector():
     # Trees, parsers, models and results hold no reference cycles, so
     # reference counting frees each as soon as it is dropped.
