@@ -3,8 +3,8 @@
 Exit codes: 0 success (validate: no Error findings), 1 validation errors,
 2 parse/read failure. Data goes to stdout, diagnostics to stderr, and all
 renderings are deterministic. Flags fall back to XBRLCORE_* environment
-variables, then to defaults. Network fetching is off unless
---allow-network is given.
+variables, then to defaults. Taxonomy references are read only from files
+under --taxonomy-root; nothing is fetched from the network.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ def _env(name: str, fallback: str | None = None) -> str | None:
     return os.environ.get("XBRLCORE_" + name, fallback)
 
 
-def _env_flag(name: str) -> bool:
-    return (_env(name) or "").strip().lower() in ("1", "true", "yes", "on")
-
-
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xbrlcore",
@@ -61,9 +57,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--taxonomy-root", default=_env("TAXONOMY_ROOT"),
                        help="directory taxonomy references resolve under; "
                             "without it, taxonomy-dependent rules are skipped")
-        p.add_argument("--allow-network", action="store_true",
-                       default=_env_flag("ALLOW_NETWORK"),
-                       help="fetch http(s) taxonomy references (off by default)")
         # String defaults are converted by argparse, and only for the
         # subcommand in use, so a bad value is a usage error of that command.
         p.add_argument("--max-depth", type=int,
@@ -163,7 +156,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     data, outcomes = _load_instances(args)
-    resolver = build_resolver(args.taxonomy_root, args.allow_network)
+    resolver = build_resolver(args.taxonomy_root)
     reports = [
         validate(outcome, _discover_dts(args, resolver, outcome) if args.taxonomy_root else None)
         for outcome in outcomes
@@ -215,7 +208,7 @@ def cmd_dts(args: argparse.Namespace) -> int:
     unresolved: list = []
     concepts: set = set()
     limit_exceeded = False
-    resolver = build_resolver(args.taxonomy_root, args.allow_network)
+    resolver = build_resolver(args.taxonomy_root)
     for outcome in outcomes:
         dts = _discover_dts(args, resolver, outcome)
         for uri, doc in dts.documents.items():

@@ -5,8 +5,19 @@ references, following schema imports/includes and embedded linkbaseRefs,
 with a visited set on resolved URIs so cycles terminate. Every reachable
 href ends up either in ``documents`` or in ``unresolved``; nothing is
 dropped silently. Relationship networks inside linkbases are fetched and
-recorded but not interpreted. What each URI yields is loaded once per
-resolver and reused by every later discovery through that resolver.
+recorded but not interpreted.
+
+Per resolver and for its lifetime, each resolved URI is loaded once (its
+document, outgoing hrefs resolved against it, concepts and schema
+findings, or the reason it stays unresolved), and each entry set (the
+resolved entry URIs in order, plus both limits) is walked once into a
+plan: the documents in discovery order, the findings, the unresolved
+references and whether a limit was hit. Later discoveries from that entry
+set replay the plan into fresh dicts. A plan refers to the per-URI loads,
+so it costs O(documents in the closure), not O(concepts). This is sound
+only while ``resolve`` is a pure function of its arguments and the
+documents do not change; concurrent discoveries may build one plan twice,
+with equal results.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple
 from urllib.parse import urlsplit, urljoin
 
 from . import constants as c
@@ -27,7 +38,6 @@ from .xmltree import XML_WHITESPACE, QName, XmlElement, XmlReadError, read_docum
 
 DEFAULT_MAX_DOCUMENTS = 256
 DEFAULT_MAX_DEPTH = 16
-_HTTP_TIMEOUT_S = 30.0
 
 
 class NotASchema(XbrlError):
@@ -140,44 +150,26 @@ def _fetch_file(root: Path, uri: str) -> bytes:
         raise ResolutionError(f"unreadable: {uri} ({exc.strerror})") from None
 
 
-def _fetch_http(uri: str) -> bytes:
-    import urllib.request
-
-    try:
-        with urllib.request.urlopen(uri, timeout=_HTTP_TIMEOUT_S) as response:
-            return response.read()
-    except OSError as exc:
-        raise ResolutionError(f"fetch failed: {uri} ({exc})") from None
-
-
 class Resolver:
     """Resolves taxonomy hrefs to URIs and fetches their bytes.
 
     With a ``root``, URIs are read as files under it (http(s) ones folded in
-    by scheme and authority). With ``allow_network``, http(s) URIs are
-    fetched over the network instead, and without a root nothing else can
-    be fetched. With neither, every fetch fails.
+    by scheme and authority); without one, every fetch fails.
     """
 
     resolve = staticmethod(resolve_reference)
 
-    def __init__(self, root: str | Path | None = None, allow_network: bool = False):
+    def __init__(self, root: str | Path | None = None):
         self.root = None if root is None else Path(root)
-        self.allow_network = allow_network
 
     def fetch(self, uri: str) -> bytes:
-        if self.allow_network and urlsplit(uri).scheme in ("http", "https"):
-            return _fetch_http(uri)
-        if self.root is not None:
-            return _fetch_file(self.root, uri)
-        if self.allow_network:
-            raise ResolutionError(f"not an http(s) URI: {uri}")
-        raise ResolutionError("no taxonomy source configured")
+        if self.root is None:
+            raise ResolutionError("no taxonomy source configured")
+        return _fetch_file(self.root, uri)
 
 
-def build_resolver(taxonomy_root: str | Path | None = None,
-                   allow_network: bool = False) -> Resolver:
-    return Resolver(taxonomy_root, allow_network)
+def build_resolver(taxonomy_root: str | Path | None = None) -> Resolver:
+    return Resolver(taxonomy_root)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +297,36 @@ def _load_schema_root(root: XmlElement, uri: str) -> tuple[list[Concept], list[s
 # ---------------------------------------------------------------------------
 
 
-_Outcome = Union[str, tuple[DtsDocument, tuple[Concept, ...], tuple[Finding, ...]]]
+class _Loaded(NamedTuple):
+    """What one resolved URI yielded when it is a schema or a linkbase."""
 
-# Per resolver, the outcome of loading each resolved URI: the reason it
-# stays unresolved, or its document with the concepts and findings of its
-# own schema. Keyed weakly, so an entry lives exactly as long as its resolver.
-_LOADED: weakref.WeakKeyDictionary[Resolver, dict[str, _Outcome]] = weakref.WeakKeyDictionary()
+    document: DtsDocument
+    targets: tuple[str, ...]  # document.outgoing_refs, resolved against its URI
+    concepts: tuple[Concept, ...]  # as declared, repeats included
+    own: dict[QName, Concept]  # the first declaration of each QName
+    findings: tuple[Finding, ...]
 
 
-def _load(resolver: Resolver, uri: str) -> _Outcome:
-    """Fetch, read and classify one resolved URI."""
+class _Plan(NamedTuple):
+    """What a discovery from one entry set loads, finds and leaves unresolved."""
+
+    documents: tuple[DtsDocument, ...]
+    owns: tuple[dict[QName, Concept], ...]  # each document's _Loaded.own
+    unresolved: tuple[tuple[str, str], ...]
+    findings: tuple[Finding, ...]
+    limit_exceeded: bool
+    duplicates: bool  # some QName is declared more than once (DTS-003)
+
+
+# Per resolver, the outcome of loading each resolved URI and the plan of
+# each entry set. Keyed weakly, so both live exactly as long as their resolver.
+_LOADED: weakref.WeakKeyDictionary[Resolver, tuple[
+    dict[str, str | _Loaded], dict[tuple[tuple[str, ...], int, int], _Plan]]] = \
+    weakref.WeakKeyDictionary()
+
+
+def _load(resolver: Resolver, uri: str) -> str | _Loaded:
+    """Fetch, read and classify one resolved URI; resolve its outgoing hrefs."""
     try:
         data = resolver.fetch(uri)
     except ResolutionError as exc:
@@ -325,45 +337,33 @@ def _load(resolver: Resolver, uri: str) -> _Outcome:
         return f"not XML: {exc}"
     if root.name == c.QN_XSD_SCHEMA:
         concepts, refs, findings = _load_schema_root(root, uri)
-        document = DtsDocument(uri, DocumentKind.TAXONOMY_SCHEMA, tuple(refs))
-        return document, tuple(concepts), tuple(findings)
-    if root.name == c.QN_LINKBASE:
-        return DtsDocument(uri, DocumentKind.LINKBASE, tuple(_outgoing_refs(root))), (), ()
-    return "root element is neither a schema nor a linkbase"
+        kind = DocumentKind.TAXONOMY_SCHEMA
+    elif root.name == c.QN_LINKBASE:
+        concepts, refs, findings = [], _outgoing_refs(root), []
+        kind = DocumentKind.LINKBASE
+    else:
+        return "root element is neither a schema nor a linkbase"
+    own: dict[QName, Concept] = {}
+    for concept in concepts:
+        own.setdefault(concept.qname, concept)
+    return _Loaded(DtsDocument(uri, kind, tuple(refs)),
+                   tuple(resolver.resolve(uri, href) for href in refs),
+                   tuple(concepts), own, tuple(findings))
 
 
-def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
-             max_documents: int = DEFAULT_MAX_DOCUMENTS,
-             max_depth: int = DEFAULT_MAX_DEPTH) -> Dts:
-    """Breadth-first closure over taxonomy references.
-
-    Deterministic for deterministic resolvers: each URI is fetched at most
-    once per resolver, documents appear in discovery order, and unresolved
-    entries keep the order of the referencing edge. When a limit is hit the
-    partial result is returned with ``limit_exceeded`` set.
-
-    The resolver keeps what each fetch yielded for its lifetime, so a
-    resolver shared across instances assumes its taxonomy does not change
-    meanwhile. It must be hashable and weakly referenceable, as instances
-    of any plain class are.
-    """
-    loaded = _LOADED.setdefault(resolver, {})
-    queue: list[tuple[str, int]] = []
+def _walk(resolver: Resolver, loaded: dict[str, str | _Loaded], entries: tuple[str, ...],
+          max_documents: int, max_depth: int) -> _Plan:
+    """Breadth-first closure over taxonomy references from ``entries``."""
+    queue = [(uri, 1) for uri in entries]
     seen: set[str] = set()
-    for ref in (*instance.schema_refs, *instance.linkbase_refs):
-        queue.append((resolver.resolve(base_uri, ref.href), 1))
-
-    documents: dict[str, DtsDocument] = {}
-    registry: dict[QName, Concept] = {}
-    concept_sources: dict[QName, str] = {}
+    documents: list[DtsDocument] = []
+    owns: list[dict[QName, Concept]] = []
+    sources: dict[QName, str] = {}  # each QName -> the URI of its first declaration
     findings: list[Finding] = []
     unresolved: list[tuple[str, str]] = []
-    limit_exceeded = False
+    limit_exceeded = duplicates = False
 
-    index = 0
-    while index < len(queue):
-        uri, depth = queue[index]
-        index += 1
+    for uri, depth in queue:  # the queue grows while it is walked
         if uri in seen:
             continue
         seen.add(uri)
@@ -381,27 +381,67 @@ def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
         if isinstance(outcome, str):
             unresolved.append((uri, outcome))
             continue
-        document, concepts, schema_findings = outcome
-        findings.extend(schema_findings)
-        for concept in concepts:
-            if concept.qname in registry:
-                findings.append(Finding.of(
-                    "DTS-003",
-                    f"concept {concept.qname.clark()} in {uri} duplicates the "
-                    f"declaration in {concept_sources[concept.qname]}; first wins",
-                    subject=concept.qname.clark(),
-                ))
-                continue
-            registry[concept.qname] = concept
-            concept_sources[concept.qname] = uri
-        documents[uri] = document
-        for href in document.outgoing_refs:
-            queue.append((resolver.resolve(uri, href), depth + 1))
+        findings.extend(outcome.findings)
+        own = outcome.own
+        if len(own) == len(outcome.concepts) and sources.keys().isdisjoint(own):
+            sources.update(dict.fromkeys(own, uri))
+        else:
+            duplicates = True
+            for concept in outcome.concepts:
+                if concept.qname in sources:
+                    findings.append(Finding.of(
+                        "DTS-003",
+                        f"concept {concept.qname.clark()} in {uri} duplicates the "
+                        f"declaration in {sources[concept.qname]}; first wins",
+                        subject=concept.qname.clark(),
+                    ))
+                else:
+                    sources[concept.qname] = uri
+        documents.append(outcome.document)
+        owns.append(own)
+        queue.extend((target, depth + 1) for target in outcome.targets)
 
+    return _Plan(tuple(documents), tuple(owns), tuple(unresolved), tuple(findings),
+                 limit_exceeded, duplicates)
+
+
+def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
+             max_documents: int = DEFAULT_MAX_DOCUMENTS,
+             max_depth: int = DEFAULT_MAX_DEPTH) -> Dts:
+    """Breadth-first closure over taxonomy references.
+
+    Deterministic for deterministic resolvers: each URI is fetched at most
+    once per resolver, documents appear in discovery order, and unresolved
+    entries keep the order of the referencing edge. When a limit is hit the
+    partial result is returned with ``limit_exceeded`` set. ``concepts``
+    keeps the first declaration of each QName in discovery order.
+
+    The resolver keeps per-URI loads and per-entry-set plans for its
+    lifetime (see the module docstring), so ``resolve`` must be a pure
+    function of its arguments and the taxonomy must not change meanwhile.
+    It must be hashable and weakly referenceable, as instances of any plain
+    class are. Each call returns its own ``documents`` and ``concepts``.
+    """
+    loaded, plans = _LOADED.setdefault(resolver, ({}, {}))
+    entries = tuple(resolver.resolve(base_uri, ref.href)
+                    for ref in (*instance.schema_refs, *instance.linkbase_refs))
+    key = (entries, max_documents, max_depth)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _walk(resolver, loaded, entries, max_documents, max_depth)
+
+    concepts: dict[QName, Concept] = {}
+    if plan.duplicates:
+        for own in plan.owns:
+            for qname, concept in own.items():
+                concepts.setdefault(qname, concept)
+    else:
+        for own in plan.owns:
+            concepts.update(own)
     return Dts(
-        documents=documents,
-        concepts=registry,
-        unresolved=tuple(unresolved),
-        findings=tuple(findings),
-        limit_exceeded=limit_exceeded,
+        documents={document.uri: document for document in plan.documents},
+        concepts=concepts,
+        unresolved=plan.unresolved,
+        findings=plan.findings,
+        limit_exceeded=plan.limit_exceeded,
     )

@@ -61,7 +61,7 @@ _RULES = (
     Rule("PER-002", Severity.ERROR,
          "Period startDate is after endDate (recovered during lenient parse; the context is dropped)."),
     Rule("PER-003", Severity.WARNING,
-         "Period mixes zoned and zoneless date-times; the zoneless value was assumed to be UTC."),
+         "Period mixes zoned and zoneless values; the zoneless value was assumed to be UTC."),
     Rule("UNT-001", Severity.ERROR,
          "Item unitRef does not resolve to any unit in the instance."),
     Rule("UNT-002", Severity.ERROR,

@@ -84,75 +84,65 @@ class _Checker:
 
     # -- facts --------------------------------------------------------------
 
-    def _subject(self, fact: Fact) -> str:
-        return fact.id if fact.id else fact.concept.clark()
+    def flag(self, fact: Fact, code: str, message: str) -> None:
+        """Emit a finding about a fact, at its location and with its id or concept as subject."""
+        self.emit(code, message, fact.source_location, fact.id or fact.concept.clark())
 
     def _check_item(self, item: Item) -> None:
-        subject = self._subject(item)
-        loc = item.source_location
         if item.context_ref not in self.instance.contexts:
-            self.emit(
-                "CTX-001",
+            self.flag(
+                item, "CTX-001",
                 f"item {item.concept.clark()} references undefined context "
                 f"{item.context_ref!r}",
-                loc, subject,
             )
         unit = None
         if item.unit_ref is not None:
             unit = self.instance.units.get(item.unit_ref)
             if unit is None:
-                self.emit(
-                    "UNT-001",
+                self.flag(
+                    item, "UNT-001",
                     f"item {item.concept.clark()} references undefined unit "
                     f"{item.unit_ref!r}",
-                    loc, subject,
                 )
         if self.registry is None:
             return
         concept = self.registry.get(item.concept)
         if concept is None:
-            self.emit(
-                "DTS-001",
+            self.flag(
+                item, "DTS-001",
                 f"concept {item.concept.clark()} is not declared in the taxonomy set",
-                loc, subject,
             )
             return
         numeric = concept.data_kind in (DataKind.MONETARY, DataKind.SHARES, DataKind.NUMERIC)
         if numeric and item.unit_ref is None:
-            self.emit(
-                "NUM-001",
+            self.flag(
+                item, "NUM-001",
                 f"numeric item {item.concept.clark()} has no unitRef",
-                loc, subject,
             )
         if concept.data_kind is DataKind.MONETARY and unit is not None:
             if not _has_monetary_measure(unit):
-                self.emit(
-                    "UNT-002",
+                self.flag(
+                    item, "UNT-002",
                     f"monetary item {item.concept.clark()} uses unit "
                     f"{item.unit_ref!r} without an ISO 4217 measure",
-                    loc, subject,
                 )
 
     def _check_tuple(self, tup: Tuple, depth: int) -> None:
-        subject = self._subject(tup)
         if tup.context_ref is not None:
-            self.emit(
-                "T-001",
+            self.flag(
+                tup, "T-001",
                 f"tuple {tup.concept.clark()} carries contextRef {tup.context_ref!r}",
-                tup.source_location, subject,
             )
         if depth > DEFAULT_MAX_TUPLE_DEPTH:
-            self.emit(
-                "T-DEPTH",
+            self.flag(
+                tup, "T-DEPTH",
                 f"tuple {tup.concept.clark()} is nested deeper than "
                 f"{DEFAULT_MAX_TUPLE_DEPTH}",
-                tup.source_location, subject,
             )
         if self.registry is not None and tup.concept not in self.registry:
-            self.emit(
-                "DTS-001",
+            self.flag(
+                tup, "DTS-001",
                 f"concept {tup.concept.clark()} is not declared in the taxonomy set",
-                tup.source_location, subject,
             )
 
     # -- contexts -----------------------------------------------------------

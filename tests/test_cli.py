@@ -298,6 +298,14 @@ def test_rules_takes_no_mode(repo_root):
     assert "unrecognized arguments: --mode lenient" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "dts"])
+def test_allow_network_is_a_usage_error(repo_root, command):
+    # Taxonomy references are read only under --taxonomy-root.
+    proc = run_module(repo_root, command, "fixtures/mini-instance.xml", "--allow-network")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --allow-network" in proc.stderr
+
+
 def test_rules_json_codes_unique(repo_root, capsys):
     _, out, _ = run(capsys, "rules", "--format", "json")
     payload = json.loads(out)

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import io
 import re
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -342,31 +340,7 @@ def test_filesystem_resolver_folds_http_uris(tmp_path):
     assert resolver.fetch("http://example.com/tax/core.xsd") == b"<a/>"
 
 
-@pytest.fixture
-def fake_urlopen(monkeypatch):
-    """Serve every http(s) fetch from memory; returns the URIs fetched."""
-    seen = []
-
-    def urlopen(uri, timeout):
-        seen.append(uri)
-        return io.BytesIO(b"<net/>")
-
-    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-    return seen
-
-
-def test_http_resolver_rejects_non_http():
-    with pytest.raises(ResolutionError) as exc:
-        build_resolver(None, True).fetch("file:///etc/passwd")
-    assert str(exc.value) == "not an http(s) URI: file:///etc/passwd"
-
-
-def test_http_resolver_fetches_via_urllib(fake_urlopen):
-    assert build_resolver(None, True).fetch("http://example.com/t.xsd") == b"<net/>"
-    assert fake_urlopen == ["http://example.com/t.xsd"]
-
-
-def test_build_resolver_behaviour_table(tmp_path, fake_urlopen):
+def test_build_resolver_behaviour_table(tmp_path):
     root = tmp_path / "tax"
     (root / "http" / "example.com").mkdir(parents=True)
     (root / "a.xsd").write_bytes(b"<a/>")
@@ -376,37 +350,26 @@ def test_build_resolver_behaviour_table(tmp_path, fake_urlopen):
     missing, directory = str(root / "nope.xsd"), str(root / "http")
     web = "http://example.com/t.xsd"
     table = {
-        (None, False): {
+        None: {
             local: "no taxonomy source configured",
             web: "no taxonomy source configured",
         },
-        (root, False): {
+        root: {
             local: b"<a/>",
             web: b"<folded/>",
             outside: f"outside taxonomy root: {outside}",
             missing: f"not found: {missing}",
             directory: f"unreadable: {directory} (Is a directory)",
         },
-        (None, True): {
-            local: f"not an http(s) URI: {local}",
-            web: b"<net/>",
-        },
-        (root, True): {
-            local: b"<a/>",
-            web: b"<net/>",
-            outside: f"outside taxonomy root: {outside}",
-        },
     }
-    for (taxonomy_root, allow_network), cases in table.items():
-        resolver = build_resolver(taxonomy_root, allow_network)
+    for taxonomy_root, cases in table.items():
+        resolver = build_resolver(taxonomy_root)
         for uri, want in cases.items():
             try:
                 got = resolver.fetch(uri)
             except ResolutionError as exc:
                 got = str(exc)
-            assert got == want, (taxonomy_root, allow_network, uri)
-    # only the network-enabled resolvers reached urlopen, once each
-    assert fake_urlopen == [web, web]
+            assert got == want, (taxonomy_root, uri)
 
 
 def test_null_resolver_unresolves_everything():
@@ -485,3 +448,102 @@ def test_limited_run_on_a_warm_resolver_equals_a_cold_one(limits):
     want = discover(instance_with_refs("root.xsd"), DictResolver(EVERY_OUTCOME), **limits)
     assert want.limit_exceeded
     assert as_compared(got) == as_compared(want)
+
+
+# ---------------------------------------------------------------------------
+# replaying the closure of an entry set
+# ---------------------------------------------------------------------------
+
+
+class CountingResolver:
+    """Delegates to another resolver and records every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.fetches: list[str] = []
+        self.resolves: list[tuple[str, str]] = []
+
+    def resolve(self, base_uri: str, href: str) -> str:
+        self.resolves.append((base_uri, href))
+        return self.inner.resolve(base_uri, href)
+
+    def fetch(self, uri: str) -> bytes:
+        self.fetches.append(uri)
+        return self.inner.fetch(uri)
+
+
+# A concept repeated within one schema, and one repeated across two; each
+# repeat differs from the first declaration, which is the one kept.
+REPEATS = {
+    "in.xsd": schema("urn:r", ITEM_DECL.format("A") + ITEM_DECL.format("B")
+                     + ITEM_DECL.format("A").replace("instant", "duration") + imports("x.xsd")),
+    "x.xsd": schema("urn:r", ITEM_DECL.format("C")
+                    + ITEM_DECL.format("B").replace("instant", "duration")),
+}
+CYCLE_BASE = str(FIXTURES / "cycle-instance.xml")
+MINI_BASE = str(FIXTURES / "mini-instance.xml")
+
+# name: (a fresh resolver, instance, base URI of the first and of the
+# second discovery, limits)
+REPLAY_CASES = {
+    "cycle": (lambda: Resolver(FIXTURES), instance_with_refs("cycle-a.xsd"),
+              CYCLE_BASE, CYCLE_BASE, {}),
+    "mini-taxonomy": (lambda: Resolver(FIXTURES), instance_with_refs("mini-taxonomy.xsd"),
+                      MINI_BASE, MINI_BASE, {}),
+    "two-bases-one-entry": (lambda: Resolver(FIXTURES), instance_with_refs("mini-taxonomy.xsd"),
+                            MINI_BASE, CYCLE_BASE, {}),
+    "repeats": (lambda: DictResolver(REPEATS), instance_with_refs("in.xsd"), "", "", {}),
+    "every-outcome": (lambda: DictResolver(EVERY_OUTCOME), instance_with_refs("root.xsd"),
+                      "", "", {}),
+    "linkbase-ref": (lambda: DictResolver(EVERY_OUTCOME),
+                     Instance(schema_refs=(TaxonomyRef("dup1.xsd"),),
+                              linkbase_refs=(TaxonomyRef("lb.xml"), TaxonomyRef("ghost.xml"))),
+                     "", "", {}),
+    "document-limit": (lambda: DictResolver(EVERY_OUTCOME), instance_with_refs("root.xsd"),
+                       "", "", {"max_documents": 2}),
+    "depth-limit": (lambda: DictResolver(EVERY_OUTCOME), instance_with_refs("root.xsd"),
+                    "", "", {"max_depth": 2}),
+}
+
+
+def test_replay_cases_cover_each_shape():
+    def cold(name):
+        fresh, instance, base, _, limits = REPLAY_CASES[name]
+        return discover(instance, fresh(), base_uri=base, **limits)
+
+    assert [f.code for f in cold("repeats").findings] == ["DTS-003", "DTS-003"]
+    assert "in.xsd duplicates the declaration in in.xsd" in cold("repeats").findings[0].message
+    assert "x.xsd duplicates the declaration in in.xsd" in cold("repeats").findings[1].message
+    assert cold("linkbase-ref").documents["lb.xml"].kind is DocumentKind.LINKBASE
+    assert cold("linkbase-ref").unresolved == (("ghost.xml", "not found: ghost.xml"),)
+    for name, reason in (("document-limit", "document limit 2 reached"),
+                         ("depth-limit", "depth limit 2 exceeded")):
+        assert cold(name).limit_exceeded
+        assert reason in [r for _, r in cold(name).unresolved]
+
+
+@pytest.mark.parametrize("name", REPLAY_CASES)
+def test_a_replayed_discovery_equals_a_fresh_one(name):
+    fresh, instance, first_base, second_base, limits = REPLAY_CASES[name]
+    shared = CountingResolver(fresh())
+    first = discover(instance, shared, base_uri=first_base, **limits)
+    shared.fetches.clear()
+    shared.resolves.clear()
+    second = discover(instance, shared, base_uri=second_base, **limits)
+    want = discover(instance, fresh(), base_uri=second_base, **limits)
+
+    for got in (first, second):
+        assert got == want
+        assert as_compared(got) == as_compared(want)
+    # the warm call fetches nothing and resolves only the entry references
+    assert shared.fetches == []
+    assert shared.resolves == [
+        (second_base, ref.href) for ref in (*instance.schema_refs, *instance.linkbase_refs)]
+
+    # each call owns its dicts
+    first.documents.clear()
+    first.concepts.clear()
+    assert as_compared(second) == as_compared(want)
+    third = discover(instance, shared, base_uri=second_base, **limits)
+    assert as_compared(third) == as_compared(want)
+    assert third.documents is not second.documents and third.concepts is not second.concepts
