@@ -40,7 +40,6 @@ from .parser import (
     serialize,
 )
 from .dts import (
-    Balance,
     Concept,
     DataKind,
     DocumentKind,
@@ -71,7 +70,7 @@ __all__ = [
     "ParseOptions", "ParseMode", "ParseOutcome", "ParseError",
     "parse_instance", "parse_period", "parse_unit", "find_instances", "serialize",
     "Dts", "DtsDocument", "Concept",
-    "ItemKind", "DataKind", "PeriodType", "Balance", "DocumentKind",
+    "ItemKind", "DataKind", "PeriodType", "DocumentKind",
     "Resolver", "build_resolver",
     "ResolutionError", "NotASchema", "discover", "load_taxonomy_schema",
     "Finding", "Severity", "Rule", "ValidationReport",

@@ -74,7 +74,6 @@ QN_XSD_INCLUDE = QName(XSD_NS, "include")
 QN_SUBST_ITEM = QName(XBRLI_NS, "item")
 QN_SUBST_TUPLE = QName(XBRLI_NS, "tuple")
 QN_PERIOD_TYPE_ATTR = QName(XBRLI_NS, "periodType")
-QN_BALANCE_ATTR = QName(XBRLI_NS, "balance")
 QN_ATTR_NAME = QName("", "name")
 QN_ATTR_TYPE = QName("", "type")
 QN_ATTR_SUBSTITUTION_GROUP = QName("", "substitutionGroup")

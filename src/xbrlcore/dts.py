@@ -68,12 +68,6 @@ class PeriodType(Enum):
     UNKNOWN = "unknown"
 
 
-class Balance(Enum):
-    DEBIT = "debit"
-    CREDIT = "credit"
-    NONE = "none"
-
-
 class DocumentKind(Enum):
     TAXONOMY_SCHEMA = "schema"
     LINKBASE = "linkbase"
@@ -87,7 +81,6 @@ class Concept:
     item_kind: ItemKind = ItemKind.UNKNOWN
     data_kind: DataKind = DataKind.UNKNOWN
     period_type: PeriodType = PeriodType.UNKNOWN
-    balance: Balance = Balance.NONE
     abstract: bool = False
 
 
@@ -231,16 +224,11 @@ def _concept_from_declaration(element: XmlElement, target_ns: str,
             qname.clark(),
         )
 
-    balance_raw = attrs.get(c.QN_BALANCE_ATTR)
-    balance = {"debit": Balance.DEBIT, "credit": Balance.CREDIT}.get(
-        balance_raw or "", Balance.NONE
-    )
     concept = Concept(
         qname=qname,
         item_kind=item_kind,
         data_kind=_data_kind(_qname_attr(element, c.QN_ATTR_TYPE)),
         period_type=period_type,
-        balance=balance,
         abstract=(attrs.get(c.QN_ATTR_ABSTRACT) or "").strip(XML_WHITESPACE) in ("true", "1"),
     )
     return concept, finding

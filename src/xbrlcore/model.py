@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
 from .iso8601 import TimePoint
-from .xmltree import QName, SourceLocation, XmlElement
+from .xmltree import QName, SourceLocation, XmlElement, _slot_setters
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class Unit:
     source_location: SourceLocation = field(default=SourceLocation(), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Item:
     """A fact holding a single value, always bound to a context.
 
@@ -89,15 +89,32 @@ class Item:
 
     concept: QName
     context_ref: str
-    value: str = ""
-    unit_ref: str | None = None
-    decimals: str | None = None
-    precision: str | None = None
-    id: str | None = None
-    source_location: SourceLocation = field(default=SourceLocation(), compare=False)
+    value: str
+    unit_ref: str | None
+    decimals: str | None
+    precision: str | None
+    id: str | None
+    source_location: SourceLocation = field(compare=False)
+
+    def __init__(self, concept: QName, context_ref: str, value: str = "",
+                 unit_ref: str | None = None, decimals: str | None = None,
+                 precision: str | None = None, id: str | None = None,
+                 source_location: SourceLocation = SourceLocation()) -> None:
+        _set_concept(self, concept)
+        _set_context_ref(self, context_ref)
+        _set_value(self, value)
+        _set_unit_ref(self, unit_ref)
+        _set_decimals(self, decimals)
+        _set_precision(self, precision)
+        _set_item_id(self, id)
+        _set_item_location(self, source_location)
 
 
-@dataclass(frozen=True, slots=True)
+(_set_concept, _set_context_ref, _set_value, _set_unit_ref, _set_decimals, _set_precision,
+ _set_item_id, _set_item_location) = _slot_setters(Item)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Tuple:
     """A fact holding nested facts.
 
@@ -106,10 +123,23 @@ class Tuple:
     """
 
     concept: QName
-    children: tuple["Fact", ...] = ()
-    id: str | None = None
-    context_ref: str | None = None
-    source_location: SourceLocation = field(default=SourceLocation(), compare=False)
+    children: tuple["Fact", ...]
+    id: str | None
+    context_ref: str | None
+    source_location: SourceLocation = field(compare=False)
+
+    def __init__(self, concept: QName, children: tuple["Fact", ...] = (),
+                 id: str | None = None, context_ref: str | None = None,
+                 source_location: SourceLocation = SourceLocation()) -> None:
+        _set_tuple_concept(self, concept)
+        _set_tuple_children(self, children)
+        _set_tuple_id(self, id)
+        _set_tuple_context_ref(self, context_ref)
+        _set_tuple_location(self, source_location)
+
+
+(_set_tuple_concept, _set_tuple_children, _set_tuple_id, _set_tuple_context_ref,
+ _set_tuple_location) = _slot_setters(Tuple)
 
 
 Fact = Union[Item, Tuple]

@@ -4,8 +4,9 @@ Parsing is deterministic and order-preserving. Strict mode either fully
 succeeds or fails with the first blocking error and its source position;
 Lenient mode recovers from a documented set of defects (missing
 contextRef, invalid periods, conflicting numeric-fidelity attributes,
-tuple over-nesting, nested xbrl elements), emitting one finding per
-recovery so no data is lost silently.
+tuple over-nesting), emitting one finding per recovery so no data is lost
+silently. An xbrl element nested inside an instance is not parsed in
+either mode; both report it as an EMB-001 finding and go on.
 """
 
 from __future__ import annotations
@@ -35,44 +36,10 @@ from .model import (
     Tuple,
     Unit,
 )
-from .xmltree import (
-    XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter, _new, _slot_setters,
-)
+from .xmltree import XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter
 
 _DECIMALS_RE = re.compile(r"INF|[+-]?[0-9]+")
 _PRECISION_RE = re.compile(r"INF|[1-9][0-9]*")
-
-
-(_set_concept, _set_context_ref, _set_value, _set_unit_ref, _set_decimals, _set_precision,
- _set_item_id, _set_item_location) = _slot_setters(Item)
-(_set_tuple_concept, _set_tuple_children, _set_tuple_id, _set_tuple_context_ref,
- _set_tuple_location) = _slot_setters(Tuple)
-
-
-def _new_item(concept, context_ref, value, unit_ref, decimals, precision, id,
-              source_location) -> Item:
-    """``Item(concept, ...)``, built through the slot setters (see ``_slot_setters``)."""
-    item = _new(Item)
-    _set_concept(item, concept)
-    _set_context_ref(item, context_ref)
-    _set_value(item, value)
-    _set_unit_ref(item, unit_ref)
-    _set_decimals(item, decimals)
-    _set_precision(item, precision)
-    _set_item_id(item, id)
-    _set_item_location(item, source_location)
-    return item
-
-
-def _new_tuple(concept, children, id, context_ref, source_location) -> Tuple:
-    """``Tuple(concept, ...)``, built through the slot setters (see ``_slot_setters``)."""
-    fact = _new(Tuple)
-    _set_tuple_concept(fact, concept)
-    _set_tuple_children(fact, children)
-    _set_tuple_id(fact, id)
-    _set_tuple_context_ref(fact, context_ref)
-    _set_tuple_location(fact, source_location)
-    return fact
 
 
 class ParseError(XbrlError):
@@ -425,7 +392,7 @@ class _InstanceBuilder:
         if element.name.namespace_uri in _RESERVED_NAMESPACES:
             # Unknown structural elements in the reserved namespaces are
             # not facts; a nested instance is reported, the rest skipped.
-            if element.name == c.QN_XBRL and self.lenient:
+            if element.name == c.QN_XBRL:
                 self.recover(
                     "EMB-001",
                     "embedded xbrl element inside another instance was not parsed",
@@ -468,8 +435,8 @@ class _InstanceBuilder:
             if fact is not None:
                 children.append(fact)
         attrs = element.attributes
-        return _new_tuple(element.name, tuple(children), attrs.get(c.QN_ATTR_ID),
-                          attrs.get(c.QN_ATTR_CONTEXT_REF), element.source_location)
+        return Tuple(element.name, tuple(children), attrs.get(c.QN_ATTR_ID),
+                     attrs.get(c.QN_ATTR_CONTEXT_REF), element.source_location)
 
     def _build_item(self, element: XmlElement, text: str) -> Item | None:
         attrs = element.attributes
@@ -491,9 +458,9 @@ class _InstanceBuilder:
                         "item carries both decimals and precision",
                         "ITM-001", "precision ignored: decimals is also present")
             precision = None
-        return _new_item(element.name, context_ref, text.strip(XML_WHITESPACE),
-                         attrs.get(c.QN_ATTR_UNIT_REF), decimals, precision,
-                         attrs.get(c.QN_ATTR_ID), element.source_location)
+        return Item(element.name, context_ref, text.strip(XML_WHITESPACE),
+                    attrs.get(c.QN_ATTR_UNIT_REF), decimals, precision,
+                    attrs.get(c.QN_ATTR_ID), element.source_location)
 
     def _fidelity_attr(self, element: XmlElement, name: QName, raw: str,
                        lexicon: _Lexicon) -> str | None:

@@ -186,8 +186,8 @@ def validate(subject: Instance | ParseOutcome, dts: Dts | None = None, *,
              input_digest: str | None = None) -> ValidationReport:
     """Check an instance against the rule catalog.
 
-    Accepts a plain Instance or a lenient ParseOutcome, whose recovered
-    findings are merged into the report. ``input_digest`` should be the
+    Accepts a plain Instance or a ParseOutcome, whose recovered findings
+    are merged into the report. ``input_digest`` should be the
     content hash of the source bytes (see ``digest_bytes``); the report
     carries it as given, so it is None when the caller supplies none.
     """

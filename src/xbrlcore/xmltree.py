@@ -105,23 +105,32 @@ class QName(NamedTuple):
 XmlNode = Union["XmlElement", str]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class XmlElement:
     """One element: name, attributes, ordered children (elements and text).
 
     ``prefix_bindings`` is the in-scope prefix-to-URI map at this element,
     kept so that QName-valued content (unit measures, schema attributes)
     can be resolved later. It is excluded from equality, as is the source
-    position.
+    position. An omitted ``attributes`` or ``prefix_bindings`` is a fresh
+    empty dict.
     """
 
     name: QName
-    attributes: Mapping[QName, str] = field(default_factory=dict)
-    children: tuple[XmlNode, ...] = ()
-    source_location: SourceLocation = field(default=SourceLocation(), compare=False)
-    prefix_bindings: Mapping[str, str] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    attributes: Mapping[QName, str]
+    children: tuple[XmlNode, ...]
+    source_location: SourceLocation = field(compare=False)
+    prefix_bindings: Mapping[str, str] = field(compare=False, repr=False)
+
+    def __init__(self, name: QName, attributes: Mapping[QName, str] | None = None,
+                 children: tuple[XmlNode, ...] = (),
+                 source_location: SourceLocation = SourceLocation(),
+                 prefix_bindings: Mapping[str, str] | None = None) -> None:
+        _set_name(self, name)
+        _set_attributes(self, {} if attributes is None else attributes)
+        _set_children(self, children)
+        _set_location(self, source_location)
+        _set_bindings(self, {} if prefix_bindings is None else prefix_bindings)
 
     def __eq__(self, other: object) -> bool:
         # Explicit stack, so depth is bounded by memory and not by the
@@ -200,30 +209,17 @@ class XmlElement:
 def _slot_setters(cls: type) -> tuple:
     """The ``__set__`` of each slot of a slots dataclass, in field order.
 
-    A record built with ``object.__new__`` and these setters equals the one
-    its public constructor builds from the same values, for about half the
-    cost: the generated ``__init__`` of a frozen dataclass pays one
-    ``object.__setattr__`` per field. The readers' hot records are built
-    this way; tests/test_fast_records.py pins them to the public constructors.
+    The hot records (``XmlElement``, ``Item``, ``Tuple``) are frozen, and
+    the ``__init__`` a frozen dataclass generates pays one
+    ``object.__setattr__`` per field. Their own ``__init__`` stores each
+    field through these setters instead, for about 40% less.
     """
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
-_new = object.__new__
 _tuple_new = tuple.__new__
 _set_name, _set_attributes, _set_children, _set_location, _set_bindings = (
     _slot_setters(XmlElement))
-
-
-def _new_element(name, attributes, children, source_location, prefix_bindings) -> XmlElement:
-    """``XmlElement(name, ...)``, built through the slot setters."""
-    element = _new(XmlElement)
-    _set_name(element, name)
-    _set_attributes(element, attributes)
-    _set_children(element, children)
-    _set_location(element, source_location)
-    _set_bindings(element, prefix_bindings)
-    return element
 
 
 # Separator between namespace name and local name in expat's expanded
@@ -317,7 +313,7 @@ class _TreeBuilder:
         if text:
             children.append(text[0] if len(text) == 1 else "".join(text))
             text.clear()
-        stack[-1][2].append(_new_element(qname, attrs, tuple(children), loc, bindings))
+        stack[-1][2].append(XmlElement(qname, attrs, tuple(children), loc, bindings))
 
 
 _codes = xml.parsers.expat.errors.codes

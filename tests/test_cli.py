@@ -110,6 +110,15 @@ def test_validate_embedded_lenient_reports_emb001(repo_root, capsys):
     assert [f["code"] for f in payload["findings"]] == ["EMB-001"]
 
 
+def test_embedded_strict_reports_emb001(repo_root, capsys):
+    code, out, _ = run(capsys, "validate", "fixtures/mini-embedded.xml", "--format", "json")
+    assert code == 0
+    assert [f["code"] for f in json.loads(out)["findings"]] == ["EMB-001"]
+    code, out, _ = run(capsys, "parse", "fixtures/mini-embedded.xml")
+    assert code == 0
+    assert out.count("recovered findings: 1") == 1
+
+
 def test_validate_deterministic_output(repo_root, capsys):
     first = run(capsys, "validate", "fixtures/bad-warnings.xml", "--format", "json")
     second = run(capsys, "validate", "fixtures/bad-warnings.xml", "--format", "json")

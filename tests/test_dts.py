@@ -7,7 +7,6 @@ import pytest
 
 from conftest import FIXTURES, fixture_bytes
 from xbrlcore import (
-    Balance,
     DataKind,
     DocumentKind,
     Instance,
@@ -78,9 +77,7 @@ def test_load_fixture_schema_concepts():
     assert assets.item_kind is ItemKind.ITEM
     assert assets.data_kind is DataKind.MONETARY
     assert assets.period_type is PeriodType.INSTANT
-    assert assets.balance is Balance.DEBIT
-    revenue = by_name["Revenue"]
-    assert (revenue.period_type, revenue.balance) == (PeriodType.DURATION, Balance.CREDIT)
+    assert by_name["Revenue"].period_type is PeriodType.DURATION
     assert by_name["SharesOutstanding"].data_kind is DataKind.SHARES
     highlights = by_name["FinancialHighlights"]
     assert highlights.item_kind is ItemKind.TUPLE

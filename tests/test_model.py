@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
+import pytest
+
 import oracle_xml
 from conftest import fixture_bytes
 from xbrlcore import (
@@ -10,7 +15,9 @@ from xbrlcore import (
     Item,
     ParseOptions,
     QName,
+    SourceLocation,
     Tuple,
+    XmlElement,
     parse_instance,
     read_document,
 )
@@ -127,3 +134,54 @@ def test_model_equality_ignores_prefixes_and_positions():
     a = parse_instance(read_document(doc_p), ParseOptions()).instance
     b = parse_instance(read_document(doc_q), ParseOptions()).instance
     assert a == b
+
+
+# Each record: a value for every field in field order (all distinct, so a
+# value stored in the wrong field shows) and the defaults of the optional
+# fields, which come last.
+RECORDS = {
+    "XmlElement": (XmlElement, {
+        "name": QName(EX, "e"), "attributes": {QName("", "id"): "x"}, "children": ("text",),
+        "source_location": SourceLocation(2, 3), "prefix_bindings": {"m": EX},
+    }, {"attributes": {}, "children": (), "source_location": SourceLocation(),
+           "prefix_bindings": {}}),
+    "Item": (Item, {
+        "concept": QName(EX, "A"), "context_ref": "c1", "value": "5", "unit_ref": "u1",
+        "decimals": "2", "precision": "3", "id": "f1", "source_location": SourceLocation(4, 5),
+    }, {"value": "", "unit_ref": None, "decimals": None, "precision": None, "id": None,
+           "source_location": SourceLocation()}),
+    "Tuple": (Tuple, {
+        "concept": QName(EX, "T"), "children": (item("x"),), "id": "t1", "context_ref": "c9",
+        "source_location": SourceLocation(6, 7),
+    }, {"children": (), "id": None, "context_ref": None, "source_location": SourceLocation()}),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_public_constructor_builds_every_record(name):
+    cls, values, defaults = RECORDS[name]
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names == list(values)
+
+    def fields_of(record):
+        return {n: getattr(record, n) for n in names}
+
+    for record in (cls(*values.values()), cls(**values)):
+        assert all(getattr(record, n) is v for n, v in values.items())
+
+    required = len(values) - len(defaults)
+    bare = cls(*list(values.values())[:required])
+    assert fields_of(bare) == dict(list(values.items())[:required], **defaults)
+    if cls is XmlElement:  # each element gets its own empty dicts
+        other = cls(values["name"])
+        dicts = [bare.attributes, bare.prefix_bindings, other.attributes, other.prefix_bindings]
+        assert len({id(d) for d in dicts}) == 4
+
+    full = cls(**values)
+    moved = dataclasses.replace(full, source_location=SourceLocation(8, 9))
+    assert fields_of(moved) == {**values, "source_location": SourceLocation(8, 9)}
+    assert moved == full  # positions never take part in equality
+
+    for n in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(full, n, values[n])

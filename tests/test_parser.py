@@ -550,9 +550,13 @@ def test_find_instances_skips_nested_and_reports_in_lenient():
     assert set(outcomes[1].instance.contexts) == {"c1"}
 
 
-def test_find_instances_strict_mode_stays_silent_about_nesting():
-    outcomes = find_instances(read_document(fixture_bytes("mini-embedded.xml")))
-    assert [o.recovered_findings for o in outcomes] == [(), ()]
+def test_find_instances_strict_mode_reports_nesting():
+    data = fixture_bytes("mini-embedded.xml")
+    strict = find_instances(read_document(data))
+    lenient = find_instances(read_document(data), LENIENT)
+    # the nested instance is reported, not dropped silently, in both modes
+    assert [[f.code for f in o.recovered_findings] for o in strict] == [[], ["EMB-001"]]
+    assert strict == lenient
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,7 @@ def test_source_locations_nondecreasing_in_document_order():
     root = read_document(fixture_bytes("mini-instance.xml"))
     locations = [e.source_location for e in root.iter_elements()]
     assert locations == sorted(locations)
+    assert all(type(loc) is SourceLocation for loc in locations)
 
 
 def test_iter_elements_walks_a_deep_tree():
