@@ -1,11 +1,10 @@
 """xbrlcore: parse XBRL instance documents, discover their taxonomy set,
 and validate structural rules into deterministic reports."""
 
-from .errors import XbrlError
+from .errors import SourceLocation, XbrlError
 from .xmltree import (
     MalformedXml,
     QName,
-    SourceLocation,
     UnboundPrefix,
     UnsupportedEncoding,
     XmlElement,
@@ -46,13 +45,11 @@ from .dts import (
     Dts,
     DtsDocument,
     ItemKind,
-    NotASchema,
     PeriodType,
     ResolutionError,
     Resolver,
     build_resolver,
     discover,
-    load_taxonomy_schema,
 )
 from .findings import Finding, Rule, Severity, rule_catalog
 from .validation import ValidationReport, build_report, validate
@@ -72,7 +69,7 @@ __all__ = [
     "Dts", "DtsDocument", "Concept",
     "ItemKind", "DataKind", "PeriodType", "DocumentKind",
     "Resolver", "build_resolver",
-    "ResolutionError", "NotASchema", "discover", "load_taxonomy_schema",
+    "ResolutionError", "discover",
     "Finding", "Severity", "Rule", "ValidationReport",
     "validate", "build_report", "rule_catalog",
     "FactRow", "fact_rows", "CSV_HEADER",

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .dts import Dts, Resolver, build_resolver, discover, DEFAULT_MAX_DEPTH, DEFAULT_MAX_DOCUMENTS
+from .dts import Dts, Resolver, build_resolver, discover, DEFAULT_MAX_DOCUMENTS
 from .errors import XbrlError
 from .facttable import CSV_HEADER, fact_rows
 from .findings import Finding, rule_catalog
@@ -33,6 +33,21 @@ def _env(name: str, fallback: str | None = None) -> str | None:
     return os.environ.get("XBRLCORE_" + name, fallback)
 
 
+def _one_of(*choices: str):
+    """An argparse ``type`` admitting only ``choices``, with argparse's own message.
+
+    argparse converts a string default through ``type`` but never checks it
+    against ``choices``, so a value from the environment is checked here,
+    as one from the flag is.
+    """
+    def check(value: str) -> str:
+        if value not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+        return value
+    return check
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xbrlcore",
@@ -40,16 +55,17 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default=_env("FORMAT", "text"),
-                       help="output format (default: text; csv applies to facts only)")
+    # String defaults are converted by argparse, and only for the
+    # subcommand in use, so a bad value is a usage error of that command.
+    def add_format(p: argparse.ArgumentParser, *formats: str) -> None:
+        p.add_argument("--format", type=_one_of(*formats), default=_env("FORMAT", "text"),
+                       metavar="{%s}" % ",".join(formats), help="output format (default: text)")
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, *formats: str) -> None:
         p.add_argument("input", help="instance document path")
-        add_format(p)
-        p.add_argument("--mode", choices=("strict", "lenient"),
-                       default=_env("MODE", "strict"),
+        add_format(p, *formats)
+        p.add_argument("--mode", type=_one_of("strict", "lenient"),
+                       default=_env("MODE", "strict"), metavar="{strict,lenient}",
                        help="strict fails on the first blocking error; "
                             "lenient recovers and reports findings")
 
@@ -57,28 +73,23 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--taxonomy-root", default=_env("TAXONOMY_ROOT"),
                        help="directory taxonomy references resolve under; "
                             "without it, taxonomy-dependent rules are skipped")
-        # String defaults are converted by argparse, and only for the
-        # subcommand in use, so a bad value is a usage error of that command.
-        p.add_argument("--max-depth", type=int,
-                       default=_env("MAX_DEPTH", str(DEFAULT_MAX_DEPTH)),
-                       help="discovery depth limit")
         p.add_argument("--max-documents", type=int,
                        default=_env("MAX_DOCUMENTS", str(DEFAULT_MAX_DOCUMENTS)),
                        help="discovery document limit")
 
-    add_common(sub.add_parser("parse", help="parse and summarize instances"))
+    add_common(sub.add_parser("parse", help="parse and summarize instances"), "json", "text")
     p_validate = sub.add_parser("validate", help="validate against the rule catalog")
-    add_common(p_validate)
+    add_common(p_validate, "json", "text")
     add_taxonomy(p_validate)
     add_common(sub.add_parser(
         "facts",
         help="flatten items to rows (periods I:date, D:start/end, F; "
              "concepts and measures in {uri}local form)",
-    ))
+    ), "json", "csv", "text")
     p_dts = sub.add_parser("dts", help="list the discoverable taxonomy set")
-    add_common(p_dts)
+    add_common(p_dts, "json", "text")
     add_taxonomy(p_dts)
-    add_format(sub.add_parser("rules", help="list the validation rule catalog"))
+    add_format(sub.add_parser("rules", help="list the validation rule catalog"), "json", "text")
     return parser
 
 
@@ -98,10 +109,8 @@ def _load_instances(args: argparse.Namespace) -> tuple[bytes, list[ParseOutcome]
 
 def _discover_dts(args: argparse.Namespace, resolver: Resolver,
                   outcome: ParseOutcome) -> Dts:
-    return discover(
-        outcome.instance, resolver, base_uri=args.input,
-        max_documents=args.max_documents, max_depth=args.max_depth,
-    )
+    return discover(outcome.instance, resolver, base_uri=args.input,
+                    max_documents=args.max_documents)
 
 
 def _finding_dict(finding: Finding) -> dict:
@@ -269,10 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except XbrlError as exc:
-        location = getattr(exc, "location", None)
-        line = getattr(location, "line", None) or getattr(exc, "line", 0)
-        column = getattr(location, "column", None) or getattr(exc, "column", 0)
-        where = f" at {line}:{column}" if line else ""
+        where = f" at {exc.location}" if exc.location.line else ""
         print(f"xbrlcore: {args.command} failed{where}: {exc}", file=sys.stderr)
         return EXIT_PARSE_FAILURE
     except OSError as exc:

@@ -2,19 +2,23 @@
 
 Discovery runs breadth-first from an instance's schema and linkbase
 references, following schema imports/includes and embedded linkbaseRefs,
-with a visited set on resolved URIs so cycles terminate. Every reachable
-href ends up either in ``documents`` or in ``unresolved``; nothing is
-dropped silently. Relationship networks inside linkbases are fetched and
-recorded but not interpreted.
+with a visited set on resolved URIs so cycles terminate. The closure is
+followed to any depth (XBRL 2.1 §3): its one bound is the document limit,
+since a walk loads at most that many documents and queues only their
+references. Every reachable href ends up either in ``documents`` or in
+``unresolved``; nothing is dropped silently. Relationship networks inside
+linkbases are fetched and recorded but not interpreted.
 
 Per resolver and for its lifetime, each resolved URI is loaded once (its
 document, outgoing hrefs resolved against it, concepts and schema
 findings, or the reason it stays unresolved), and each entry set (the
-resolved entry URIs in order, plus both limits) is walked once into a
-plan: the documents in discovery order, the findings, the unresolved
-references and whether a limit was hit. Later discoveries from that entry
-set replay the plan into fresh dicts. A plan refers to the per-URI loads,
-so it costs O(documents in the closure), not O(concepts). This is sound
+resolved entry URIs in order, plus the document limit) is walked once
+into a plan: the documents in discovery order, the findings, the
+unresolved references and whether the limit was hit. Later discoveries
+from that entry set replay the plan into fresh dicts. A plan refers to the
+per-URI loads, so it costs O(documents in the closure), not O(concepts).
+A document that repeats an earlier QName (DTS-003) gets its own map of the
+QNames it declares first; all others share their load's. This is sound
 only while ``resolve`` is a pure function of its arguments and the
 documents do not change; concurrent discoveries may build one plan twice,
 with equal results.
@@ -37,11 +41,6 @@ from .model import Instance
 from .xmltree import XML_WHITESPACE, QName, XmlElement, XmlReadError, read_document
 
 DEFAULT_MAX_DOCUMENTS = 256
-DEFAULT_MAX_DEPTH = 16
-
-
-class NotASchema(XbrlError):
-    """The document is not an XML Schema."""
 
 
 class ResolutionError(XbrlError):
@@ -248,38 +247,6 @@ def _outgoing_refs(root: XmlElement) -> list[str]:
     return refs
 
 
-def load_taxonomy_schema(data: bytes, uri: str) -> tuple[list[Concept], list[str], list[Finding]]:
-    """Extract top-level element declarations and outgoing hrefs from a schema.
-
-    Returns (concepts, outgoing hrefs, findings). Raises NotASchema when the
-    root is not an XML Schema document; a schema without a targetNamespace
-    contributes no concepts and one finding.
-    """
-    return _load_schema_root(read_document(data), uri)
-
-
-def _load_schema_root(root: XmlElement, uri: str) -> tuple[list[Concept], list[str], list[Finding]]:
-    if root.name != c.QN_XSD_SCHEMA:
-        raise NotASchema(f"{uri}: root element is {root.name.clark()}, not a schema")
-    findings: list[Finding] = []
-    concepts: list[Concept] = []
-    target_ns = root.attributes.get(c.QN_ATTR_TARGET_NAMESPACE)
-    if target_ns is None:
-        findings.append(Finding.of(
-            "DTS-004",
-            f"{uri}: schema has no targetNamespace; declarations skipped",
-            root.source_location,
-        ))
-    else:
-        for child in root.child_elements():
-            if child.name == c.QN_XSD_ELEMENT and child.attributes.get(c.QN_ATTR_NAME):
-                concept, finding = _concept_from_declaration(child, target_ns, uri)
-                concepts.append(concept)
-                if finding is not None:
-                    findings.append(finding)
-    return concepts, _outgoing_refs(root), findings
-
-
 # ---------------------------------------------------------------------------
 # Discovery
 # ---------------------------------------------------------------------------
@@ -299,17 +266,18 @@ class _Plan(NamedTuple):
     """What a discovery from one entry set loads, finds and leaves unresolved."""
 
     documents: tuple[DtsDocument, ...]
-    owns: tuple[dict[QName, Concept], ...]  # each document's _Loaded.own
+    # Each document's _Loaded.own, less the QNames an earlier document
+    # declared (DTS-003), so merging them in order keeps first declarations.
+    owns: tuple[dict[QName, Concept], ...]
     unresolved: tuple[tuple[str, str], ...]
     findings: tuple[Finding, ...]
     limit_exceeded: bool
-    duplicates: bool  # some QName is declared more than once (DTS-003)
 
 
 # Per resolver, the outcome of loading each resolved URI and the plan of
 # each entry set. Keyed weakly, so both live exactly as long as their resolver.
 _LOADED: weakref.WeakKeyDictionary[Resolver, tuple[
-    dict[str, str | _Loaded], dict[tuple[tuple[str, ...], int, int], _Plan]]] = \
+    dict[str, str | _Loaded], dict[tuple[tuple[str, ...], int], _Plan]]] = \
     weakref.WeakKeyDictionary()
 
 
@@ -323,42 +291,53 @@ def _load(resolver: Resolver, uri: str) -> str | _Loaded:
         root = read_document(data)
     except XmlReadError as exc:
         return f"not XML: {exc}"
+    concepts: list[Concept] = []
+    findings: list[Finding] = []
     if root.name == c.QN_XSD_SCHEMA:
-        concepts, refs, findings = _load_schema_root(root, uri)
         kind = DocumentKind.TAXONOMY_SCHEMA
+        target_ns = root.attributes.get(c.QN_ATTR_TARGET_NAMESPACE)
+        if target_ns is None:
+            findings.append(Finding.of(
+                "DTS-004",
+                f"{uri}: schema has no targetNamespace; declarations skipped",
+                root.source_location,
+            ))
+        else:
+            for child in root.child_elements():
+                if child.name == c.QN_XSD_ELEMENT and child.attributes.get(c.QN_ATTR_NAME):
+                    concept, finding = _concept_from_declaration(child, target_ns, uri)
+                    concepts.append(concept)
+                    if finding is not None:
+                        findings.append(finding)
     elif root.name == c.QN_LINKBASE:
-        concepts, refs, findings = [], _outgoing_refs(root), []
         kind = DocumentKind.LINKBASE
     else:
         return "root element is neither a schema nor a linkbase"
+    refs = tuple(_outgoing_refs(root))
     own: dict[QName, Concept] = {}
     for concept in concepts:
         own.setdefault(concept.qname, concept)
-    return _Loaded(DtsDocument(uri, kind, tuple(refs)),
+    return _Loaded(DtsDocument(uri, kind, refs),
                    tuple(resolver.resolve(uri, href) for href in refs),
                    tuple(concepts), own, tuple(findings))
 
 
 def _walk(resolver: Resolver, loaded: dict[str, str | _Loaded], entries: tuple[str, ...],
-          max_documents: int, max_depth: int) -> _Plan:
+          max_documents: int) -> _Plan:
     """Breadth-first closure over taxonomy references from ``entries``."""
-    queue = [(uri, 1) for uri in entries]
+    queue = list(entries)
     seen: set[str] = set()
     documents: list[DtsDocument] = []
     owns: list[dict[QName, Concept]] = []
     sources: dict[QName, str] = {}  # each QName -> the URI of its first declaration
     findings: list[Finding] = []
     unresolved: list[tuple[str, str]] = []
-    limit_exceeded = duplicates = False
+    limit_exceeded = False
 
-    for uri, depth in queue:  # the queue grows while it is walked
+    for uri in queue:  # the queue grows while it is walked
         if uri in seen:
             continue
         seen.add(uri)
-        if depth > max_depth:
-            unresolved.append((uri, f"depth limit {max_depth} exceeded"))
-            limit_exceeded = True
-            continue
         if len(documents) >= max_documents:
             unresolved.append((uri, f"document limit {max_documents} reached"))
             limit_exceeded = True
@@ -374,7 +353,7 @@ def _walk(resolver: Resolver, loaded: dict[str, str | _Loaded], entries: tuple[s
         if len(own) == len(outcome.concepts) and sources.keys().isdisjoint(own):
             sources.update(dict.fromkeys(own, uri))
         else:
-            duplicates = True
+            own = {qname: concept for qname, concept in own.items() if qname not in sources}
             for concept in outcome.concepts:
                 if concept.qname in sources:
                     findings.append(Finding.of(
@@ -387,20 +366,20 @@ def _walk(resolver: Resolver, loaded: dict[str, str | _Loaded], entries: tuple[s
                     sources[concept.qname] = uri
         documents.append(outcome.document)
         owns.append(own)
-        queue.extend((target, depth + 1) for target in outcome.targets)
+        queue.extend(outcome.targets)
 
     return _Plan(tuple(documents), tuple(owns), tuple(unresolved), tuple(findings),
-                 limit_exceeded, duplicates)
+                 limit_exceeded)
 
 
 def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
-             max_documents: int = DEFAULT_MAX_DOCUMENTS,
-             max_depth: int = DEFAULT_MAX_DEPTH) -> Dts:
-    """Breadth-first closure over taxonomy references.
+             max_documents: int = DEFAULT_MAX_DOCUMENTS) -> Dts:
+    """Breadth-first closure over taxonomy references, to any depth.
 
     Deterministic for deterministic resolvers: each URI is fetched at most
     once per resolver, documents appear in discovery order, and unresolved
-    entries keep the order of the referencing edge. When a limit is hit the
+    entries keep the order of the referencing edge. At most
+    ``max_documents`` documents are loaded; when more are reachable the
     partial result is returned with ``limit_exceeded`` set. ``concepts``
     keeps the first declaration of each QName in discovery order.
 
@@ -413,19 +392,14 @@ def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
     loaded, plans = _LOADED.setdefault(resolver, ({}, {}))
     entries = tuple(resolver.resolve(base_uri, ref.href)
                     for ref in (*instance.schema_refs, *instance.linkbase_refs))
-    key = (entries, max_documents, max_depth)
+    key = (entries, max_documents)
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = _walk(resolver, loaded, entries, max_documents, max_depth)
+        plan = plans[key] = _walk(resolver, loaded, entries, max_documents)
 
     concepts: dict[QName, Concept] = {}
-    if plan.duplicates:
-        for own in plan.owns:
-            for qname, concept in own.items():
-                concepts.setdefault(qname, concept)
-    else:
-        for own in plan.owns:
-            concepts.update(own)
+    for own in plan.owns:
+        concepts.update(own)
     return Dts(
         documents={document.uri: document for document in plan.documents},
         concepts=concepts,

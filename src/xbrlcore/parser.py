@@ -45,10 +45,6 @@ _PRECISION_RE = re.compile(r"INF|[1-9][0-9]*")
 class ParseError(XbrlError):
     """Blocking problem while building an Instance from a tree."""
 
-    def __init__(self, message: str, location: SourceLocation = SourceLocation()):
-        super().__init__(message)
-        self.location = location
-
 
 class NotAnXbrlRoot(ParseError):
     pass

@@ -19,7 +19,7 @@ import xml.parsers.expat
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .errors import XbrlError
+from .errors import SourceLocation, XbrlError
 
 XML_NAMESPACE = "http://www.w3.org/XML/1998/namespace"
 
@@ -33,11 +33,6 @@ _INITIAL_SCOPE: dict[str, str] = {"xml": XML_NAMESPACE}
 class XmlReadError(XbrlError):
     """A document could not be turned into an element tree."""
 
-    def __init__(self, message: str, line: int = 0, column: int = 0):
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
 
 class MalformedXml(XmlReadError):
     """Input is not well-formed XML.
@@ -48,8 +43,9 @@ class MalformedXml(XmlReadError):
     name or by two prefixes bound to one namespace.
     """
 
-    def __init__(self, message: str, line: int = 0, column: int = 0, subcode: str = ""):
-        super().__init__(message, line, column)
+    def __init__(self, message: str, location: SourceLocation = SourceLocation(),
+                 subcode: str = ""):
+        super().__init__(message, location)
         self.subcode = subcode
 
 
@@ -59,19 +55,6 @@ class UnboundPrefix(XmlReadError):
 
 class UnsupportedEncoding(XmlReadError):
     """The document declares an encoding the reader cannot decode."""
-
-
-class SourceLocation(NamedTuple):
-    """Line/column position in the source bytes (1-based line, 0-based column).
-
-    A tuple: it orders by (line, column) and equals the plain tuple.
-    """
-
-    line: int = 0
-    column: int = 0
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.column}"
 
 
 class QName(NamedTuple):
@@ -184,25 +167,14 @@ class XmlElement:
         if ":" in text:
             prefix, _, local = text.partition(":")
             if not prefix or not local or ":" in local:
-                raise MalformedXml(
-                    f"invalid QName value {text!r}",
-                    self.source_location.line,
-                    self.source_location.column,
-                )
+                raise MalformedXml(f"invalid QName value {text!r}", self.source_location)
             uri = self.prefix_bindings.get(prefix)
             if uri is None:
-                raise UnboundPrefix(
-                    f"prefix {prefix!r} in value {text!r} is not declared",
-                    self.source_location.line,
-                    self.source_location.column,
-                )
+                raise UnboundPrefix(f"prefix {prefix!r} in value {text!r} is not declared",
+                                    self.source_location)
             return QName(uri, local)
         if not text:
-            raise MalformedXml(
-                "empty QName value",
-                self.source_location.line,
-                self.source_location.column,
-            )
+            raise MalformedXml("empty QName value", self.source_location)
         return QName(self.prefix_bindings.get("", ""), text)
 
 
@@ -273,7 +245,8 @@ class _TreeBuilder:
         parser = self.parser
         raise MalformedXml(
             "document type declarations are not accepted",
-            parser.CurrentLineNumber, parser.CurrentColumnNumber, subcode="doctype",
+            SourceLocation(parser.CurrentLineNumber, parser.CurrentColumnNumber),
+            subcode="doctype",
         )
 
     def _declare(self, prefix: str | None, uri: str | None) -> None:
@@ -337,16 +310,17 @@ def read_document(data: bytes) -> XmlElement:
         builder.parser.Parse(data, True)
     except xml.parsers.expat.ExpatError as exc:
         message = xml.parsers.expat.ErrorString(exc.code)
+        location = SourceLocation(exc.lineno, exc.offset)
         if exc.code in _ENCODING_ERROR_CODES:
-            raise UnsupportedEncoding(message, exc.lineno, exc.offset) from None
+            raise UnsupportedEncoding(message, location) from None
         if exc.code == _UNBOUND_PREFIX:
-            raise UnboundPrefix(message, exc.lineno, exc.offset) from None
+            raise UnboundPrefix(message, location) from None
         subcode = "duplicate-attribute" if exc.code == _DUPLICATE_ATTRIBUTE else ""
-        raise MalformedXml(message, exc.lineno, exc.offset, subcode=subcode) from None
+        raise MalformedXml(message, location, subcode=subcode) from None
     except LookupError as exc:
         # pyexpat consults Python codecs for declared encodings it does not
         # handle natively and surfaces misses as LookupError.
-        raise UnsupportedEncoding(str(exc), 1, 0) from None
+        raise UnsupportedEncoding(str(exc), SourceLocation(1, 0)) from None
     finally:
         # The parser's handlers are bound methods of the builder: dropping
         # the builder's hold on the parser breaks that cycle on every path,

@@ -402,7 +402,7 @@ def test_max_documents_env_override(repo_root, capsys, monkeypatch):
     assert json.loads(out)["limit_exceeded"] is True
 
 
-@pytest.mark.parametrize("variable", ["MAX_DEPTH", "MAX_DOCUMENTS"])
+@pytest.mark.parametrize("variable", ["MAX_DOCUMENTS"])
 def test_bad_numeric_env_var_is_a_usage_error(repo_root, variable):
     env = {"XBRLCORE_" + variable: "abc"}
     flag = "--" + variable.lower().replace("_", "-")
@@ -413,6 +413,92 @@ def test_bad_numeric_env_var_is_a_usage_error(repo_root, variable):
         assert proc.returncode == 2
         assert f"argument {flag}: invalid int value: 'abc'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def usage_error(capsys, *argv) -> str:
+    """Run ``argv``, require an argparse usage error (exit 2, no output), return stderr."""
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out) == (2, "")
+    return captured.err
+
+
+@pytest.mark.parametrize("command", ["parse", "validate", "dts"])
+def test_csv_is_a_usage_error_except_for_facts(repo_root, capsys, command):
+    err = usage_error(capsys, command, "fixtures/mini-instance.xml", "--format", "csv")
+    assert "argument --format: invalid choice: 'csv' (choose from 'json', 'text')" in err
+    assert err.startswith(f"usage: xbrlcore {command} ")
+
+
+@pytest.mark.parametrize("variable, value", [("FORMAT", "bogus"), ("FORMAT", "csv"),
+                                             ("MODE", "lenint")])
+def test_bad_env_choice_is_a_usage_error(repo_root, capsys, monkeypatch, variable, value):
+    monkeypatch.setenv("XBRLCORE_" + variable, value)
+    flag = "--" + variable.lower()
+    for command in ("parse", "validate", "dts"):
+        err = usage_error(capsys, command, "fixtures/mini-instance.xml")
+        assert f"argument {flag}: invalid choice: {value!r}" in err
+    # a flag given on the command line is checked instead of the environment
+    assert run(capsys, "validate", "fixtures/mini-instance.xml",
+               flag, "json" if variable == "FORMAT" else "strict")[0] == 0
+
+
+def test_env_choice_applies_only_where_it_is_valid(repo_root, capsys, monkeypatch):
+    monkeypatch.setenv("XBRLCORE_FORMAT", "csv")
+    monkeypatch.setenv("XBRLCORE_MODE", "lenint")
+    # facts writes csv; rules has no --mode and reads no XBRLCORE_MODE
+    err = usage_error(capsys, "facts", "fixtures/mini-instance.xml")
+    assert "argument --mode: invalid choice: 'lenint'" in err
+    monkeypatch.setenv("XBRLCORE_MODE", "lenient")
+    code, out, _ = run(capsys, "facts", "fixtures/mini-instance.xml")
+    assert code == 0 and out.startswith("concept,value,")
+    monkeypatch.setenv("XBRLCORE_MODE", "lenint")
+    assert "argument --format: invalid choice: 'csv'" in usage_error(capsys, "rules")
+    monkeypatch.setenv("XBRLCORE_FORMAT", "json")
+    code, out, _ = run(capsys, "rules")
+    assert code == 0 and json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# discovery depth
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["validate", "dts"])
+def test_max_depth_is_a_usage_error(repo_root, capsys, command):
+    err = usage_error(capsys, command, "fixtures/mini-instance.xml", "--max-depth", "3")
+    assert "unrecognized arguments: --max-depth 3" in err
+
+
+def test_an_import_chain_deeper_than_16_is_discovered_whole(capsys, tmp_path, monkeypatch):
+    ns = "urn:chain"
+    for i in range(20):
+        imports = f'<xsd:import namespace="{ns}" schemaLocation="s{i + 1}.xsd"/>' if i < 19 else ""
+        (tmp_path / f"s{i}.xsd").write_text(
+            '<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema"'
+            f' xmlns:xbrli="http://www.xbrl.org/2003/instance" targetNamespace="{ns}">'
+            f'<xsd:element name="C{i}" type="xbrli:stringItemType"'
+            f' substitutionGroup="xbrli:item" xbrli:periodType="instant"/>{imports}</xsd:schema>')
+    (tmp_path / "in.xml").write_text(
+        '<xbrli:xbrl xmlns:xbrli="http://www.xbrl.org/2003/instance"'
+        ' xmlns:link="http://www.xbrl.org/2003/linkbase"'
+        f' xmlns:xlink="http://www.w3.org/1999/xlink" xmlns:c="{ns}">'
+        '<link:schemaRef xlink:type="simple" xlink:href="s0.xsd"/>'
+        '<xbrli:context id="c1"><xbrli:entity>'
+        '<xbrli:identifier scheme="urn:s">E</xbrli:identifier></xbrli:entity>'
+        "<xbrli:period><xbrli:instant>2008-12-31</xbrli:instant></xbrli:period>"
+        '</xbrli:context><c:C18 contextRef="c1">deep</c:C18></xbrli:xbrl>')
+    monkeypatch.chdir(tmp_path)
+    # the variable that once bounded the depth is no longer read
+    monkeypatch.setenv("XBRLCORE_MAX_DEPTH", "1")
+    code, out, _ = run(capsys, "validate", "in.xml", "--taxonomy-root", ".")
+    assert (code, out) == (0, "in.xml: 0 error(s), 0 warning(s), 0 info\n")
+    code, out, _ = run(capsys, "dts", "in.xml", "--taxonomy-root", ".", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["limit_exceeded"] is False and payload["unresolved"] == []
+    assert [d["uri"] for d in payload["documents"]] == [f"s{i}.xsd" for i in range(20)]
+    assert payload["concept_count"] == 20
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_cli_exit_code_contract_under_mutation(workdir, name, edits):
     try:
         for command in ("parse", "validate", "facts", "dts"):
             extra = ["--taxonomy-root", str(workdir)] if command in ("validate", "dts") else []
-            for fmt in ("json", "csv", "text"):
+            for fmt in ("json", "csv", "text") if command == "facts" else ("json", "text"):
                 for mode in ("strict", "lenient"):
                     argv = [command, instance, "--format", fmt, "--mode", mode, *extra]
                     with contextlib.redirect_stdout(io.StringIO()), \

@@ -11,14 +11,12 @@ from xbrlcore import (
     DocumentKind,
     Instance,
     ItemKind,
-    NotASchema,
     PeriodType,
     QName,
     Resolver,
     TaxonomyRef,
     build_resolver,
     discover,
-    load_taxonomy_schema,
     parse_instance,
     read_document,
 )
@@ -60,17 +58,29 @@ def instance_with_refs(*hrefs: str) -> Instance:
     return Instance(schema_refs=tuple(TaxonomyRef(h) for h in hrefs))
 
 
+ITEM_DECL = ('<xsd:element name="{}" type="xbrli:monetaryItemType"'
+             ' substitutionGroup="xbrli:item" xbrli:periodType="instant"/>')
+
+
+def imports(*locations: str) -> str:
+    return "".join(f'<xsd:import namespace="x" schemaLocation="{loc}"/>' for loc in locations)
+
+
+def discover_one(data: bytes, uri: str = "u.xsd"):
+    """Discover from the one document ``data``; whatever it references is not found."""
+    return discover(instance_with_refs(uri), DictResolver({uri: data}))
+
+
 # ---------------------------------------------------------------------------
-# load_taxonomy_schema
+# schema loading
 # ---------------------------------------------------------------------------
 
 
 def test_load_fixture_schema_concepts():
-    concepts, refs, findings = load_taxonomy_schema(
-        fixture_bytes("mini-taxonomy.xsd"), "mini-taxonomy.xsd"
-    )
+    dts = discover_one(fixture_bytes("mini-taxonomy.xsd"))
+    assert dts.documents["u.xsd"].kind is DocumentKind.TAXONOMY_SCHEMA
     # oracle: the fixture declares exactly these four top-level elements
-    by_name = {c.qname.local_name: c for c in concepts}
+    by_name = {qname.local_name: concept for qname, concept in dts.concepts.items()}
     assert set(by_name) == {"Assets", "Revenue", "SharesOutstanding", "FinancialHighlights"}
     assets = by_name["Assets"]
     assert assets.qname == QName(MINI_NS, "Assets")
@@ -82,13 +92,15 @@ def test_load_fixture_schema_concepts():
     highlights = by_name["FinancialHighlights"]
     assert highlights.item_kind is ItemKind.TUPLE
     assert highlights.data_kind is DataKind.UNKNOWN
-    assert refs == []
-    assert findings == []
+    assert dts.documents["u.xsd"].outgoing_refs == ()
+    assert dts.findings == ()
 
 
 def test_load_schema_without_declarations():
-    concepts, refs, findings = load_taxonomy_schema(schema("urn:t"), "u")
-    assert concepts == [] and refs == [] and findings == []
+    dts = discover_one(schema("urn:t"))
+    assert dts.documents["u.xsd"].kind is DocumentKind.TAXONOMY_SCHEMA
+    assert dts.concepts == {} and dts.documents["u.xsd"].outgoing_refs == ()
+    assert dts.findings == () and dts.unresolved == ()
 
 
 def test_missing_period_type_yields_dts002_for_items_only():
@@ -97,23 +109,24 @@ def test_missing_period_type_yields_dts002_for_items_only():
         ' substitutionGroup="xbrli:item"/>'
         '<xsd:element name="SomeTuple" substitutionGroup="xbrli:tuple"/>'
     )
-    concepts, _, findings = load_taxonomy_schema(schema("urn:t", body), "u")
-    assert [f.code for f in findings] == ["DTS-002"]
-    assert findings[0].subject == "{urn:t}NoPeriod"
-    kinds = {c.qname.local_name: c.period_type for c in concepts}
+    dts = discover_one(schema("urn:t", body))
+    assert [f.code for f in dts.findings] == ["DTS-002"]
+    assert dts.findings[0].subject == "{urn:t}NoPeriod"
+    kinds = {qname.local_name: concept.period_type for qname, concept in dts.concepts.items()}
     assert kinds == {"NoPeriod": PeriodType.UNKNOWN, "SomeTuple": PeriodType.UNKNOWN}
 
 
 def test_missing_target_namespace_skips_declarations():
     body = '<xsd:element name="Orphan" substitutionGroup="xbrli:item"/>'
-    concepts, _, findings = load_taxonomy_schema(schema(None, body), "u")
-    assert concepts == []
-    assert [f.code for f in findings] == ["DTS-004"]
+    dts = discover_one(schema(None, body))
+    assert dts.concepts == {}
+    assert [f.code for f in dts.findings] == ["DTS-004"]
 
 
 def test_not_a_schema():
-    with pytest.raises(NotASchema):
-        load_taxonomy_schema(b"<xbrl xmlns='http://www.xbrl.org/2003/instance'/>", "u")
+    dts = discover_one(b"<xbrl xmlns='http://www.xbrl.org/2003/instance'/>")
+    assert dts.documents == {} and dts.concepts == {}
+    assert dts.unresolved == (("u.xsd", "root element is neither a schema nor a linkbase"),)
 
 
 def test_schema_outgoing_refs_include_imports_includes_linkbaserefs():
@@ -124,8 +137,9 @@ def test_schema_outgoing_refs_include_imports_includes_linkbaserefs():
         '<xsd:import namespace="urn:other" schemaLocation="other.xsd"/>'
         '<xsd:include schemaLocation="more.xsd"/>'
     )
-    _, refs, _ = load_taxonomy_schema(schema("urn:t", body), "u")
-    assert refs == ["labels.xml", "other.xsd", "more.xsd"]
+    dts = discover_one(schema("urn:t", body))
+    assert dts.documents["u.xsd"].outgoing_refs == ("labels.xml", "other.xsd", "more.xsd")
+    assert [uri for uri, _ in dts.unresolved] == ["labels.xml", "other.xsd", "more.xsd"]
 
 
 def test_unknown_type_kinds():
@@ -140,8 +154,8 @@ def test_unknown_type_kinds():
         '<xsd:element name="Hidden" abstract="true" substitutionGroup="xbrli:item"'
         ' xbrli:periodType="duration"/>'
     )
-    concepts, _, _ = load_taxonomy_schema(schema("urn:t", body), "u")
-    by_name = {c.qname.local_name: c for c in concepts}
+    by_name = {qname.local_name: concept
+               for qname, concept in discover_one(schema("urn:t", body)).concepts.items()}
     assert by_name["Custom"].data_kind is DataKind.UNKNOWN
     assert by_name["Plain"].item_kind is ItemKind.UNKNOWN
     assert by_name["Numeric"].data_kind is DataKind.NUMERIC
@@ -265,18 +279,17 @@ def test_discover_document_limit():
     assert dts.unresolved == (("b.xsd", "document limit 1 reached"),)
 
 
-def test_discover_depth_limit():
+def test_discover_follows_a_deep_import_chain_whole():
+    # 20 schemas, each importing the next: the closure has no depth bound
     chain = {
-        f"s{i}.xsd": schema(
-            f"urn:s{i}", f'<xsd:import namespace="urn:s{i+1}" schemaLocation="s{i+1}.xsd"/>'
-        )
-        for i in range(5)
+        f"s{i}.xsd": schema(f"urn:s{i}", ITEM_DECL.format(f"C{i}") + imports(f"s{i + 1}.xsd"))
+        for i in range(19)
     }
-    chain["s5.xsd"] = schema("urn:s5")
-    dts = discover(instance_with_refs("s0.xsd"), DictResolver(chain), max_depth=3)
-    assert list(dts.documents) == ["s0.xsd", "s1.xsd", "s2.xsd"]
-    assert dts.limit_exceeded
-    assert dts.unresolved[0][0] == "s3.xsd"
+    chain["s19.xsd"] = schema("urn:s19", ITEM_DECL.format("C19"))
+    dts = discover(instance_with_refs("s0.xsd"), DictResolver(chain))
+    assert list(dts.documents) == [f"s{i}.xsd" for i in range(20)]
+    assert not dts.limit_exceeded and dts.unresolved == ()
+    assert QName("urn:s19", "C19") in dts.concepts
 
 
 def test_discover_monotonic_in_limits():
@@ -378,14 +391,6 @@ def test_null_resolver_unresolves_everything():
 # loading each document once per resolver
 # ---------------------------------------------------------------------------
 
-ITEM_DECL = ('<xsd:element name="{}" type="xbrli:monetaryItemType"'
-             ' substitutionGroup="xbrli:item" xbrli:periodType="instant"/>')
-
-
-def imports(*locations: str) -> str:
-    return "".join(f'<xsd:import namespace="x" schemaLocation="{loc}"/>' for loc in locations)
-
-
 # One taxonomy with every outcome a document can have: concepts, a DTS-002
 # and a DTS-004 finding, duplicates for DTS-003 (whose order follows the
 # walk), a fourth level, a linkbase, a missing document, one that is not
@@ -437,7 +442,7 @@ def test_warm_resolver_discovers_what_a_fresh_one_does(first):
     assert len(warm.fetches) == len(set(warm.fetches))
 
 
-@pytest.mark.parametrize("limits", [{"max_documents": 2}, {"max_depth": 3}, {"max_depth": 1}])
+@pytest.mark.parametrize("limits", [{"max_documents": 2}])
 def test_limited_run_on_a_warm_resolver_equals_a_cold_one(limits):
     warm = DictResolver(EVERY_OUTCOME)
     discover(instance_with_refs("root.xsd"), warm)
@@ -498,8 +503,6 @@ REPLAY_CASES = {
                      "", "", {}),
     "document-limit": (lambda: DictResolver(EVERY_OUTCOME), instance_with_refs("root.xsd"),
                        "", "", {"max_documents": 2}),
-    "depth-limit": (lambda: DictResolver(EVERY_OUTCOME), instance_with_refs("root.xsd"),
-                    "", "", {"max_depth": 2}),
 }
 
 
@@ -511,12 +514,14 @@ def test_replay_cases_cover_each_shape():
     assert [f.code for f in cold("repeats").findings] == ["DTS-003", "DTS-003"]
     assert "in.xsd duplicates the declaration in in.xsd" in cold("repeats").findings[0].message
     assert "x.xsd duplicates the declaration in in.xsd" in cold("repeats").findings[1].message
+    # each repeat is a duration item; the first declarations kept are instant
+    concepts = cold("repeats").concepts
+    assert [qname.local_name for qname in concepts] == ["A", "B", "C"]
+    assert {concept.period_type for concept in concepts.values()} == {PeriodType.INSTANT}
     assert cold("linkbase-ref").documents["lb.xml"].kind is DocumentKind.LINKBASE
     assert cold("linkbase-ref").unresolved == (("ghost.xml", "not found: ghost.xml"),)
-    for name, reason in (("document-limit", "document limit 2 reached"),
-                         ("depth-limit", "depth limit 2 exceeded")):
-        assert cold(name).limit_exceeded
-        assert reason in [r for _, r in cold(name).unresolved]
+    assert cold("document-limit").limit_exceeded
+    assert "document limit 2 reached" in [r for _, r in cold("document-limit").unresolved]
 
 
 @pytest.mark.parametrize("name", REPLAY_CASES)

@@ -13,7 +13,6 @@ from xbrlcore import (
     Severity,
     Tuple,
     discover,
-    load_taxonomy_schema,
     parse_instance,
     read_document,
     rule_catalog,
@@ -36,8 +35,7 @@ def fixture_dts(name: str):
 
 
 def mini_concepts() -> dict:
-    concepts, _, _ = load_taxonomy_schema(fixture_bytes("mini-taxonomy.xsd"), "u")
-    return {c.qname: c for c in concepts}
+    return dict(fixture_dts("mini-instance.xml").concepts)
 
 
 def codes(report):

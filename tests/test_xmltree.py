@@ -13,6 +13,7 @@ from xbrlcore import (
     UnboundPrefix,
     UnsupportedEncoding,
     Resolver,
+    XbrlError,
     XmlElement,
     discover,
     fact_rows,
@@ -114,13 +115,12 @@ def test_duplicate_attribute_qnames_rejected():
     with pytest.raises(MalformedXml) as err:
         read_document(data)
     assert err.value.subcode == "duplicate-attribute"
-    assert (str(err.value), err.value.line, err.value.column) == (
-        "duplicate attribute", 2, 0)
+    assert (str(err.value), err.value.location) == ("duplicate attribute", (2, 0))
     # the same raw name twice carries the subcode too
     with pytest.raises(MalformedXml) as err:
         read_document(b'<a k="1" k="2"/>')
-    assert (str(err.value), err.value.line, err.value.column, err.value.subcode) == (
-        "duplicate attribute", 1, 9, "duplicate-attribute")
+    assert (str(err.value), err.value.location, err.value.subcode) == (
+        "duplicate attribute", (1, 9), "duplicate-attribute")
 
 
 def test_predefined_entities_and_char_refs():
@@ -188,6 +188,20 @@ def test_resolve_qname_text_trims_only_xml_whitespace():
         element.resolve_qname_text("\u00a0p:x")
 
 
+def test_every_error_carries_a_location():
+    root = read_document(b'<r xmlns:p="urn:p">\n  <v/></r>')
+    value = root.child_elements()[0]
+    for text, error in (("q:x", UnboundPrefix), ("p:", MalformedXml), ("", MalformedXml)):
+        with pytest.raises(error) as err:
+            value.resolve_qname_text(text)
+        assert err.value.location == value.source_location == (2, 2)
+    with pytest.raises(UnsupportedEncoding) as err:
+        read_document(b'<?xml version="1.0" encoding="EBCDIC-FUNKY"?><a/>')
+    assert err.value.location == (1, 0)
+    # an error found at no position reports line 0
+    assert XbrlError("no position").location == SourceLocation() == (0, 0)
+
+
 def test_prefix_rebound_in_sibling_scopes_gives_different_names():
     root = read_document(
         b'<r><a xmlns:p="urn:1"><p:x p:k="1"/></a><b xmlns:p="urn:2"><p:x p:k="2"/></b></r>'
@@ -206,8 +220,7 @@ def test_prefix_rebound_in_sibling_scopes_gives_different_names():
 def test_prefix_declared_in_sibling_scope_stays_unbound(data):
     with pytest.raises(UnboundPrefix) as err:
         read_document(data)
-    assert (str(err.value), err.value.line, err.value.column) == (
-        "unbound prefix", 2, 0)
+    assert (str(err.value), err.value.location) == ("unbound prefix", (2, 0))
 
 
 def test_unprefixed_attribute_differs_from_default_namespace_element():
