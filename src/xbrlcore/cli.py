@@ -246,7 +246,7 @@ def cmd_dts(args: argparse.Namespace) -> int:
         for href, reason in unresolved:
             print(f"  unresolved: {href} ({reason})")
         if limit_exceeded:
-            print("  discovery limits exceeded; result is partial")
+            print(f"  document limit {args.max_documents} reached; result is partial")
     return EXIT_OK
 
 

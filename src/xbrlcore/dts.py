@@ -9,6 +9,10 @@ references. Every reachable href ends up either in ``documents`` or in
 ``unresolved``; nothing is dropped silently. Relationship networks inside
 linkbases are fetched and recorded but not interpreted.
 
+A schema is loaded in one pre-order walk, and declarations sharing their
+raw classifying attributes under the same prefix bindings are classified
+once per load; each still gets its own ``Concept`` and DTS-002 finding.
+
 Per resolver and for its lifetime, each resolved URI is loaded once (its
 document, outgoing hrefs resolved against it, concepts and schema
 findings, or the reason it stays unresolved), and each entry set (the
@@ -38,7 +42,7 @@ from . import constants as c
 from .errors import XbrlError
 from .findings import Finding
 from .model import Instance
-from .xmltree import XML_WHITESPACE, QName, XmlElement, XmlReadError, read_document
+from .xmltree import XML_WHITESPACE, QName, XmlElement, XmlReadError, _slot_setters, read_document
 
 DEFAULT_MAX_DOCUMENTS = 256
 
@@ -72,15 +76,28 @@ class DocumentKind(Enum):
     LINKBASE = "linkbase"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Concept:
     """One reporting concept declared in a taxonomy schema."""
 
     qname: QName
-    item_kind: ItemKind = ItemKind.UNKNOWN
-    data_kind: DataKind = DataKind.UNKNOWN
-    period_type: PeriodType = PeriodType.UNKNOWN
-    abstract: bool = False
+    item_kind: ItemKind
+    data_kind: DataKind
+    period_type: PeriodType
+    abstract: bool
+
+    def __init__(self, qname: QName, item_kind: ItemKind = ItemKind.UNKNOWN,
+                 data_kind: DataKind = DataKind.UNKNOWN,
+                 period_type: PeriodType = PeriodType.UNKNOWN, abstract: bool = False) -> None:
+        _set_qname(self, qname)
+        _set_item_kind(self, item_kind)
+        _set_data_kind(self, data_kind)
+        _set_period_type(self, period_type)
+        _set_abstract(self, abstract)
+
+
+_set_qname, _set_item_kind, _set_data_kind, _set_period_type, _set_abstract = (
+    _slot_setters(Concept))
 
 
 @dataclass(frozen=True)
@@ -117,7 +134,7 @@ def resolve_reference(base_uri: str, href: str) -> str:
 
 
 def _fetch_file(root: Path, uri: str) -> bytes:
-    """Read a URI as a file under ``root``; anything escaping the root is refused.
+    """Read a URI as a file under the resolved ``root``; anything escaping it is refused.
 
     Plain (possibly relative) paths map directly; http/https URIs are folded
     into path segments under the root as ``<scheme>/<authority>/<path>``.
@@ -131,7 +148,7 @@ def _fetch_file(root: Path, uri: str) -> bytes:
         path = Path(posixpath.normpath(uri))
     try:
         resolved = path.resolve()
-        resolved.relative_to(root.resolve())
+        resolved.relative_to(root)
     except ValueError:
         raise ResolutionError(f"outside taxonomy root: {uri}") from None
     try:
@@ -146,13 +163,14 @@ class Resolver:
     """Resolves taxonomy hrefs to URIs and fetches their bytes.
 
     With a ``root``, URIs are read as files under it (http(s) ones folded in
-    by scheme and authority); without one, every fetch fails.
+    by scheme and authority); without one, every fetch fails. The root is
+    resolved once, here, so build a new resolver after moving it.
     """
 
     resolve = staticmethod(resolve_reference)
 
     def __init__(self, root: str | Path | None = None):
-        self.root = None if root is None else Path(root)
+        self.root = None if root is None else Path(root).resolve()
 
     def fetch(self, uri: str) -> bytes:
         if self.root is None:
@@ -169,82 +187,44 @@ def build_resolver(taxonomy_root: str | Path | None = None) -> Resolver:
 # ---------------------------------------------------------------------------
 
 
-def _data_kind(type_name: QName | None) -> DataKind:
-    if type_name is None or type_name.namespace_uri != c.XBRLI_NS:
-        return DataKind.UNKNOWN
-    local = type_name.local_name
-    if local in c.MONETARY_ITEM_TYPES:
-        return DataKind.MONETARY
-    if local in c.SHARES_ITEM_TYPES:
-        return DataKind.SHARES
-    if local in c.NUMERIC_ITEM_TYPES:
-        return DataKind.NUMERIC
-    if local in c.NON_NUMERIC_ITEM_TYPES:
-        return DataKind.NON_NUMERIC
-    return DataKind.UNKNOWN
+_ITEM_KINDS = {c.QN_SUBST_ITEM: ItemKind.ITEM, c.QN_SUBST_TUPLE: ItemKind.TUPLE}
+_DATA_KINDS = {QName(c.XBRLI_NS, local): kind for kind, locals_ in (
+    (DataKind.MONETARY, c.MONETARY_ITEM_TYPES), (DataKind.SHARES, c.SHARES_ITEM_TYPES),
+    (DataKind.NUMERIC, c.NUMERIC_ITEM_TYPES), (DataKind.NON_NUMERIC, c.NON_NUMERIC_ITEM_TYPES),
+) for local in locals_}  # the four sets are disjoint
+_PERIOD_TYPES = {"instant": PeriodType.INSTANT, "duration": PeriodType.DURATION}
 
 
-def _qname_attr(element: XmlElement, name: QName) -> QName | None:
-    raw = element.attributes.get(name)
-    if raw is None:
-        return None
-    try:
-        return element.resolve_qname_text(raw)
-    except XmlReadError:
-        return None
+class _Classes(dict):
+    """Raw (substitutionGroup, type, periodType, abstract) text -> (item kind,
+    data kind, period type, abstract), under the prefix bindings of ``element``
+    and of every element sharing them; a QName that will not resolve is unknown."""
 
+    def __init__(self, element: XmlElement):
+        super().__init__()
+        self.element = element
 
-def _concept_from_declaration(element: XmlElement, target_ns: str,
-                              uri: str) -> tuple[Concept, Finding | None]:
-    attrs = element.attributes
-    qname = QName(target_ns, attrs.get(c.QN_ATTR_NAME) or "")
-    subst = _qname_attr(element, c.QN_ATTR_SUBSTITUTION_GROUP)
-    if subst == c.QN_SUBST_ITEM:
-        item_kind = ItemKind.ITEM
-    elif subst == c.QN_SUBST_TUPLE:
-        item_kind = ItemKind.TUPLE
-    else:
-        item_kind = ItemKind.UNKNOWN
+    def _resolve(self, raw: str | None) -> QName | None:
+        try:
+            return None if raw is None else self.element.resolve_qname_text(raw)
+        except XmlReadError:
+            return None
 
-    period_raw = attrs.get(c.QN_PERIOD_TYPE_ATTR)
-    if period_raw == "instant":
-        period_type = PeriodType.INSTANT
-    elif period_raw == "duration":
-        period_type = PeriodType.DURATION
-    else:
-        period_type = PeriodType.UNKNOWN
-
-    finding = None
-    if period_type is PeriodType.UNKNOWN and item_kind is ItemKind.ITEM:
-        finding = Finding.of(
-            "DTS-002",
-            f"{uri}: concept {qname.clark()} declares no periodType",
-            element.source_location,
-            qname.clark(),
+    def __missing__(self, raw: tuple) -> tuple:
+        subst, type_name, period_type, abstract = raw
+        kinds = self[raw] = (
+            _ITEM_KINDS.get(self._resolve(subst), ItemKind.UNKNOWN),
+            _DATA_KINDS.get(self._resolve(type_name), DataKind.UNKNOWN),
+            _PERIOD_TYPES.get(period_type, PeriodType.UNKNOWN),
+            (abstract or "").strip(XML_WHITESPACE) in ("true", "1"),
         )
-
-    concept = Concept(
-        qname=qname,
-        item_kind=item_kind,
-        data_kind=_data_kind(_qname_attr(element, c.QN_ATTR_TYPE)),
-        period_type=period_type,
-        abstract=(attrs.get(c.QN_ATTR_ABSTRACT) or "").strip(XML_WHITESPACE) in ("true", "1"),
-    )
-    return concept, finding
+        return kinds
 
 
-def _outgoing_refs(root: XmlElement) -> list[str]:
-    refs: list[str] = []
-    for element in root.iter_elements():
-        if element.name in (c.QN_XSD_IMPORT, c.QN_XSD_INCLUDE):
-            location = element.attributes.get(c.QN_ATTR_SCHEMA_LOCATION)
-            if location:
-                refs.append(location)
-        elif element.name in (c.QN_LINKBASE_REF, c.QN_SCHEMA_REF):
-            href = element.attributes.get(c.QN_XLINK_HREF)
-            if href:
-                refs.append(href)
-    return refs
+# The elements whose attribute names an outgoing reference, at any depth.
+_REF_ATTRS = {c.QN_XSD_IMPORT: c.QN_ATTR_SCHEMA_LOCATION,
+              c.QN_XSD_INCLUDE: c.QN_ATTR_SCHEMA_LOCATION,
+              c.QN_LINKBASE_REF: c.QN_XLINK_HREF, c.QN_SCHEMA_REF: c.QN_XLINK_HREF}
 
 
 # ---------------------------------------------------------------------------
@@ -291,33 +271,50 @@ def _load(resolver: Resolver, uri: str) -> str | _Loaded:
         root = read_document(data)
     except XmlReadError as exc:
         return f"not XML: {exc}"
-    concepts: list[Concept] = []
     findings: list[Finding] = []
+    target_ns = None
     if root.name == c.QN_XSD_SCHEMA:
         kind = DocumentKind.TAXONOMY_SCHEMA
         target_ns = root.attributes.get(c.QN_ATTR_TARGET_NAMESPACE)
         if target_ns is None:
             findings.append(Finding.of(
-                "DTS-004",
-                f"{uri}: schema has no targetNamespace; declarations skipped",
-                root.source_location,
-            ))
-        else:
-            for child in root.child_elements():
-                if child.name == c.QN_XSD_ELEMENT and child.attributes.get(c.QN_ATTR_NAME):
-                    concept, finding = _concept_from_declaration(child, target_ns, uri)
-                    concepts.append(concept)
-                    if finding is not None:
-                        findings.append(finding)
+                "DTS-004", f"{uri}: schema has no targetNamespace; declarations skipped",
+                root.source_location))
     elif root.name == c.QN_LINKBASE:
         kind = DocumentKind.LINKBASE
     else:
         return "root element is neither a schema nor a linkbase"
-    refs = tuple(_outgoing_refs(root))
+
+    # One pre-order walk: the top-level declarations, and references at any depth.
+    concepts: list[Concept] = []
     own: dict[QName, Concept] = {}
-    for concept in concepts:
-        own.setdefault(concept.qname, concept)
-    return _Loaded(DtsDocument(uri, kind, refs),
+    refs: list[str] = []
+    classes: dict[int, _Classes] = {}  # per bindings object; the tree keeps each alive
+    for top in root.child_elements():
+        attrs = top.attributes
+        local = (target_ns is not None and top.name == c.QN_XSD_ELEMENT
+                 and attrs.get(c.QN_ATTR_NAME))
+        if local:
+            memo = classes.get(id(top.prefix_bindings))
+            if memo is None:
+                memo = classes[id(top.prefix_bindings)] = _Classes(top)
+            kinds = memo[attrs.get(c.QN_ATTR_SUBSTITUTION_GROUP), attrs.get(c.QN_ATTR_TYPE),
+                         attrs.get(c.QN_PERIOD_TYPE_ATTR), attrs.get(c.QN_ATTR_ABSTRACT)]
+            qname = QName(target_ns, local)
+            concept = Concept(qname, *kinds)
+            concepts.append(concept)
+            own.setdefault(qname, concept)
+            if kinds[0] is ItemKind.ITEM and kinds[2] is PeriodType.UNKNOWN:
+                findings.append(Finding.of(
+                    "DTS-002", f"{uri}: concept {qname.clark()} declares no periodType",
+                    top.source_location, qname.clark()))
+            if not top.children:  # most declarations; no reference to find
+                continue
+        for element in top.iter_elements():
+            ref = element.attributes.get(_REF_ATTRS.get(element.name))  # None: not a ref
+            if ref:
+                refs.append(ref)
+    return _Loaded(DtsDocument(uri, kind, tuple(refs)),
                    tuple(resolver.resolve(uri, href) for href in refs),
                    tuple(concepts), own, tuple(findings))
 

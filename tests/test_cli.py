@@ -395,6 +395,13 @@ def test_dts_limit_flag_via_cli(repo_root, capsys):
     assert len(payload["unresolved"]) == 1
 
 
+def test_dts_text_names_the_document_limit(repo_root, capsys):
+    code, out, _ = run(capsys, "dts", "fixtures/cycle-instance.xml",
+                       "--taxonomy-root", "fixtures/", "--max-documents", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "  document limit 1 reached; result is partial"
+
+
 def test_max_documents_env_override(repo_root, capsys, monkeypatch):
     monkeypatch.setenv("XBRLCORE_MAX_DOCUMENTS", "1")
     _, out, _ = run(capsys, "dts", "fixtures/cycle-instance.xml",

@@ -116,6 +116,45 @@ def test_missing_period_type_yields_dts002_for_items_only():
     assert kinds == {"NoPeriod": PeriodType.UNKNOWN, "SomeTuple": PeriodType.UNKNOWN}
 
 
+def test_declarations_sharing_raw_text_classify_under_their_own_bindings():
+    # B's four attribute texts equal A's, but B rebinds xbrli, so its
+    # substitutionGroup and type name another namespace.
+    body = (
+        ITEM_DECL.format("A")
+        + '<xsd:element xmlns:xbrli="urn:not-xbrli" xmlns:x="http://www.xbrl.org/2003/instance"'
+          ' name="B" type="xbrli:monetaryItemType" substitutionGroup="xbrli:item"'
+          ' x:periodType="instant"/>'
+        + ITEM_DECL.format("C")
+    )
+    dts = discover_one(schema("urn:t", body))
+    kinds = {qname.local_name: (concept.item_kind, concept.data_kind, concept.period_type)
+             for qname, concept in dts.concepts.items()}
+    assert kinds == {
+        "A": (ItemKind.ITEM, DataKind.MONETARY, PeriodType.INSTANT),
+        "B": (ItemKind.UNKNOWN, DataKind.UNKNOWN, PeriodType.INSTANT),
+        "C": (ItemKind.ITEM, DataKind.MONETARY, PeriodType.INSTANT),
+    }
+    assert dts.findings == ()
+
+
+def test_declarations_sharing_a_combination_each_get_their_own_dts002():
+    decl = ('<xsd:element name="{}" type="xbrli:monetaryItemType"'
+            ' substitutionGroup="xbrli:item"/>')
+    body = "\n".join(decl.format(name) for name in ("P", "Q", "R"))
+    dts = discover_one(schema("urn:t", body))
+    assert [(f.code, f.subject, f.location.line) for f in dts.findings] == [
+        ("DTS-002", "{urn:t}P", 1), ("DTS-002", "{urn:t}Q", 2), ("DTS-002", "{urn:t}R", 3)]
+    assert dts.findings[0].message == "u.xsd: concept {urn:t}P declares no periodType"
+
+
+def test_declarations_sharing_an_unbound_type_prefix_are_unknown():
+    decl = ('<xsd:element name="{}" type="nope:monetaryItemType"'
+            ' substitutionGroup="xbrli:item" xbrli:periodType="instant"/>')
+    dts = discover_one(schema("urn:t", decl.format("U") + decl.format("V")))
+    assert [concept.data_kind for concept in dts.concepts.values()] == [DataKind.UNKNOWN] * 2
+    assert all(concept.item_kind is ItemKind.ITEM for concept in dts.concepts.values())
+
+
 def test_missing_target_namespace_skips_declarations():
     body = '<xsd:element name="Orphan" substitutionGroup="xbrli:item"/>'
     dts = discover_one(schema(None, body))
@@ -130,16 +169,23 @@ def test_not_a_schema():
 
 
 def test_schema_outgoing_refs_include_imports_includes_linkbaserefs():
+    # References are kept in document pre-order, at any depth: the second
+    # linkbaseRef sits inside a declaration, between the import and the include.
     body = (
         '<xsd:annotation><xsd:appinfo>'
         '<link:linkbaseRef xlink:href="labels.xml"/>'
         "</xsd:appinfo></xsd:annotation>"
         '<xsd:import namespace="urn:other" schemaLocation="other.xsd"/>'
+        '<xsd:element name="Annotated"><xsd:annotation><xsd:appinfo>'
+        '<link:linkbaseRef xlink:href="refs.xml"/>'
+        "</xsd:appinfo></xsd:annotation></xsd:element>"
         '<xsd:include schemaLocation="more.xsd"/>'
     )
     dts = discover_one(schema("urn:t", body))
-    assert dts.documents["u.xsd"].outgoing_refs == ("labels.xml", "other.xsd", "more.xsd")
-    assert [uri for uri, _ in dts.unresolved] == ["labels.xml", "other.xsd", "more.xsd"]
+    refs = ("labels.xml", "other.xsd", "refs.xml", "more.xsd")
+    assert dts.documents["u.xsd"].outgoing_refs == refs
+    assert [uri for uri, _ in dts.unresolved] == list(refs)
+    assert list(dts.concepts) == [QName("urn:t", "Annotated")]
 
 
 def test_unknown_type_kinds():
@@ -340,6 +386,35 @@ def test_filesystem_resolver_refuses_escapes(tmp_path):
     assert resolver.fetch(str(root / "ok.xsd")) == b"<a/>"
     with pytest.raises(ResolutionError):
         resolver.fetch(str(root / ".." / "secret.xsd"))
+
+
+def symlink_or_skip(link: Path, target: Path) -> None:
+    try:
+        link.symlink_to(target, target_is_directory=target.is_dir())
+    except (OSError, NotImplementedError) as exc:
+        pytest.skip(f"symlinks unavailable: {exc}")
+
+
+def test_filesystem_resolver_refuses_a_symlink_out_of_the_root(tmp_path):
+    root = tmp_path / "tax"
+    root.mkdir()
+    (tmp_path / "secret.xsd").write_bytes(b"<secret/>")
+    symlink_or_skip(root / "link.xsd", tmp_path / "secret.xsd")
+    uri = str(root / "link.xsd")
+    with pytest.raises(ResolutionError, match=f"^outside taxonomy root: {re.escape(uri)}$"):
+        Resolver(root).fetch(uri)
+
+
+def test_filesystem_resolver_accepts_a_root_given_as_a_symlink(tmp_path):
+    real = tmp_path / "real"
+    (real / "http" / "example.com").mkdir(parents=True)
+    (real / "a.xsd").write_bytes(b"<a/>")
+    (real / "http" / "example.com" / "t.xsd").write_bytes(b"<folded/>")
+    symlink_or_skip(tmp_path / "link", real)
+    resolver = Resolver(tmp_path / "link")
+    assert resolver.fetch(str(tmp_path / "link" / "a.xsd")) == b"<a/>"
+    assert resolver.fetch(str(real / "a.xsd")) == b"<a/>"
+    assert resolver.fetch("http://example.com/t.xsd") == b"<folded/>"
 
 
 def test_filesystem_resolver_folds_http_uris(tmp_path):
