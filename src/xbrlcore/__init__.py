@@ -34,8 +34,6 @@ from .parser import (
     ParseOutcome,
     find_instances,
     parse_instance,
-    parse_period,
-    parse_unit,
     serialize,
 )
 from .dts import (
@@ -65,7 +63,7 @@ __all__ = [
     "Instant", "Duration", "Forever",
     "TaxonomyRef", "Footnote", "FootnoteArc", "FootnoteLink",
     "ParseOptions", "ParseMode", "ParseOutcome", "ParseError",
-    "parse_instance", "parse_period", "parse_unit", "find_instances", "serialize",
+    "parse_instance", "find_instances", "serialize",
     "Dts", "DtsDocument", "Concept",
     "ItemKind", "DataKind", "PeriodType", "DocumentKind",
     "Resolver", "build_resolver",

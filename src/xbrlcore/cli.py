@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -166,12 +167,17 @@ def cmd_parse(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     data, outcomes = _load_instances(args)
     resolver = build_resolver(args.taxonomy_root)
-    reports = [
-        validate(outcome, _discover_dts(args, resolver, outcome) if args.taxonomy_root else None)
-        for outcome in outcomes
-    ]
-    report = build_report((f for r in reports for f in r.findings), digest_bytes(data),
-                          reports[0].skipped_rules)
+    # Instances sharing a taxonomy share its findings: each is reported once.
+    taxonomy: dict[Finding, None] = {}
+    reports = []
+    for outcome in outcomes:
+        dts = _discover_dts(args, resolver, outcome) if args.taxonomy_root else None
+        if dts is not None:
+            taxonomy.update(dict.fromkeys(dts.findings))
+            dts = dataclasses.replace(dts, findings=())
+        reports.append(validate(outcome, dts))
+    report = build_report([*taxonomy, *(f for r in reports for f in r.findings)],
+                          digest_bytes(data), reports[0].skipped_rules)
 
     if args.format == "json":
         _print_json({

@@ -30,11 +30,11 @@ with equal results.
 
 from __future__ import annotations
 
+import os
 import posixpath
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Mapping, NamedTuple
 from urllib.parse import urlsplit, urljoin
 
@@ -42,7 +42,7 @@ from . import constants as c
 from .errors import XbrlError
 from .findings import Finding
 from .model import Instance
-from .xmltree import XML_WHITESPACE, QName, XmlElement, XmlReadError, _slot_setters, read_document
+from .xmltree import XML_WHITESPACE, QName, XmlElement, XmlReadError, _record, read_document
 
 DEFAULT_MAX_DOCUMENTS = 256
 
@@ -76,28 +76,15 @@ class DocumentKind(Enum):
     LINKBASE = "linkbase"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Concept:
     """One reporting concept declared in a taxonomy schema."""
 
     qname: QName
-    item_kind: ItemKind
-    data_kind: DataKind
-    period_type: PeriodType
-    abstract: bool
-
-    def __init__(self, qname: QName, item_kind: ItemKind = ItemKind.UNKNOWN,
-                 data_kind: DataKind = DataKind.UNKNOWN,
-                 period_type: PeriodType = PeriodType.UNKNOWN, abstract: bool = False) -> None:
-        _set_qname(self, qname)
-        _set_item_kind(self, item_kind)
-        _set_data_kind(self, data_kind)
-        _set_period_type(self, period_type)
-        _set_abstract(self, abstract)
-
-
-_set_qname, _set_item_kind, _set_data_kind, _set_period_type, _set_abstract = (
-    _slot_setters(Concept))
+    item_kind: ItemKind = ItemKind.UNKNOWN
+    data_kind: DataKind = DataKind.UNKNOWN
+    period_type: PeriodType = PeriodType.UNKNOWN
+    abstract: bool = False
 
 
 @dataclass(frozen=True)
@@ -133,52 +120,45 @@ def resolve_reference(base_uri: str, href: str) -> str:
     return urljoin(base_uri, href)
 
 
-def _fetch_file(root: Path, uri: str) -> bytes:
-    """Read a URI as a file under the resolved ``root``; anything escaping it is refused.
-
-    Plain (possibly relative) paths map directly; http/https URIs are folded
-    into path segments under the root as ``<scheme>/<authority>/<path>``.
-    """
-    parts = urlsplit(uri)
-    if parts.scheme in ("http", "https"):
-        path = root / parts.scheme / parts.netloc / parts.path.lstrip("/")
-    elif parts.scheme == "file":
-        path = Path(parts.path)
-    else:
-        path = Path(posixpath.normpath(uri))
-    try:
-        resolved = path.resolve()
-        resolved.relative_to(root)
-    except ValueError:
-        raise ResolutionError(f"outside taxonomy root: {uri}") from None
-    try:
-        return resolved.read_bytes()
-    except FileNotFoundError:
-        raise ResolutionError(f"not found: {uri}") from None
-    except OSError as exc:
-        raise ResolutionError(f"unreadable: {uri} ({exc.strerror})") from None
-
-
 class Resolver:
     """Resolves taxonomy hrefs to URIs and fetches their bytes.
 
-    With a ``root``, URIs are read as files under it (http(s) ones folded in
-    by scheme and authority); without one, every fetch fails. The root is
-    resolved once, here, so build a new resolver after moving it.
+    With a ``root``, URIs are read as files under it: plain (possibly
+    relative) paths and ``file:`` URIs map directly, http(s) ones are folded
+    in as ``<root>/<scheme>/<authority>/<path>``, and any path whose real
+    location escapes the root is refused. Without a root, every fetch fails.
+    The root is resolved once, here, so build a new resolver after moving it.
     """
 
     resolve = staticmethod(resolve_reference)
 
-    def __init__(self, root: str | Path | None = None):
-        self.root = None if root is None else Path(root).resolve()
+    def __init__(self, root: str | os.PathLike | None = None):
+        self.root = None if root is None else os.path.realpath(root)
 
     def fetch(self, uri: str) -> bytes:
-        if self.root is None:
+        root = self.root
+        if root is None:
             raise ResolutionError("no taxonomy source configured")
-        return _fetch_file(self.root, uri)
+        parts = urlsplit(uri)
+        if parts.scheme in ("http", "https"):
+            path = os.path.join(root, parts.scheme, parts.netloc, parts.path.lstrip("/"))
+        elif parts.scheme == "file":
+            path = parts.path
+        else:
+            path = posixpath.normpath(uri)
+        path = os.path.realpath(path)
+        if path != root and not path.startswith(os.path.join(root, "")):
+            raise ResolutionError(f"outside taxonomy root: {uri}")
+        try:
+            with open(path, "rb") as handle:
+                return handle.read()
+        except FileNotFoundError:
+            raise ResolutionError(f"not found: {uri}") from None
+        except OSError as exc:
+            raise ResolutionError(f"unreadable: {uri} ({exc.strerror})") from None
 
 
-def build_resolver(taxonomy_root: str | Path | None = None) -> Resolver:
+def build_resolver(taxonomy_root: str | os.PathLike | None = None) -> Resolver:
     return Resolver(taxonomy_root)
 
 

@@ -8,6 +8,10 @@ in the source document never matter.
 
 Scenario and segment content is preserved as opaque element fragments and
 never interpreted.
+
+The records built once per context, unit or fact are slots records,
+declared through ``xmltree._record``: each field and its default are
+written once, in the class body.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
 from .iso8601 import TimePoint
-from .xmltree import QName, SourceLocation, XmlElement, _slot_setters
+from .xmltree import QName, SourceLocation, XmlElement, _record
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,7 @@ class TaxonomyRef:
     role: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Entity:
     """Reporting entity: identifier scheme URI plus the identifier itself."""
 
@@ -37,12 +41,12 @@ class Entity:
     segment: XmlElement | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Instant:
     when: TimePoint
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Duration:
     start: TimePoint
     end: TimePoint
@@ -56,7 +60,7 @@ class Forever:
 Period = Union[Instant, Duration, Forever]
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Context:
     id: str
     entity: Entity
@@ -65,7 +69,7 @@ class Context:
     source_location: SourceLocation = field(default=SourceLocation(), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Unit:
     """Measures, optionally divided by other measures (XBRL 2.1 section 4.8).
 
@@ -78,7 +82,7 @@ class Unit:
     source_location: SourceLocation = field(default=SourceLocation(), compare=False)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Item:
     """A fact holding a single value, always bound to a context.
 
@@ -89,32 +93,15 @@ class Item:
 
     concept: QName
     context_ref: str
-    value: str
-    unit_ref: str | None
-    decimals: str | None
-    precision: str | None
-    id: str | None
-    source_location: SourceLocation = field(compare=False)
-
-    def __init__(self, concept: QName, context_ref: str, value: str = "",
-                 unit_ref: str | None = None, decimals: str | None = None,
-                 precision: str | None = None, id: str | None = None,
-                 source_location: SourceLocation = SourceLocation()) -> None:
-        _set_concept(self, concept)
-        _set_context_ref(self, context_ref)
-        _set_value(self, value)
-        _set_unit_ref(self, unit_ref)
-        _set_decimals(self, decimals)
-        _set_precision(self, precision)
-        _set_item_id(self, id)
-        _set_item_location(self, source_location)
+    value: str = ""
+    unit_ref: str | None = None
+    decimals: str | None = None
+    precision: str | None = None
+    id: str | None = None
+    source_location: SourceLocation = field(default=SourceLocation(), compare=False)
 
 
-(_set_concept, _set_context_ref, _set_value, _set_unit_ref, _set_decimals, _set_precision,
- _set_item_id, _set_item_location) = _slot_setters(Item)
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Tuple:
     """A fact holding nested facts.
 
@@ -123,23 +110,10 @@ class Tuple:
     """
 
     concept: QName
-    children: tuple["Fact", ...]
-    id: str | None
-    context_ref: str | None
-    source_location: SourceLocation = field(compare=False)
-
-    def __init__(self, concept: QName, children: tuple["Fact", ...] = (),
-                 id: str | None = None, context_ref: str | None = None,
-                 source_location: SourceLocation = SourceLocation()) -> None:
-        _set_tuple_concept(self, concept)
-        _set_tuple_children(self, children)
-        _set_tuple_id(self, id)
-        _set_tuple_context_ref(self, context_ref)
-        _set_tuple_location(self, source_location)
-
-
-(_set_tuple_concept, _set_tuple_children, _set_tuple_id, _set_tuple_context_ref,
- _set_tuple_location) = _slot_setters(Tuple)
+    children: tuple["Fact", ...] = ()
+    id: str | None = None
+    context_ref: str | None = None
+    source_location: SourceLocation = field(default=SourceLocation(), compare=False)
 
 
 Fact = Union[Item, Tuple]

@@ -19,7 +19,7 @@ from enum import Enum
 from . import constants as c
 from .errors import XbrlError
 from .findings import Finding
-from .iso8601 import compare_start_end, parse_point
+from .iso8601 import TimePoint, compare_start_end, parse_point
 from .model import (
     Context,
     Entity,
@@ -114,12 +114,12 @@ class ParseOutcome:
     recovered_findings: tuple[Finding, ...] = ()
 
 
-def parse_period(element: XmlElement) -> "Instant | Duration | Forever":
+def _parse_period(element: XmlElement) -> "Instant | Duration | Forever":
     """Build a Period from a period element.
 
     Accepts instant, forever, or startDate+endDate children; date values
-    must be ISO 8601. Raises InvalidPeriodShape, InvalidIso8601, or
-    StartAfterEnd.
+    must be ISO 8601. Raises InvalidPeriodShape, InvalidIso8601 (at the
+    failing child), or StartAfterEnd.
     """
     loc = element.source_location
     children = element.child_elements()
@@ -127,28 +127,28 @@ def parse_period(element: XmlElement) -> "Instant | Duration | Forever":
     if names == [c.QN_FOREVER]:
         return Forever()
     if names == [c.QN_INSTANT]:
-        try:
-            return Instant(when=parse_point(children[0].text_content().strip(XML_WHITESPACE)))
-        except ValueError as exc:
-            raise InvalidIso8601(str(exc), children[0].source_location) from None
+        return Instant(_parse_point(children[0]))
     if names == [c.QN_START_DATE, c.QN_END_DATE]:
-        try:
-            start = parse_point(children[0].text_content().strip(XML_WHITESPACE))
-            end = parse_point(children[1].text_content().strip(XML_WHITESPACE))
-        except ValueError as exc:
-            raise InvalidIso8601(str(exc), loc) from None
+        start, end = (_parse_point(child) for child in children)
         cmp, _ = compare_start_end(start, end)
         if cmp > 0:
             raise StartAfterEnd(
                 f"period start {start.raw!r} is after end {end.raw!r}", loc
             )
-        return Duration(start=start, end=end)
+        return Duration(start, end)
     raise InvalidPeriodShape(
         "period must contain instant, forever, or startDate+endDate", loc
     )
 
 
-def parse_unit(element: XmlElement) -> Unit:
+def _parse_point(element: XmlElement) -> TimePoint:
+    try:
+        return parse_point(element.text_content().strip(XML_WHITESPACE))
+    except ValueError as exc:
+        raise InvalidIso8601(str(exc), element.source_location) from None
+
+
+def _parse_unit(element: XmlElement) -> Unit:
     """Build a Unit from a unit element (measure children or one divide)."""
     loc = element.source_location
     unit_id = element.attributes.get(c.QN_ATTR_ID) or ""
@@ -214,7 +214,7 @@ def _parse_context(element: XmlElement) -> Context:
     return Context(
         id=context_id,
         entity=_parse_entity(entity_el),
-        period=parse_period(period_el),
+        period=_parse_period(period_el),
         scenario=element.first_child(c.QN_SCENARIO),
         source_location=loc,
     )
@@ -375,7 +375,7 @@ class _InstanceBuilder:
         contexts[context.id] = context
 
     def _add_unit(self, element: XmlElement, units: dict[str, Unit]) -> None:
-        unit = parse_unit(element)
+        unit = _parse_unit(element)
         if not unit.id:
             raise ParseError("unit has no id", element.source_location)
         if unit.id in units:

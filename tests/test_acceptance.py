@@ -36,7 +36,7 @@ from xbrlcore import (
 )
 from xbrlcore.cli import main
 from xbrlcore.dts import resolve_reference
-from xbrlcore.parser import InvalidIso8601, parse_period
+from xbrlcore.parser import InvalidIso8601, _parse_period
 
 LENIENT = ParseOptions(mode=ParseMode.LENIENT)
 
@@ -153,7 +153,7 @@ def test_criterion_3_iso8601_conformance():
         document = read_document(_period_instance(text))
         period_el = document.child_elements()[0].child_elements()[1]
         with pytest.raises(InvalidIso8601):
-            parse_period(period_el)
+            _parse_period(period_el)
         outcome = parse_instance(document, LENIENT)
         # never a parsed Period: the context is dropped, PER-001 emitted
         assert outcome.instance.contexts == {}, text

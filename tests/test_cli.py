@@ -246,9 +246,7 @@ twice.xml: 1 documents, 4 concepts, 1 unresolved
   unresolved: labels.xml (not found: labels.xml)
 """
 TWO_INSTANCE_VALIDATE = """\
-twice.xml: 0 error(s), 2 warning(s), 0 info
-  13:2 DTS-002 warning: mini-taxonomy.xsd: concept {http://example.com/taxonomy/mini}\
-SharesOutstanding declares no periodType [{http://example.com/taxonomy/mini}SharesOutstanding]
+twice.xml: 0 error(s), 1 warning(s), 0 info
   13:2 DTS-002 warning: mini-taxonomy.xsd: concept {http://example.com/taxonomy/mini}\
 SharesOutstanding declares no periodType [{http://example.com/taxonomy/mini}SharesOutstanding]
 """
@@ -258,8 +256,8 @@ def test_two_instances_fetch_each_uri_once_with_unchanged_output(
         repo_root, capsys, tmp_path, monkeypatch):
     # Both instances reference one taxonomy copy, in which one concept lacks
     # its periodType, and one missing linkbase. Each command builds one
-    # resolver, so each URI is fetched once, and the findings of the cached
-    # schema are still reported for both instances.
+    # resolver, so each URI is fetched once, and the finding of the shared
+    # schema is reported once for the input.
     instance = Path("fixtures/mini-instance.xml").read_text().split("?>", 1)[1].replace(
         'xlink:href="mini-taxonomy.xsd"/>',
         'xlink:href="mini-taxonomy.xsd"/><link:linkbaseRef xlink:type="simple"'
@@ -281,6 +279,37 @@ def test_two_instances_fetch_each_uri_once_with_unchanged_output(
         fetched.clear()
         assert run(capsys, command, "twice.xml", "--taxonomy-root", ".") == (0, expected, "")
         assert sorted(fetched) == ["labels.xml", "mini-taxonomy.xsd"]
+
+
+def test_a_taxonomy_finding_is_reported_once_per_input(capsys, tmp_path, monkeypatch):
+    # Two instances share a schema whose one item lacks its periodType. Each
+    # also holds a footnote arc whose two endpoints match nothing, which are
+    # two identical instance findings: those are all kept.
+    (tmp_path / "one.xsd").write_text(
+        '<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema"'
+        ' xmlns:xbrli="http://www.xbrl.org/2003/instance" targetNamespace="urn:one">'
+        '<xsd:element name="A" type="xbrli:stringItemType" substitutionGroup="xbrli:item"/>'
+        "</xsd:schema>")
+    instance = (
+        '<xbrli:xbrl xmlns:xbrli="http://www.xbrl.org/2003/instance"'
+        ' xmlns:link="http://www.xbrl.org/2003/linkbase"'
+        ' xmlns:xlink="http://www.w3.org/1999/xlink">'
+        '<link:schemaRef xlink:type="simple" xlink:href="one.xsd"/>'
+        '<link:footnoteLink xlink:type="extended">'
+        '<link:footnoteArc xlink:type="arc" xlink:from="x" xlink:to="x"/>'
+        "</link:footnoteLink></xbrli:xbrl>\n")
+    (tmp_path / "two.xml").write_text(f"<wrap>\n{instance}{instance}</wrap>")
+    monkeypatch.chdir(tmp_path)
+    arc = "FTN-001 error: footnote arc endpoint 'x' matches no locator or footnote label [x]"
+    code, out, _ = run(capsys, "validate", "two.xml", "--taxonomy-root", ".")
+    assert (code, out) == (1, "two.xml: 4 error(s), 1 warning(s), 0 info\n"
+                              "  1:131 DTS-002 warning: one.xsd: concept {urn:one}A declares no"
+                              " periodType [{urn:one}A]\n"
+                              f"  2:208 {arc}\n  2:208 {arc}\n  3:208 {arc}\n  3:208 {arc}\n")
+    code, out, _ = run(capsys, "validate", "two.xml", "--taxonomy-root", ".", "--format", "json")
+    payload = json.loads(out)
+    assert [f["code"] for f in payload["findings"]] == ["DTS-002"] + ["FTN-001"] * 4
+    assert payload["counts"] == {"error": 4, "warning": 1, "info": 0}
 
 
 def test_dts_parse_failure_exits_2(repo_root, capsys):

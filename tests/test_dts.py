@@ -431,9 +431,14 @@ def test_build_resolver_behaviour_table(tmp_path):
     (root / "a.xsd").write_bytes(b"<a/>")
     (root / "http" / "example.com" / "t.xsd").write_bytes(b"<folded/>")
     (tmp_path / "secret.xsd").write_bytes(b"<secret/>")
+    # a sibling whose name starts with the root's
+    (tmp_path / "tax-evil").mkdir()
+    (tmp_path / "tax-evil" / "a.xsd").write_bytes(b"<evil/>")
     local, outside = str(root / "a.xsd"), str(tmp_path / "secret.xsd")
+    sibling = str(tmp_path / "tax-evil" / "a.xsd")
     missing, directory = str(root / "nope.xsd"), str(root / "http")
     web = "http://example.com/t.xsd"
+    file_uri, file_outside = (root / "a.xsd").as_uri(), (tmp_path / "secret.xsd").as_uri()
     table = {
         None: {
             local: "no taxonomy source configured",
@@ -443,6 +448,9 @@ def test_build_resolver_behaviour_table(tmp_path):
             local: b"<a/>",
             web: b"<folded/>",
             outside: f"outside taxonomy root: {outside}",
+            sibling: f"outside taxonomy root: {sibling}",
+            file_uri: b"<a/>",
+            file_outside: f"outside taxonomy root: {file_outside}",
             missing: f"not found: {missing}",
             directory: f"unreadable: {directory} (Is a directory)",
         },

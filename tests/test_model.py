@@ -8,15 +8,21 @@ import pytest
 import oracle_xml
 from conftest import fixture_bytes
 from xbrlcore import (
+    Concept,
     Context,
+    DataKind,
+    Duration,
     Entity,
     Instance,
     Instant,
     Item,
+    ItemKind,
     ParseOptions,
+    PeriodType,
     QName,
     SourceLocation,
     Tuple,
+    Unit,
     XmlElement,
     parse_instance,
     read_document,
@@ -136,32 +142,63 @@ def test_model_equality_ignores_prefixes_and_positions():
     assert a == b
 
 
-# Each record: a value for every field in field order (all distinct, so a
-# value stored in the wrong field shows) and the defaults of the optional
-# fields, which come last.
+# Each record: its parameters with their defaults, as the public constructor
+# has always taken them; a value for every field in field order (all
+# distinct, so a value stored in the wrong field shows); and the values the
+# optional fields take when omitted, which come last.
+LOCATION = "source_location=SourceLocation(line=0, column=0)"
+SEGMENT = XmlElement(QName(EX, "segment"))
 RECORDS = {
-    "XmlElement": (XmlElement, {
+    "XmlElement": (XmlElement, "name, attributes=None, children=(), "
+                               f"{LOCATION}, prefix_bindings=None", {
         "name": QName(EX, "e"), "attributes": {QName("", "id"): "x"}, "children": ("text",),
         "source_location": SourceLocation(2, 3), "prefix_bindings": {"m": EX},
     }, {"attributes": {}, "children": (), "source_location": SourceLocation(),
            "prefix_bindings": {}}),
-    "Item": (Item, {
+    "Item": (Item, "concept, context_ref, value='', unit_ref=None, decimals=None, "
+                   f"precision=None, id=None, {LOCATION}", {
         "concept": QName(EX, "A"), "context_ref": "c1", "value": "5", "unit_ref": "u1",
         "decimals": "2", "precision": "3", "id": "f1", "source_location": SourceLocation(4, 5),
     }, {"value": "", "unit_ref": None, "decimals": None, "precision": None, "id": None,
            "source_location": SourceLocation()}),
-    "Tuple": (Tuple, {
+    "Tuple": (Tuple, f"concept, children=(), id=None, context_ref=None, {LOCATION}", {
         "concept": QName(EX, "T"), "children": (item("x"),), "id": "t1", "context_ref": "c9",
         "source_location": SourceLocation(6, 7),
     }, {"children": (), "id": None, "context_ref": None, "source_location": SourceLocation()}),
+    "Concept": (Concept, "qname, item_kind=<ItemKind.UNKNOWN: 'unknown'>, "
+                         "data_kind=<DataKind.UNKNOWN: 'unknown'>, "
+                         "period_type=<PeriodType.UNKNOWN: 'unknown'>, abstract=False", {
+        "qname": QName(EX, "C"), "item_kind": ItemKind.ITEM, "data_kind": DataKind.MONETARY,
+        "period_type": PeriodType.INSTANT, "abstract": True,
+    }, {"item_kind": ItemKind.UNKNOWN, "data_kind": DataKind.UNKNOWN,
+           "period_type": PeriodType.UNKNOWN, "abstract": False}),
+    "Entity": (Entity, "scheme, identifier, segment=None", {
+        "scheme": "urn:scheme", "identifier": "X", "segment": SEGMENT,
+    }, {"segment": None}),
+    "Instant": (Instant, "when", {"when": parse_point("2008-12-31")}, {}),
+    "Duration": (Duration, "start, end", {
+        "start": parse_point("2008-01-01"), "end": parse_point("2008-12-31"),
+    }, {}),
+    "Context": (Context, f"id, entity, period, scenario=None, {LOCATION}", {
+        "id": "c1", "entity": Entity("urn:scheme", "X"),
+        "period": Instant(parse_point("2008-12-31")), "scenario": SEGMENT,
+        "source_location": SourceLocation(1, 2),
+    }, {"scenario": None, "source_location": SourceLocation()}),
+    "Unit": (Unit, f"id, numerator, denominator=(), {LOCATION}", {
+        "id": "u1", "numerator": (QName(EX, "USD"),), "denominator": (QName(EX, "share"),),
+        "source_location": SourceLocation(3, 4),
+    }, {"denominator": (), "source_location": SourceLocation()}),
 }
 
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_public_constructor_builds_every_record(name):
-    cls, values, defaults = RECORDS[name]
+    cls, signature, values, defaults = RECORDS[name]
     names = [f.name for f in dataclasses.fields(cls)]
-    assert list(inspect.signature(cls).parameters) == names == list(values)
+    parameters = inspect.signature(cls).parameters.values()
+    assert [p.name for p in parameters] == names == list(values)
+    assert ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                     for p in parameters) == signature
 
     def fields_of(record):
         return {n: getattr(record, n) for n in names}
@@ -178,9 +215,12 @@ def test_public_constructor_builds_every_record(name):
         assert len({id(d) for d in dicts}) == 4
 
     full = cls(**values)
-    moved = dataclasses.replace(full, source_location=SourceLocation(8, 9))
-    assert fields_of(moved) == {**values, "source_location": SourceLocation(8, 9)}
-    assert moved == full  # positions never take part in equality
+    copy = dataclasses.replace(full)
+    assert copy == full and all(getattr(copy, n) is v for n, v in values.items())
+    if "source_location" in values:
+        moved = dataclasses.replace(full, source_location=SourceLocation(8, 9))
+        assert fields_of(moved) == {**values, "source_location": SourceLocation(8, 9)}
+        assert moved == full  # positions never take part in equality
 
     for n in names:
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -24,13 +24,13 @@ from xbrlcore import (
     fact_rows,
     find_instances,
     parse_instance,
-    parse_period,
-    parse_unit,
     read_document,
     serialize,
     validate,
 )
 from xbrlcore.parser import (
+    _parse_period,
+    _parse_unit,
     DuplicateContextId,
     DuplicateUnitId,
     EmptyUnit,
@@ -322,6 +322,15 @@ def test_footnote_link_keeps_shared_labels_and_role():
     assert not [f for f in validate(instance).findings if f.code == "FTN-001"]
 
 
+def test_an_empty_footnote_link_round_trips():
+    link = '<link:footnoteLink xlink:type="extended" xlink:role="urn:role"/>'
+    instance = parse_instance(read_document(wrap(link))).instance
+    assert len(instance.footnote_links) == 1
+    text = serialize(instance)
+    assert link.encode() in text
+    assert parse_instance(read_document(text)).instance == instance
+
+
 def test_linkbase_ref_captured():
     data = wrap('<link:linkbaseRef xlink:type="simple" xlink:href="labels.xml"/>')
     instance = parse_instance(read_document(data)).instance
@@ -357,13 +366,13 @@ def period_element(inner: str):
 
 
 def test_parse_period_instant():
-    period = parse_period(period_element("<xbrli:instant>2008-12-31</xbrli:instant>"))
+    period = _parse_period(period_element("<xbrli:instant>2008-12-31</xbrli:instant>"))
     assert isinstance(period, Instant)
     assert period.when.raw == "2008-12-31"
 
 
 def test_parse_period_duration():
-    period = parse_period(period_element(
+    period = _parse_period(period_element(
         "<xbrli:startDate>2008-01-01</xbrli:startDate>"
         "<xbrli:endDate>2008-12-31</xbrli:endDate>"
     ))
@@ -371,12 +380,12 @@ def test_parse_period_duration():
 
 
 def test_parse_period_forever():
-    assert parse_period(period_element("<xbrli:forever/>")) == Forever()
+    assert _parse_period(period_element("<xbrli:forever/>")) == Forever()
 
 
 def test_parse_period_start_after_end():
     with pytest.raises(StartAfterEnd):
-        parse_period(period_element(
+        _parse_period(period_element(
             "<xbrli:startDate>2008-12-31</xbrli:startDate>"
             "<xbrli:endDate>2008-01-01</xbrli:endDate>"
         ))
@@ -384,14 +393,14 @@ def test_parse_period_start_after_end():
 
 def test_parse_period_bad_lexical():
     with pytest.raises(InvalidIso8601):
-        parse_period(period_element("<xbrli:instant>2008-13-01</xbrli:instant>"))
+        _parse_period(period_element("<xbrli:instant>2008-13-01</xbrli:instant>"))
 
 
 def test_parse_period_bad_shape():
     with pytest.raises(InvalidPeriodShape):
-        parse_period(period_element("<xbrli:startDate>2008-01-01</xbrli:startDate>"))
+        _parse_period(period_element("<xbrli:startDate>2008-01-01</xbrli:startDate>"))
     with pytest.raises(InvalidPeriodShape):
-        parse_period(period_element(""))
+        _parse_period(period_element(""))
 
 
 def test_lenient_period_recovery_drops_context():
@@ -400,6 +409,25 @@ def test_lenient_period_recovery_drops_context():
     assert outcome.instance.contexts == {}
     with pytest.raises(InvalidIso8601):
         parse_instance(read_document(fixture_bytes("bad-period.xml")))
+
+
+@pytest.mark.parametrize("bad", ["startDate", "endDate"])
+def test_an_invalid_period_date_is_reported_at_its_own_element(bad, tmp_path, capsys):
+    dates = {"startDate": "2008-01-01", "endDate": "2008-12-31", bad: "2008-13-01"}
+    data = wrap(CONTEXT.replace(
+        "<xbrli:instant>2008-12-31</xbrli:instant>",
+        "".join(f"\n  <xbrli:{name}>{value}</xbrli:{name}>" for name, value in dates.items())))
+    where = "2:2" if bad == "startDate" else "3:2"
+    message = "invalid calendar date '2008-13-01': month must be in 1..12"
+    with pytest.raises(InvalidIso8601) as info:
+        parse_instance(read_document(data))
+    assert (str(info.value.location), str(info.value)) == (where, message)
+    [finding] = parse_instance(read_document(data), LENIENT).recovered_findings
+    assert (finding.code, str(finding.location)) == ("PER-001", where)
+    path = tmp_path / "bad.xml"
+    path.write_bytes(data)
+    assert main(["parse", str(path)]) == 2
+    assert capsys.readouterr().err == f"xbrlcore: parse failed at {where}: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +441,13 @@ def unit_element(inner: str, unit_id: str = "u1"):
 
 
 def test_parse_unit_single_measure():
-    unit = parse_unit(unit_element("<xbrli:measure>iso4217:USD</xbrli:measure>"))
+    unit = _parse_unit(unit_element("<xbrli:measure>iso4217:USD</xbrli:measure>"))
     assert unit.numerator == (QName(ISO4217, "USD"),)
     assert unit.denominator == ()
 
 
 def test_parse_unit_divide():
-    unit = parse_unit(unit_element(
+    unit = _parse_unit(unit_element(
         "<xbrli:divide>"
         "<xbrli:unitNumerator><xbrli:measure>iso4217:USD</xbrli:measure></xbrli:unitNumerator>"
         "<xbrli:unitDenominator><xbrli:measure>xbrli:shares</xbrli:measure></xbrli:unitDenominator>"
@@ -431,12 +459,12 @@ def test_parse_unit_divide():
 
 def test_parse_unit_empty():
     with pytest.raises(EmptyUnit):
-        parse_unit(unit_element(""))
+        _parse_unit(unit_element(""))
 
 
 def test_parse_unit_malformed_divide():
     with pytest.raises(MalformedDivide):
-        parse_unit(unit_element(
+        _parse_unit(unit_element(
             "<xbrli:divide><xbrli:unitNumerator>"
             "<xbrli:measure>iso4217:USD</xbrli:measure>"
             "</xbrli:unitNumerator></xbrli:divide>"
@@ -445,7 +473,7 @@ def test_parse_unit_malformed_divide():
 
 def test_parse_unit_unbound_measure_prefix():
     with pytest.raises(UnboundPrefix):
-        parse_unit(unit_element("<xbrli:measure>nope:USD</xbrli:measure>"))
+        _parse_unit(unit_element("<xbrli:measure>nope:USD</xbrli:measure>"))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +493,10 @@ DENOMINATOR = "<xbrli:unitDenominator><xbrli:measure>xbrli:shares</xbrli:measure
      f"\n  <xbrli:context>{ENTITY}{PERIOD}</xbrli:context>"),
     (InvalidContextShape, "context 'c1' has no entity",
      f'\n  <xbrli:context id="c1">{PERIOD}</xbrli:context>'),
+    (InvalidPeriodShape, "context 'c1' has no period",
+     f'\n  <xbrli:context id="c1">{ENTITY}</xbrli:context>'),
+    (ParseError, "schemaRef has no xlink:href",
+     '\n  <link:schemaRef xlink:type="simple"/>'),
     (InvalidContextShape, "entity has no identifier",
      f'<xbrli:context id="c1">\n  <xbrli:entity/>{PERIOD}</xbrli:context>'),
     (InvalidContextShape, "entity identifier requires a scheme and a non-empty value",
@@ -496,6 +528,9 @@ DENOMINATOR = "<xbrli:unitDenominator><xbrli:measure>xbrli:shares</xbrli:measure
      "</xbrli:divide></xbrli:unit>"),
     (MalformedDivide, "divide must hold one unitNumerator followed by one unitDenominator",
      f'<xbrli:unit id="u1">\n  <xbrli:divide>{NUMERATOR}<ex:junk/>{DENOMINATOR}'
+     "</xbrli:divide></xbrli:unit>"),
+    (MalformedDivide, "divide requires measures in both numerator and denominator",
+     f'<xbrli:unit id="u1">\n  <xbrli:divide><xbrli:unitNumerator/>{DENOMINATOR}'
      "</xbrli:divide></xbrli:unit>"),
     (ParseError, "unit has no id",
      f"\n  <xbrli:unit>{MEASURE}</xbrli:unit>"),

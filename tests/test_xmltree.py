@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import xml.parsers.expat
 
 import pytest
 
@@ -102,6 +103,11 @@ def test_dtd_rejected_with_subcode():
 def test_unsupported_encoding():
     with pytest.raises(UnsupportedEncoding):
         read_document(b'<?xml version="1.0" encoding="EBCDIC-FUNKY"?><a/>')
+    # an encoding expat knows but the bytes contradict fails in expat itself
+    with pytest.raises(UnsupportedEncoding) as err:
+        read_document(b'<?xml version="1.0" encoding="UTF-16"?><a/>')
+    assert str(err.value) == xml.parsers.expat.errors.XML_ERROR_INCORRECT_ENCODING
+    assert err.value.location == (1, 30)
 
 
 def test_duplicate_attribute_qnames_rejected():
