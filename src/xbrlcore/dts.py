@@ -13,18 +13,16 @@ A schema is loaded in one pre-order walk, and declarations sharing their
 raw classifying attributes under the same prefix bindings are classified
 once per load; each still gets its own ``Concept`` and DTS-002 finding.
 
-Per resolver and for its lifetime, each resolved URI is loaded once (its
+Per resolver and for its lifetime, each resolved URI is loaded once: its
 document, outgoing hrefs resolved against it, concepts and schema
-findings, or the reason it stays unresolved), and each entry set (the
-resolved entry URIs in order, plus the document limit) is walked once
-into a plan: the documents in discovery order, the findings, the
-unresolved references and whether the limit was hit. Later discoveries
-from that entry set replay the plan into fresh dicts. A plan refers to the
-per-URI loads, so it costs O(documents in the closure), not O(concepts).
-A document that repeats an earlier QName (DTS-003) gets its own map of the
-QNames it declares first; all others share their load's. This is sound
+findings, or the reason it stays unresolved. That is all a resolver keeps,
+so a long-lived one holds one load per distinct URI, each filing's own
+extension schema included, and nothing per entry set. Every discovery
+walks the loads breadth-first and merges each document's concepts with one
+``dict.update``; only when some QName is declared twice (DTS-003) is the
+merge redone in document order, first declaration winning. This is sound
 only while ``resolve`` is a pure function of its arguments and the
-documents do not change; concurrent discoveries may build one plan twice,
+documents do not change; concurrent discoveries may load one URI twice,
 with equal results.
 """
 
@@ -114,10 +112,15 @@ class Dts:
 
 
 def resolve_reference(base_uri: str, href: str) -> str:
-    """RFC 3986 relative-reference resolution against a base URI or path."""
-    if urlsplit(href).scheme:
+    """RFC 3986 relative-reference resolution against a base URI or path.
+
+    An href that will not parse, such as ``http://[bad``, is returned as it
+    is, for the fetch to refuse.
+    """
+    try:
+        return href if urlsplit(href).scheme else urljoin(base_uri, href)
+    except ValueError:
         return href
-    return urljoin(base_uri, href)
 
 
 class Resolver:
@@ -139,7 +142,10 @@ class Resolver:
         root = self.root
         if root is None:
             raise ResolutionError("no taxonomy source configured")
-        parts = urlsplit(uri)
+        try:
+            parts = urlsplit(uri)
+        except ValueError:
+            raise ResolutionError(f"invalid URI: {uri}") from None
         if parts.scheme in ("http", "https"):
             path = os.path.join(root, parts.scheme, parts.netloc, parts.path.lstrip("/"))
         elif parts.scheme == "file":
@@ -222,22 +228,9 @@ class _Loaded(NamedTuple):
     findings: tuple[Finding, ...]
 
 
-class _Plan(NamedTuple):
-    """What a discovery from one entry set loads, finds and leaves unresolved."""
-
-    documents: tuple[DtsDocument, ...]
-    # Each document's _Loaded.own, less the QNames an earlier document
-    # declared (DTS-003), so merging them in order keeps first declarations.
-    owns: tuple[dict[QName, Concept], ...]
-    unresolved: tuple[tuple[str, str], ...]
-    findings: tuple[Finding, ...]
-    limit_exceeded: bool
-
-
-# Per resolver, the outcome of loading each resolved URI and the plan of
-# each entry set. Keyed weakly, so both live exactly as long as their resolver.
-_LOADED: weakref.WeakKeyDictionary[Resolver, tuple[
-    dict[str, str | _Loaded], dict[tuple[tuple[str, ...], int], _Plan]]] = \
+# Per resolver, the outcome of loading each resolved URI. Keyed weakly, so
+# the loads live exactly as long as their resolver.
+_LOADED: weakref.WeakKeyDictionary[Resolver, dict[str, str | _Loaded]] = \
     weakref.WeakKeyDictionary()
 
 
@@ -299,14 +292,31 @@ def _load(resolver: Resolver, uri: str) -> str | _Loaded:
                    tuple(concepts), own, tuple(findings))
 
 
-def _walk(resolver: Resolver, loaded: dict[str, str | _Loaded], entries: tuple[str, ...],
-          max_documents: int) -> _Plan:
-    """Breadth-first closure over taxonomy references from ``entries``."""
-    queue = list(entries)
+def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
+             max_documents: int = DEFAULT_MAX_DOCUMENTS) -> Dts:
+    """Breadth-first closure over taxonomy references, to any depth.
+
+    Deterministic for deterministic resolvers: each URI is fetched at most
+    once per resolver, documents appear in discovery order, and unresolved
+    entries keep the order of the referencing edge. At most
+    ``max_documents`` documents are loaded; when more are reachable the
+    partial result is returned with ``limit_exceeded`` set. ``concepts``
+    keeps the first declaration of each QName in discovery order.
+
+    The resolver keeps one load per URI for its lifetime (see the module
+    docstring), so a warm call fetches nothing and resolves only the entry
+    references; ``resolve`` must be a pure function of its arguments and
+    the taxonomy must not change meanwhile. The resolver must be hashable
+    and weakly referenceable, as instances of any plain class are. Each
+    call returns its own ``documents`` and ``concepts``.
+    """
+    loaded = _LOADED.setdefault(resolver, {})
+    queue = [resolver.resolve(base_uri, ref.href)
+             for ref in (*instance.schema_refs, *instance.linkbase_refs)]
     seen: set[str] = set()
-    documents: list[DtsDocument] = []
-    owns: list[dict[QName, Concept]] = []
-    sources: dict[QName, str] = {}  # each QName -> the URI of its first declaration
+    documents: dict[str, DtsDocument] = {}
+    concepts: dict[QName, Concept] = {}
+    declared = 0  # declarations merged, repeats included
     findings: list[Finding] = []
     unresolved: list[tuple[str, str]] = []
     limit_exceeded = False
@@ -325,62 +335,36 @@ def _walk(resolver: Resolver, loaded: dict[str, str | _Loaded], entries: tuple[s
         if isinstance(outcome, str):
             unresolved.append((uri, outcome))
             continue
+        documents[uri] = outcome.document
+        concepts.update(outcome.own)
+        declared += len(outcome.concepts)
         findings.extend(outcome.findings)
-        own = outcome.own
-        if len(own) == len(outcome.concepts) and sources.keys().isdisjoint(own):
-            sources.update(dict.fromkeys(own, uri))
-        else:
-            own = {qname: concept for qname, concept in own.items() if qname not in sources}
-            for concept in outcome.concepts:
-                if concept.qname in sources:
-                    findings.append(Finding.of(
-                        "DTS-003",
-                        f"concept {concept.qname.clark()} in {uri} duplicates the "
-                        f"declaration in {sources[concept.qname]}; first wins",
-                        subject=concept.qname.clark(),
-                    ))
-                else:
-                    sources[concept.qname] = uri
-        documents.append(outcome.document)
-        owns.append(own)
         queue.extend(outcome.targets)
 
-    return _Plan(tuple(documents), tuple(owns), tuple(unresolved), tuple(findings),
-                 limit_exceeded)
+    if declared > len(concepts):  # some QName is declared twice (DTS-003)
+        concepts, findings = _first_declarations([loaded[uri] for uri in documents])
+    return Dts(documents, concepts, tuple(unresolved), tuple(findings), limit_exceeded)
 
 
-def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
-             max_documents: int = DEFAULT_MAX_DOCUMENTS) -> Dts:
-    """Breadth-first closure over taxonomy references, to any depth.
-
-    Deterministic for deterministic resolvers: each URI is fetched at most
-    once per resolver, documents appear in discovery order, and unresolved
-    entries keep the order of the referencing edge. At most
-    ``max_documents`` documents are loaded; when more are reachable the
-    partial result is returned with ``limit_exceeded`` set. ``concepts``
-    keeps the first declaration of each QName in discovery order.
-
-    The resolver keeps per-URI loads and per-entry-set plans for its
-    lifetime (see the module docstring), so ``resolve`` must be a pure
-    function of its arguments and the taxonomy must not change meanwhile.
-    It must be hashable and weakly referenceable, as instances of any plain
-    class are. Each call returns its own ``documents`` and ``concepts``.
-    """
-    loaded, plans = _LOADED.setdefault(resolver, ({}, {}))
-    entries = tuple(resolver.resolve(base_uri, ref.href)
-                    for ref in (*instance.schema_refs, *instance.linkbase_refs))
-    key = (entries, max_documents)
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = _walk(resolver, loaded, entries, max_documents)
-
+def _first_declarations(loads: list[_Loaded]) -> tuple[dict[QName, Concept], list[Finding]]:
+    """Merge ``loads`` in order keeping each QName's first declaration; each
+    repeat gets a DTS-003 right after its own document's findings."""
     concepts: dict[QName, Concept] = {}
-    for own in plan.owns:
-        concepts.update(own)
-    return Dts(
-        documents={document.uri: document for document in plan.documents},
-        concepts=concepts,
-        unresolved=plan.unresolved,
-        findings=plan.findings,
-        limit_exceeded=plan.limit_exceeded,
-    )
+    sources: dict[QName, str] = {}  # each QName -> the URI of its first declaration
+    findings: list[Finding] = []
+    for load in loads:
+        findings.extend(load.findings)
+        uri = load.document.uri
+        for concept in load.concepts:
+            qname = concept.qname
+            if qname in sources:
+                findings.append(Finding.of(
+                    "DTS-003",
+                    f"concept {qname.clark()} in {uri} duplicates the "
+                    f"declaration in {sources[qname]}; first wins",
+                    subject=qname.clark(),
+                ))
+            else:
+                concepts[qname] = concept
+                sources[qname] = uri
+    return concepts, findings

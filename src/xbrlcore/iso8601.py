@@ -74,10 +74,10 @@ def parse_point(text: str) -> TimePoint:
         rollover = True
     try:
         moment = datetime(year, month, day, hour, minute, second, microsecond)
-    except ValueError as exc:
+        if rollover:
+            moment += timedelta(days=1)
+    except (ValueError, OverflowError) as exc:  # overflow: 9999-12-31T24:00:00
         raise ValueError(f"invalid date-time {text!r}: {exc}") from None
-    if rollover:
-        moment += timedelta(days=1)
 
     return TimePoint(raw=text, moment=moment, offset_minutes=_offset(zone, text),
                      is_date=False)
@@ -96,18 +96,20 @@ def _offset(zone: str | None, text: str) -> int | None:
     return sign * (oh * 60 + om)
 
 
-def timeline_position(point: TimePoint, at_end: bool = False) -> datetime:
-    """Position on a common naive-UTC timeline.
+def timeline_position(point: TimePoint, at_end: bool = False) -> int:
+    """Position on a common UTC timeline, in whole microseconds from
+    0001-01-01T00:00:00.
 
     Dates occupy day boundaries (next-day midnight in end position); zoned
     values are shifted to UTC; zoneless values are taken as already UTC.
+    An integer cannot overflow, so the ends of ``datetime``'s range, such
+    as 9999-12-31 in end position, still have a position.
     """
     moment = point.moment
-    if point.is_date and at_end:
-        moment += timedelta(days=1)
-    if point.offset_minutes:
-        moment -= timedelta(minutes=point.offset_minutes)
-    return moment
+    days = moment.toordinal() - 1 + (point.is_date and at_end)
+    seconds = (days * 86400 + moment.hour * 3600 + moment.minute * 60 + moment.second
+               - (point.offset_minutes or 0) * 60)
+    return seconds * 1_000_000 + moment.microsecond
 
 
 def compare_start_end(start: TimePoint, end: TimePoint) -> tuple[int, bool]:

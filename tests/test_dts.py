@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import re
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from xbrlcore import (
     parse_instance,
     read_document,
 )
+from xbrlcore import dts as dts_module
 from xbrlcore.dts import ResolutionError, resolve_reference
 
 MINI_NS = "http://example.com/taxonomy/mini"
@@ -465,6 +467,17 @@ def test_build_resolver_behaviour_table(tmp_path):
             assert got == want, (taxonomy_root, uri)
 
 
+@pytest.mark.parametrize("position", ["schemaRef", "import"])
+def test_a_reference_urllib_cannot_parse_goes_to_unresolved(position, tmp_path):
+    bad = "http://[bad/x.xsd"
+    (tmp_path / "a.xsd").write_bytes(schema("urn:a", imports(bad)))
+    entry = bad if position == "schemaRef" else "a.xsd"
+    dts = discover(instance_with_refs(entry), Resolver(tmp_path),
+                   base_uri=str(tmp_path / "instance.xml"))
+    assert dts.unresolved == ((bad, f"invalid URI: {bad}"),)
+    assert list(dts.documents) == ([] if position == "schemaRef" else [str(tmp_path / "a.xsd")])
+
+
 def test_null_resolver_unresolves_everything():
     dts = discover(instance_with_refs("anything.xsd"), Resolver())
     assert dts.unresolved == (("anything.xsd", "no taxonomy source configured"),)
@@ -535,8 +548,21 @@ def test_limited_run_on_a_warm_resolver_equals_a_cold_one(limits):
     assert as_compared(got) == as_compared(want)
 
 
+def test_a_resolver_keeps_one_load_per_uri_and_nothing_per_entry_set():
+    uris = ("a.xsd", "b.xsd", "c.xsd")
+    resolver = DictResolver({uri: schema(f"urn:{uri}", ITEM_DECL.format("A")) for uri in uris})
+    # 50 distinct orders and repeats, such as a b, b a and a a c
+    sequences = [refs for n in range(1, 5) for refs in itertools.product(uris, repeat=n)][:50]
+    for refs in sequences:
+        assert list(discover(instance_with_refs(*refs), resolver).documents) == \
+            list(dict.fromkeys(refs))
+    loaded = dts_module._LOADED[resolver]
+    assert isinstance(loaded, dict) and sorted(loaded) == list(uris)
+    assert sorted(resolver.fetches) == list(uris)
+
+
 # ---------------------------------------------------------------------------
-# replaying the closure of an entry set
+# a warm discovery equals a fresh one
 # ---------------------------------------------------------------------------
 
 

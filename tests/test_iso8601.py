@@ -1,11 +1,16 @@
 from __future__ import annotations
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 
 import iso_cases
 from xbrlcore.iso8601 import compare_start_end, parse_point, timeline_position
+
+
+def at(*fields: int) -> int:
+    """The timeline position of the UTC instant ``datetime(*fields)``."""
+    return (datetime(*fields) - datetime(1, 1, 1)) // timedelta(microseconds=1)
 
 
 def test_case_table_is_large_enough():
@@ -41,8 +46,8 @@ def test_a_date_may_carry_a_zone():
     assert parse_point("2008-12-31-14:00").offset_minutes == -840
     assert not parse_point("2008-12-31").zoned
     # the day 2008-12-31 at +02:00 ends at 22:00 UTC
-    assert timeline_position(point, at_end=True) == datetime(2008, 12, 31, 22)
-    assert timeline_position(point) == datetime(2008, 12, 30, 22)
+    assert timeline_position(point, at_end=True) == at(2008, 12, 31, 22)
+    assert timeline_position(point) == at(2008, 12, 30, 22)
 
 
 def test_hour_24_is_start_of_next_day():
@@ -51,15 +56,20 @@ def test_hour_24_is_start_of_next_day():
     assert point.raw == "2008-12-31T24:00:00"
 
 
+def test_hour_24_past_the_last_representable_day_is_rejected():
+    with pytest.raises(ValueError, match="invalid date-time '9999-12-31T24:00:00'"):
+        parse_point("9999-12-31T24:00:00")
+
+
 def test_date_positions_span_the_whole_day():
     day = parse_point("2008-12-31")
-    assert timeline_position(day) == datetime(2008, 12, 31)
-    assert timeline_position(day, at_end=True) == datetime(2009, 1, 1)
+    assert timeline_position(day) == at(2008, 12, 31)
+    assert timeline_position(day, at_end=True) == at(2009, 1, 1)
 
 
 def test_zone_offsets_shift_to_utc():
     point = parse_point("2008-12-31T12:00:00+02:00")
-    assert timeline_position(point) == datetime(2008, 12, 31, 10)
+    assert timeline_position(point) == at(2008, 12, 31, 10)
 
 
 def test_compare_start_end_ordering():
@@ -94,3 +104,17 @@ def test_zoned_equal_instants_compare_equal_across_offsets():
         parse_point("2008-06-15T12:00:00Z"),
     )
     assert cmp == 0 and not assumed
+
+
+def test_positions_reach_past_the_ends_of_the_datetime_range():
+    # the day 9999-12-31 ends where datetime cannot go
+    assert timeline_position(parse_point("9999-12-31"), at_end=True) == \
+        at(9999, 12, 31) + 86_400_000_000
+    # midnight of the first day at +01:00 is an hour before it in UTC
+    assert timeline_position(parse_point("0001-01-01T00:00:00+01:00")) == -3_600_000_000
+    cmp, assumed = compare_start_end(parse_point("0001-01-01T00:00:00+01:00"),
+                                     parse_point("9999-12-31"))
+    assert cmp < 0 and assumed
+    cmp, _ = compare_start_end(parse_point("9999-12-31T23:59:59.999999-14:00"),
+                               parse_point("9999-12-31"))
+    assert cmp > 0

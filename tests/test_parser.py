@@ -411,6 +411,39 @@ def test_lenient_period_recovery_drops_context():
         parse_instance(read_document(fixture_bytes("bad-period.xml")))
 
 
+@pytest.mark.parametrize("start, end", [
+    ("2008-01-01", "9999-12-31"),  # the end of the day is past datetime's range
+    ("0001-01-01T00:00:00+01:00", "2008-12-31T00:00:00Z"),  # UTC is before year 1
+])
+def test_periods_at_the_ends_of_the_datetime_range_parse(start, end):
+    def outcome(start, end, options):
+        inner = f"<xbrli:startDate>{start}</xbrli:startDate><xbrli:endDate>{end}</xbrli:endDate>"
+        return parse_instance(read_document(wrap(CONTEXT.replace(
+            "<xbrli:instant>2008-12-31</xbrli:instant>", inner))), options)
+
+    def mid_range(point):
+        return "2008" + point[4:]
+
+    for options in (ParseOptions(), LENIENT):
+        edge = outcome(start, end, options)
+        assert edge.recovered_findings == ()
+        period = edge.instance.contexts["c1"].period
+        assert (period.start.raw, period.end.raw) == (start, end)
+        # validated with only the findings the same shape gets mid-range
+        twin = outcome(mid_range(start), mid_range(end), options)
+        assert [f.code for f in validate(edge).findings] == \
+            [f.code for f in validate(twin).findings]
+
+
+def test_hour_24_past_the_last_representable_day_is_per001():
+    data = wrap(CONTEXT.replace("2008-12-31", "9999-12-31T24:00:00"))
+    with pytest.raises(InvalidIso8601, match="date value out of range"):
+        parse_instance(read_document(data))
+    outcome = parse_instance(read_document(data), LENIENT)
+    assert [f.code for f in outcome.recovered_findings] == ["PER-001"]
+    assert outcome.instance.contexts == {}
+
+
 @pytest.mark.parametrize("bad", ["startDate", "endDate"])
 def test_an_invalid_period_date_is_reported_at_its_own_element(bad, tmp_path, capsys):
     dates = {"startDate": "2008-01-01", "endDate": "2008-12-31", bad: "2008-13-01"}
