@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -23,7 +22,7 @@ from .facttable import CSV_HEADER, fact_rows
 from .findings import Finding, rule_catalog
 from .parser import ParseMode, ParseOptions, ParseOutcome, find_instances
 from .validation import build_report, digest_bytes, validate
-from .xmltree import read_document
+from .xmltree import _without_cyclic_gc, read_document
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -167,16 +166,11 @@ def cmd_parse(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     data, outcomes = _load_instances(args)
     resolver = build_resolver(args.taxonomy_root)
-    # Instances sharing a taxonomy share its findings: each is reported once.
-    taxonomy: dict[Finding, None] = {}
     reports = []
     for outcome in outcomes:
         dts = _discover_dts(args, resolver, outcome) if args.taxonomy_root else None
-        if dts is not None:
-            taxonomy.update(dict.fromkeys(dts.findings))
-            dts = dataclasses.replace(dts, findings=())
         reports.append(validate(outcome, dts))
-    report = build_report([*taxonomy, *(f for r in reports for f in r.findings)],
+    report = build_report((f for r in reports for f in r.findings),
                           digest_bytes(data), reports[0].skipped_rules)
 
     if args.format == "json":
@@ -279,6 +273,7 @@ _COMMANDS = {
 }
 
 
+@_without_cyclic_gc
 def main(argv: list[str] | None = None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:

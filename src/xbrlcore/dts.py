@@ -34,7 +34,7 @@ import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple
-from urllib.parse import urlsplit, urljoin
+from urllib.parse import unquote, urlsplit, urljoin
 
 from . import constants as c
 from .errors import XbrlError
@@ -114,13 +114,16 @@ class Dts:
 def resolve_reference(base_uri: str, href: str) -> str:
     """RFC 3986 relative-reference resolution against a base URI or path.
 
-    An href that will not parse, such as ``http://[bad``, is returned as it
-    is, for the fetch to refuse.
+    The fragment is dropped: it never names another document (RFC 3986
+    §4.3), so ``a.xsd`` and ``a.xsd#x`` are one URI and one load. An href
+    that will not parse, such as ``http://[bad``, is returned as it is, for
+    the fetch to refuse.
     """
     try:
-        return href if urlsplit(href).scheme else urljoin(base_uri, href)
+        uri = href if urlsplit(href).scheme else urljoin(base_uri, href)
     except ValueError:
         return href
+    return uri.partition("#")[0]
 
 
 class Resolver:
@@ -129,7 +132,9 @@ class Resolver:
     With a ``root``, URIs are read as files under it: plain (possibly
     relative) paths and ``file:`` URIs map directly, http(s) ones are folded
     in as ``<root>/<scheme>/<authority>/<path>``, and any path whose real
-    location escapes the root is refused. Without a root, every fetch fails.
+    location escapes the root is refused. A path is percent-decoded and its
+    fragment ignored before it is mapped, so ``a%20b.xsd#x`` reads the file
+    ``a b.xsd``. Without a root, every fetch fails.
     The root is resolved once, here, so build a new resolver after moving it.
     """
 
@@ -144,15 +149,16 @@ class Resolver:
             raise ResolutionError("no taxonomy source configured")
         try:
             parts = urlsplit(uri)
-        except ValueError:
+            if parts.scheme in ("http", "https"):
+                path = os.path.join(root, parts.scheme, parts.netloc,
+                                    unquote(parts.path).lstrip("/"))
+            elif parts.scheme == "file":
+                path = unquote(parts.path)
+            else:
+                path = posixpath.normpath(unquote(uri.partition("#")[0]))
+            path = os.path.realpath(path)
+        except ValueError:  # urllib cannot parse it, or it decodes to a NUL
             raise ResolutionError(f"invalid URI: {uri}") from None
-        if parts.scheme in ("http", "https"):
-            path = os.path.join(root, parts.scheme, parts.netloc, parts.path.lstrip("/"))
-        elif parts.scheme == "file":
-            path = parts.path
-        else:
-            path = posixpath.normpath(uri)
-        path = os.path.realpath(path)
         if path != root and not path.startswith(os.path.join(root, "")):
             raise ResolutionError(f"outside taxonomy root: {uri}")
         try:

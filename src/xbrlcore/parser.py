@@ -36,7 +36,9 @@ from .model import (
     Tuple,
     Unit,
 )
-from .xmltree import XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter
+from .xmltree import (
+    XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter, _without_cyclic_gc,
+)
 
 _DECIMALS_RE = re.compile(r"INF|[+-]?[0-9]+")
 _PRECISION_RE = re.compile(r"INF|[1-9][0-9]*")
@@ -469,6 +471,7 @@ class _InstanceBuilder:
         return value
 
 
+@_without_cyclic_gc
 def parse_instance(root: XmlElement,
                    options: ParseOptions = ParseOptions()) -> ParseOutcome:
     """Parse one instance whose root is the xbrl element.
@@ -482,6 +485,7 @@ def parse_instance(root: XmlElement,
     return ParseOutcome(instance=instance, recovered_findings=tuple(builder.findings))
 
 
+@_without_cyclic_gc
 def find_instances(root: XmlElement,
                    options: ParseOptions = ParseOptions()) -> list[ParseOutcome]:
     """Parse every xbrl element that is not nested inside another one.

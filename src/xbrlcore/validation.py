@@ -41,13 +41,24 @@ class ValidationReport:
         return self.counts.get(Severity.ERROR.value, 0)
 
 
+# The findings discovery reports about taxonomy documents, not about an
+# instance: every instance sharing the taxonomy carries the same ones.
+_TAXONOMY_CODES = frozenset({"DTS-002", "DTS-003", "DTS-004"})
+
+
 def build_report(findings: Iterable[Finding], input_digest: str | None = None,
                  skipped_rules: tuple[str, ...] = ()) -> ValidationReport:
     """A report over findings from one or more instances of the same input.
 
-    Findings are ordered by ``Finding.sort_key`` and counted per severity.
+    Each taxonomy finding (DTS-002..004) is listed once, however many
+    instances share it; findings about the instances are all kept, equal
+    ones included. Findings are ordered by ``Finding.sort_key`` and counted
+    per severity.
     """
-    ordered = tuple(sorted(findings, key=Finding.sort_key))
+    findings = list(findings)
+    taxonomy = dict.fromkeys(f for f in findings if f.code in _TAXONOMY_CODES)
+    ordered = tuple(sorted([*taxonomy, *(f for f in findings if f.code not in _TAXONOMY_CODES)],
+                           key=Finding.sort_key))
     counts = {s.value: sum(f.severity is s for f in ordered) for s in Severity}
     return ValidationReport(
         findings=ordered,

@@ -478,6 +478,51 @@ def test_a_reference_urllib_cannot_parse_goes_to_unresolved(position, tmp_path):
     assert list(dts.documents) == ([] if position == "schemaRef" else [str(tmp_path / "a.xsd")])
 
 
+def test_resolve_reference_drops_the_fragment():
+    assert resolve_reference("fixtures/a.xml", "t.xsd#x") == "fixtures/t.xsd"
+    assert resolve_reference("fixtures/a.xml", "http://x/y.xsd#frag") == "http://x/y.xsd"
+    assert resolve_reference("fixtures/a.xml", "#x") == "fixtures/a.xml"
+
+
+@pytest.mark.parametrize("form", ["relative", "relative with fragment", "file URI"])
+def test_a_percent_escaped_href_resolves(form, tmp_path):
+    (tmp_path / "mini taxonomy.xsd").write_bytes(fixture_bytes("mini-taxonomy.xsd"))
+    href = {
+        "relative": "mini%20taxonomy.xsd",
+        "relative with fragment": "mini%20taxonomy.xsd#x",
+        "file URI": (tmp_path / "mini taxonomy.xsd").as_uri(),
+    }[form]
+    assert "%20" in href
+    dts = discover(instance_with_refs(href), Resolver(tmp_path),
+                   base_uri=str(tmp_path / "instance.xml"))
+    assert (len(dts.documents), dts.unresolved) == (1, ())
+    assert QName(MINI_NS, "Assets") in dts.concepts
+
+
+def test_an_href_and_its_fragment_are_one_load(tmp_path):
+    (tmp_path / "a.xsd").write_bytes(schema("urn:a", '<xsd:element name="A"/>'))
+    resolver = Resolver(tmp_path)
+    dts = discover(instance_with_refs("a.xsd", "a.xsd#x", "a.xsd#y"), resolver,
+                   base_uri=str(tmp_path / "instance.xml"))
+    assert list(dts.documents) == [str(tmp_path / "a.xsd")]
+    assert (dts.unresolved, dts.findings) == ((), ())
+    assert list(dts_module._LOADED[resolver]) == [str(tmp_path / "a.xsd")]
+
+
+def test_an_escape_that_decodes_to_nul_is_an_invalid_uri(tmp_path):
+    with pytest.raises(ResolutionError, match=r"^invalid URI: a%00\.xsd$"):
+        Resolver(tmp_path).fetch("a%00.xsd")
+
+
+def test_an_escaped_dot_dot_cannot_leave_the_root(tmp_path):
+    root = tmp_path / "tax"
+    root.mkdir()
+    (tmp_path / "secret.xsd").write_bytes(b"<a/>")
+    uri = str(root / "%2e%2e" / "secret.xsd")
+    with pytest.raises(ResolutionError, match="^outside taxonomy root: "):
+        Resolver(root).fetch(uri)
+
+
 def test_null_resolver_unresolves_everything():
     dts = discover(instance_with_refs("anything.xsd"), Resolver())
     assert dts.unresolved == (("anything.xsd", "no taxonomy source configured"),)

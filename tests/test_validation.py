@@ -12,7 +12,9 @@ from xbrlcore import (
     QName,
     Severity,
     Tuple,
+    build_report,
     discover,
+    find_instances,
     parse_instance,
     read_document,
     rule_catalog,
@@ -115,6 +117,27 @@ def test_num001_numeric_item_without_unit():
 
     report = validate(outcome, Dts(concepts=mini_concepts()))
     assert codes(report) == ["NUM-001"]
+
+
+def test_a_report_over_instances_sharing_a_taxonomy_lists_its_finding_once(tmp_path):
+    (tmp_path / "one.xsd").write_text(
+        '<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema"'
+        ' xmlns:xbrli="http://www.xbrl.org/2003/instance" targetNamespace="urn:one">'
+        '<xsd:element name="A" type="xbrli:stringItemType" substitutionGroup="xbrli:item"/>'
+        "</xsd:schema>")
+    instance = (
+        '<xbrli:xbrl xmlns:xbrli="http://www.xbrl.org/2003/instance"'
+        ' xmlns:link="http://www.xbrl.org/2003/linkbase"'
+        ' xmlns:xlink="http://www.w3.org/1999/xlink">'
+        '<link:schemaRef xlink:type="simple" xlink:href="one.xsd"/></xbrli:xbrl>')
+    path = tmp_path / "two.xml"
+    outcomes = find_instances(read_document(f"<wrap>{instance}{instance}</wrap>".encode()))
+    resolver = Resolver(tmp_path)
+    report = build_report(
+        f for o in outcomes
+        for f in validate(o, discover(o.instance, resolver, base_uri=str(path))).findings)
+    assert codes(report) == ["DTS-002"]
+    assert report.counts["warning"] == 1
 
 
 def test_dts001_unknown_concept():

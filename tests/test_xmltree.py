@@ -8,7 +8,11 @@ import pytest
 import oracle_xml
 from conftest import FIXTURES, fixture_bytes
 from xbrlcore import (
+    Instance,
     MalformedXml,
+    ParseError,
+    ParseMode,
+    ParseOptions,
     QName,
     SourceLocation,
     UnboundPrefix,
@@ -19,9 +23,12 @@ from xbrlcore import (
     discover,
     fact_rows,
     find_instances,
+    parse_instance,
     read_document,
+    serialize,
     validate,
 )
+from xbrlcore.cli import main
 from xbrlcore.xmltree import serialize_element
 
 XBRLI = "http://www.xbrl.org/2003/instance"
@@ -368,18 +375,104 @@ def test_text_expat_delivers_in_pieces_reads_back_as_one_string():
 
 def test_a_pipeline_pass_leaves_nothing_for_the_cyclic_collector():
     # Trees, parsers, models and results hold no reference cycles, so
-    # reference counting frees each as soon as it is dropped.
-    path = FIXTURES / "mini-instance.xml"
-    data = path.read_bytes()
+    # reference counting frees each as soon as it is dropped, on the failure
+    # paths too. This is what makes pausing the collector safe.
+    failures = set()
     gc.disable()
     try:
         gc.collect()
         resolver = Resolver(FIXTURES)
-        for outcome in find_instances(read_document(data)):
-            dts = discover(outcome.instance, resolver, base_uri=str(path))
-            validate(outcome, dts)
-            fact_rows(outcome.instance)
-        del resolver, outcome, dts
+        for path in sorted(p for p in FIXTURES.rglob("*") if p.is_file()):
+            for mode in ParseMode:
+                try:
+                    outcomes = find_instances(read_document(path.read_bytes()),
+                                              ParseOptions(mode=mode))
+                except MalformedXml:
+                    failures.add(MalformedXml)
+                    continue
+                except ParseError:
+                    failures.add(ParseError)
+                    continue
+                for outcome in outcomes:
+                    validate(outcome, discover(outcome.instance, resolver, base_uri=str(path)))
+                    fact_rows(outcome.instance)
+                    serialize(outcome.instance)
+        del resolver, outcomes, outcome
         assert gc.collect() == 0
     finally:
         gc.enable()
+    assert failures == {MalformedXml, ParseError}
+
+
+def _bulk_instance(items: int) -> bytes:
+    contexts = "".join(
+        f'<xbrli:context id="c{n}"><xbrli:entity><xbrli:identifier scheme="urn:s">e'
+        f'</xbrli:identifier></xbrli:entity><xbrli:period><xbrli:instant>2020-01-{n + 1:02}'
+        '</xbrli:instant></xbrli:period></xbrli:context>'
+        for n in range(20)
+    )
+    facts = "".join(f'<ex:A contextRef="c{n % 20}" unitRef="u" decimals="0">{n}</ex:A>'
+                    for n in range(items))
+    return (
+        f'<xbrli:xbrl xmlns:xbrli="{XBRLI}" xmlns:ex="urn:ex"'
+        ' xmlns:iso4217="http://www.xbrl.org/2003/iso4217">'
+        f'{contexts}<xbrli:unit id="u"><xbrli:measure>iso4217:USD</xbrli:measure>'
+        f'</xbrli:unit>{facts}</xbrli:xbrl>'
+    ).encode()
+
+
+def test_building_a_large_instance_runs_no_collection():
+    # Counted, not timed, so host speed cannot change the outcome. Each call
+    # starts from an empty young generation, so a collection that its own
+    # argument tuple would trigger on entry is not counted against it, and
+    # the call in progress is cleared without allocating, so the first
+    # collection after the pause is not counted either.
+    data = _bulk_instance(5000)
+    current = [None]  # name of the call in progress
+    collections = []
+
+    def count(phase, info):
+        if phase == "start" and current[0]:
+            collections.append((current[0], info["generation"]))
+
+    def counted(name, function, *args):
+        gc.collect()
+        current[0] = name
+        result = function(*args)
+        current[0] = None
+        return result
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        root = counted("read_document", read_document, data)
+        [outcome] = counted("find_instances", find_instances, root)
+        rows = counted("fact_rows", fact_rows, outcome.instance)
+    finally:
+        gc.callbacks.remove(count)
+    assert collections == []
+    assert len(rows) == 5000
+
+
+def test_the_collector_state_is_restored_after_each_paused_call():
+    bad_instance = read_document(fixture_bytes("bad-period.xml"))  # strict: ParseError
+    calls = {
+        read_document: ((fixture_bytes("mini-instance.xml"),), (b"<a",)),
+        parse_instance: ((read_document(fixture_bytes("mini-instance.xml")),),
+                         (read_document(b"<a/>"),)),
+        find_instances: ((read_document(fixture_bytes("mini-embedded.xml")),),
+                         (bad_instance,)),
+        fact_rows: ((Instance(),), (None,)),
+        main: ((["rules"],), (["no-such-command"],)),
+    }
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for function, (good, bad) in calls.items():
+                function(*good)
+                assert gc.isenabled() is enabled, function.__name__
+                with pytest.raises((XbrlError, AttributeError, SystemExit)):
+                    function(*bad)
+                assert gc.isenabled() is enabled, function.__name__
+        finally:
+            gc.enable()
