@@ -34,6 +34,7 @@ from .parser import (
     ParseOutcome,
     find_instances,
     parse_instance,
+    read_instances,
     serialize,
 )
 from .dts import (
@@ -63,7 +64,7 @@ __all__ = [
     "Instant", "Duration", "Forever",
     "TaxonomyRef", "Footnote", "FootnoteArc", "FootnoteLink",
     "ParseOptions", "ParseMode", "ParseOutcome", "ParseError",
-    "parse_instance", "find_instances", "serialize",
+    "parse_instance", "find_instances", "read_instances", "serialize",
     "Dts", "DtsDocument", "Concept",
     "ItemKind", "DataKind", "PeriodType", "DocumentKind",
     "Resolver", "build_resolver",

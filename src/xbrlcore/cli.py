@@ -20,9 +20,9 @@ from .dts import Dts, Resolver, build_resolver, discover, DEFAULT_MAX_DOCUMENTS
 from .errors import XbrlError
 from .facttable import CSV_HEADER, fact_rows
 from .findings import Finding, rule_catalog
-from .parser import ParseMode, ParseOptions, ParseOutcome, find_instances
+from .parser import ParseMode, ParseOptions, ParseOutcome, read_instances
 from .validation import build_report, digest_bytes, validate
-from .xmltree import _without_cyclic_gc, read_document
+from .xmltree import _without_cyclic_gc
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -101,7 +101,7 @@ def _parse_options(args: argparse.Namespace) -> ParseOptions:
 def _load_instances(args: argparse.Namespace) -> tuple[bytes, list[ParseOutcome]]:
     with open(args.input, "rb") as handle:
         data = handle.read()
-    outcomes = find_instances(read_document(data), _parse_options(args))
+    outcomes = read_instances(data, _parse_options(args))
     if not outcomes:
         raise XbrlError("no xbrl element found in input")
     return data, outcomes
@@ -126,6 +126,28 @@ def _finding_dict(finding: Finding) -> dict:
 
 def _print_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+
+
+def _csv_text(rows) -> str:
+    """``rows`` as ``csv.writer`` writes them.
+
+    A row whose fields hold no comma, quote, CR or LF needs no quoting, and
+    is joined directly; ``csv.writer`` writes every other row.
+    """
+    lines = []
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    for row in rows:
+        line = ",".join(row)
+        if (line.count(",") == len(row) - 1 and '"' not in line
+                and "\r" not in line and "\n" not in line):
+            lines.append(line + "\r\n")
+        else:
+            writer.writerow(row)
+            lines.append(buffer.getvalue())
+            buffer.seek(0)
+            buffer.truncate()
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +221,9 @@ def cmd_facts(args: argparse.Namespace) -> int:
     if args.format == "json":
         _print_json([row._asdict() for row in rows])
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
-        sys.stdout.write(buffer.getvalue())
+        sys.stdout.write(_csv_text([CSV_HEADER, *rows]))
     else:
-        print("\t".join(CSV_HEADER))
-        for row in rows:
-            print("\t".join(row))
+        sys.stdout.write("".join(["\t".join(row) + "\n" for row in [CSV_HEADER, *rows]]))
     return EXIT_OK
 
 

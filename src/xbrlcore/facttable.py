@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .model import Duration, Forever, Instance, Instant, Item, Unit
-from .xmltree import QName, _without_cyclic_gc
+from .xmltree import QName, _tuple_new, _without_cyclic_gc
 
 
 class FactRow(NamedTuple):
@@ -74,6 +74,7 @@ def fact_rows(instance: Instance) -> list[FactRow]:
             concept = concept_text[fact.concept] = fact.concept.clark()
         entity, period = context_text.get(fact.context_ref, no_context)
         unit = unit_text.get(fact.unit_ref, "") if fact.unit_ref else ""
-        rows.append(FactRow(concept, fact.value, fact.context_ref, entity, period, unit,
-                            tuple_path))
+        # tuple.__new__ skips the NamedTuple's own __new__, a Python call.
+        rows.append(_tuple_new(FactRow, (concept, fact.value, fact.context_ref, entity, period,
+                                         unit, tuple_path)))
     return rows

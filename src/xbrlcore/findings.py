@@ -45,6 +45,8 @@ class Finding:
 
 @dataclass(frozen=True)
 class Rule:
+    """One entry of the rule catalog; ``requires_dts`` rules need a taxonomy."""
+
     code: str
     severity: Severity
     description: str

@@ -43,18 +43,22 @@ class Entity:
 
 @_record
 class Instant:
+    """A period that is one point in time."""
+
     when: TimePoint
 
 
 @_record
 class Duration:
+    """A period from ``start`` to ``end``."""
+
     start: TimePoint
     end: TimePoint
 
 
 @dataclass(frozen=True)
 class Forever:
-    pass
+    """A period without start or end."""
 
 
 Period = Union[Instant, Duration, Forever]
@@ -62,6 +66,8 @@ Period = Union[Instant, Duration, Forever]
 
 @_record
 class Context:
+    """The entity, period and optional scenario that items refer to by ``id``."""
+
     id: str
     entity: Entity
     period: Period
@@ -121,12 +127,16 @@ Fact = Union[Item, Tuple]
 
 @dataclass(frozen=True)
 class Footnote:
+    """A footnote resource: its element as written, and its ``xml:lang``."""
+
     content: XmlElement
     language: str = ""
 
 
 @dataclass(frozen=True)
 class FootnoteArc:
+    """An arc from the resources labelled ``from_label`` to those labelled ``to_label``."""
+
     from_label: str
     to_label: str
     arc_role: str

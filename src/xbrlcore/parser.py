@@ -1,4 +1,4 @@
-"""Converts XML element trees into Instances and back.
+"""Converts XML into Instances and Instances back into XML.
 
 Parsing is deterministic and order-preserving. Strict mode either fully
 succeeds or fails with the first blocking error and its source position;
@@ -7,12 +7,23 @@ contextRef, invalid periods, conflicting numeric-fidelity attributes,
 tuple over-nesting), emitting one finding per recovery so no data is lost
 silently. An xbrl element nested inside an instance is not parsed in
 either mode; both report it as an EMB-001 finding and go on.
+
+There are two ways in, with one result. ``read_instances`` goes from
+bytes to instances in one pass of the XML reader: a fact without child
+elements is built as its end tag closes, straight from the reader's
+events, and every other child of an xbrl element (contexts, units,
+references, footnote links, tuples) as the element tree ``read_document``
+would build for it. ``parse_instance`` and ``find_instances`` start from
+a tree. Both hand each child of an xbrl element, in document order, to
+one ``_InstanceBuilder``, whose ``fact`` alone decides what an element
+is: skipped, a nested instance (EMB-001), a tuple, an empty tuple or an
+item, and which of CTX-002, ITM-001 and T-DEPTH apply.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,7 +48,8 @@ from .model import (
     Unit,
 )
 from .xmltree import (
-    XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter, _without_cyclic_gc,
+    XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter, _read, _TreeBuilder,
+    _tuple_new, _without_cyclic_gc,
 )
 
 _DECIMALS_RE = re.compile(r"INF|[+-]?[0-9]+")
@@ -107,11 +119,15 @@ class ParseMode(Enum):
 
 @dataclass(frozen=True)
 class ParseOptions:
+    """How to parse: strict (the default) or lenient."""
+
     mode: ParseMode = ParseMode.STRICT
 
 
 @dataclass(frozen=True)
 class ParseOutcome:
+    """A parsed instance and the findings of what lenient parsing recovered from."""
+
     instance: Instance
     recovered_findings: tuple[Finding, ...] = ()
 
@@ -301,66 +317,74 @@ class _Lexicon(dict):
         return value
 
 
+# The attributes a fact reads (contextRef, unitRef, decimals, precision, id),
+# under the keys of a tree's attribute maps and under expat's raw names,
+# which for an unqualified attribute are its local names.
+_TREE_KEYS = (c.QN_ATTR_CONTEXT_REF, c.QN_ATTR_UNIT_REF, c.QN_ATTR_DECIMALS,
+              c.QN_ATTR_PRECISION, c.QN_ATTR_ID)
+_RAW_KEYS = tuple(key.local_name for key in _TREE_KEYS)
+
+
 class _InstanceBuilder:
-    def __init__(self, options: ParseOptions):
+    """Builds one Instance from the children of its xbrl element, added in
+    document order."""
+
+    def __init__(self, options: ParseOptions, location: SourceLocation):
         self.lenient = options.mode is ParseMode.LENIENT
+        self.location = location
         self.findings: list[Finding] = []
         self.decimals = _Lexicon(_DECIMALS_RE)
         self.precision = _Lexicon(_PRECISION_RE)
+        self.schema_refs: list[TaxonomyRef] = []
+        self.linkbase_refs: list[TaxonomyRef] = []
+        self.contexts: dict[str, Context] = {}
+        self.units: dict[str, Unit] = {}
+        self.facts: list[Fact] = []
+        self.links: list[FootnoteLink] = []
 
     def recover(self, code: str, message: str, location: SourceLocation,
                 subject: str | None = None) -> None:
         self.findings.append(Finding.of(code, message, location, subject))
 
-    def reject(self, element: XmlElement, error: type[ParseError], message: str,
-               code: str, recovery: str) -> None:
+    def reject(self, name: QName, location: SourceLocation, error: type[ParseError],
+               message: str, code: str, recovery: str) -> None:
         """Raise ``error(message)`` in strict mode; in lenient mode record ``code``
         with ``recovery`` instead. Both carry the element's location."""
         if not self.lenient:
-            raise error(message, element.source_location)
-        self.recover(code, recovery, element.source_location, subject=element.name.clark())
+            raise error(message, location)
+        self.recover(code, recovery, location, subject=name.clark())
 
-    def build(self, root: XmlElement) -> Instance:
-        if root.name != c.QN_XBRL:
-            raise NotAnXbrlRoot(
-                f"root element is {root.name.clark()}, expected {c.QN_XBRL.clark()}",
-                root.source_location,
-            )
-        schema_refs: list[TaxonomyRef] = []
-        linkbase_refs: list[TaxonomyRef] = []
-        contexts: dict[str, Context] = {}
-        units: dict[str, Unit] = {}
-        facts: list[Fact] = []
-        links: list[FootnoteLink] = []
+    def append(self, child: XmlElement) -> None:
+        """Add the next child element of the xbrl element."""
+        name = child.name
+        if name == c.QN_SCHEMA_REF:
+            self.schema_refs.append(_taxonomy_ref(child))
+        elif name == c.QN_LINKBASE_REF:
+            self.linkbase_refs.append(_taxonomy_ref(child))
+        elif name == c.QN_CONTEXT:
+            self._add_context(child)
+        elif name == c.QN_UNIT:
+            self._add_unit(child)
+        elif name == c.QN_FOOTNOTE_LINK:
+            self.links.append(_parse_footnote_link(child))
+        else:
+            fact = self._build_fact(child, depth=1)
+            if fact is not None:
+                self.facts.append(fact)
 
-        for child in root.child_elements():
-            name = child.name
-            if name == c.QN_SCHEMA_REF:
-                schema_refs.append(_taxonomy_ref(child))
-            elif name == c.QN_LINKBASE_REF:
-                linkbase_refs.append(_taxonomy_ref(child))
-            elif name == c.QN_CONTEXT:
-                self._add_context(child, contexts)
-            elif name == c.QN_UNIT:
-                self._add_unit(child, units)
-            elif name == c.QN_FOOTNOTE_LINK:
-                links.append(_parse_footnote_link(child))
-            else:
-                fact = self._build_fact(child, depth=1)
-                if fact is not None:
-                    facts.append(fact)
-
-        return Instance(
-            schema_refs=tuple(schema_refs),
-            linkbase_refs=tuple(linkbase_refs),
-            contexts=contexts,
-            units=units,
-            facts=tuple(facts),
-            footnote_links=tuple(links),
-            source_location=root.source_location,
+    def outcome(self) -> ParseOutcome:
+        instance = Instance(
+            schema_refs=tuple(self.schema_refs),
+            linkbase_refs=tuple(self.linkbase_refs),
+            contexts=self.contexts,
+            units=self.units,
+            facts=tuple(self.facts),
+            footnote_links=tuple(self.links),
+            source_location=self.location,
         )
+        return ParseOutcome(instance=instance, recovered_findings=tuple(self.findings))
 
-    def _add_context(self, element: XmlElement, contexts: dict[str, Context]) -> None:
+    def _add_context(self, element: XmlElement) -> None:
         try:
             context = _parse_context(element)
         except (InvalidIso8601, StartAfterEnd) as exc:
@@ -370,105 +394,98 @@ class _InstanceBuilder:
             self.recover(code, f"context dropped: {exc}", exc.location,
                          subject=element.attributes.get(c.QN_ATTR_ID))
             return
-        if context.id in contexts:
+        if context.id in self.contexts:
             raise DuplicateContextId(
                 f"duplicate context id {context.id!r}", element.source_location
             )
-        contexts[context.id] = context
+        self.contexts[context.id] = context
 
-    def _add_unit(self, element: XmlElement, units: dict[str, Unit]) -> None:
+    def _add_unit(self, element: XmlElement) -> None:
         unit = _parse_unit(element)
         if not unit.id:
             raise ParseError("unit has no id", element.source_location)
-        if unit.id in units:
+        if unit.id in self.units:
             raise DuplicateUnitId(
                 f"duplicate unit id {unit.id!r}", element.source_location
             )
-        units[unit.id] = unit
+        self.units[unit.id] = unit
 
     def _build_fact(self, element: XmlElement, depth: int) -> Fact | None:
-        if element.name.namespace_uri in _RESERVED_NAMESPACES:
-            # Unknown structural elements in the reserved namespaces are
-            # not facts; a nested instance is reported, the rest skipped.
-            if element.name == c.QN_XBRL:
-                self.recover(
-                    "EMB-001",
-                    "embedded xbrl element inside another instance was not parsed",
-                    element.source_location,
-                )
-            return None
         children = element.children
         if not children:
             kids, text = (), ""
         elif len(children) == 1 and children[0].__class__ is str:
             kids, text = (), children[0]
         else:
-            kids = element.child_elements()
-            if any(ch.name.namespace_uri not in _RESERVED_NAMESPACES for ch in kids):
-                return self._build_tuple(element, kids, depth)
-            text = element.text_content()
+            kids, text = element.child_elements(), element.text_content()
+        return self.fact(element.name, element.attributes, _TREE_KEYS, text, kids,
+                         element.source_location, depth)
+
+    def fact(self, name: QName, attrs: Mapping, keys: tuple, text: str,
+             kids: Sequence[XmlElement], location: SourceLocation, depth: int) -> Fact | None:
+        """The fact an element stands for, or None when it stands for none.
+
+        ``attrs`` are its attributes, read through ``keys`` (``_TREE_KEYS``
+        or ``_RAW_KEYS``), ``text`` its direct text and ``kids`` its child
+        elements; ``depth`` is 1 for a child of the xbrl element.
+        """
+        if name.namespace_uri in _RESERVED_NAMESPACES:
+            # Unknown structural elements in the reserved namespaces are
+            # not facts; a nested instance is reported, the rest skipped.
+            if name == c.QN_XBRL:
+                self.recover(
+                    "EMB-001",
+                    "embedded xbrl element inside another instance was not parsed",
+                    location,
+                )
+            return None
+        context_key, unit_key, decimals_key, precision_key, id_key = keys
+        get = attrs.get
+        context_ref, unit_ref, decimals = get(context_key), get(unit_key), get(decimals_key)
+        precision, fact_id = get(precision_key), get(id_key)
         # A bare element with nothing item-like about it (no child, no
         # contextRef, no numeric attributes, no value) reads back as an
         # empty tuple, keeping empty tuples round-trippable.
-        attrs = element.attributes
-        if (not kids
-                and c.QN_ATTR_CONTEXT_REF not in attrs
-                and c.QN_ATTR_UNIT_REF not in attrs
-                and c.QN_ATTR_DECIMALS not in attrs
-                and c.QN_ATTR_PRECISION not in attrs
-                and not text.strip(XML_WHITESPACE)):
-            return self._build_tuple(element, kids, depth)
-        return self._build_item(element, text)
-
-    def _build_tuple(self, element: XmlElement, kids: Sequence[XmlElement],
-                     depth: int) -> Tuple | None:
-        if depth > c.DEFAULT_MAX_TUPLE_DEPTH:
-            self.reject(element, TupleDepthExceeded,
-                        f"tuple nesting exceeds {c.DEFAULT_MAX_TUPLE_DEPTH}", "T-DEPTH",
-                        f"tuple subtree beyond depth {c.DEFAULT_MAX_TUPLE_DEPTH} truncated")
-            return None
-        children: list[Fact] = []
-        for ch in kids:
-            fact = self._build_fact(ch, depth + 1)
-            if fact is not None:
-                children.append(fact)
-        attrs = element.attributes
-        return Tuple(element.name, tuple(children), attrs.get(c.QN_ATTR_ID),
-                     attrs.get(c.QN_ATTR_CONTEXT_REF), element.source_location)
-
-    def _build_item(self, element: XmlElement, text: str) -> Item | None:
-        attrs = element.attributes
-        context_ref = attrs.get(c.QN_ATTR_CONTEXT_REF)
+        if (any(ch.name.namespace_uri not in _RESERVED_NAMESPACES for ch in kids) if kids
+                else (context_ref is None and unit_ref is None and decimals is None
+                      and precision is None and not text.strip(XML_WHITESPACE))):
+            if depth > c.DEFAULT_MAX_TUPLE_DEPTH:
+                self.reject(name, location, TupleDepthExceeded,
+                            f"tuple nesting exceeds {c.DEFAULT_MAX_TUPLE_DEPTH}", "T-DEPTH",
+                            f"tuple subtree beyond depth {c.DEFAULT_MAX_TUPLE_DEPTH} truncated")
+                return None
+            children: list[Fact] = []
+            for ch in kids:
+                fact = self._build_fact(ch, depth + 1)
+                if fact is not None:
+                    children.append(fact)
+            return Tuple(name, tuple(children), fact_id, context_ref, location)
         if context_ref is None:
-            concept = element.name.clark()
-            self.reject(element, MissingContextRef, f"item {concept} has no contextRef",
+            concept = name.clark()
+            self.reject(name, location, MissingContextRef, f"item {concept} has no contextRef",
                         "CTX-002", f"item {concept} dropped: no contextRef")
             return None
-        decimals = attrs.get(c.QN_ATTR_DECIMALS)
         if decimals is not None:
-            decimals = self._fidelity_attr(element, c.QN_ATTR_DECIMALS, decimals, self.decimals)
-        precision = attrs.get(c.QN_ATTR_PRECISION)
+            raw, decimals = decimals, self.decimals[decimals]
+            if decimals is None:
+                self._reject_invalid(name, location, "decimals", raw)
         if precision is not None:
-            precision = self._fidelity_attr(element, c.QN_ATTR_PRECISION, precision,
-                                            self.precision)
+            raw, precision = precision, self.precision[precision]
+            if precision is None:
+                self._reject_invalid(name, location, "precision", raw)
         if decimals is not None and precision is not None:
-            self.reject(element, InvalidItemAttributes,
+            self.reject(name, location, InvalidItemAttributes,
                         "item carries both decimals and precision",
                         "ITM-001", "precision ignored: decimals is also present")
             precision = None
-        return Item(element.name, context_ref, text.strip(XML_WHITESPACE),
-                    attrs.get(c.QN_ATTR_UNIT_REF), decimals, precision,
-                    attrs.get(c.QN_ATTR_ID), element.source_location)
+        return Item(name, context_ref, text.strip(XML_WHITESPACE), unit_ref, decimals,
+                    precision, fact_id, location)
 
-    def _fidelity_attr(self, element: XmlElement, name: QName, raw: str,
-                       lexicon: _Lexicon) -> str | None:
-        """The collapsed value of attribute ``name``, or None after rejecting it."""
-        value = lexicon[raw]
-        if value is None:
-            message = f"invalid {name.local_name} value {raw!r}"
-            self.reject(element, InvalidItemAttributes, message, "ITM-001",
-                        f"{message} ignored")
-        return value
+    def _reject_invalid(self, name: QName, location: SourceLocation, attribute: str,
+                        raw: str) -> None:
+        message = f"invalid {attribute} value {raw!r}"
+        self.reject(name, location, InvalidItemAttributes, message, "ITM-001",
+                    f"{message} ignored")
 
 
 @_without_cyclic_gc
@@ -480,9 +497,15 @@ def parse_instance(root: XmlElement,
     and footnote arcs retain document order. Child elements outside the
     instance and linkbase namespaces are classified as facts.
     """
-    builder = _InstanceBuilder(options)
-    instance = builder.build(root)
-    return ParseOutcome(instance=instance, recovered_findings=tuple(builder.findings))
+    if root.name != c.QN_XBRL:
+        raise NotAnXbrlRoot(
+            f"root element is {root.name.clark()}, expected {c.QN_XBRL.clark()}",
+            root.source_location,
+        )
+    builder = _InstanceBuilder(options, root.source_location)
+    for child in root.child_elements():
+        builder.append(child)
+    return builder.outcome()
 
 
 @_without_cyclic_gc
@@ -502,6 +525,125 @@ def find_instances(root: XmlElement,
         else:
             stack.extend(reversed(element.child_elements()))
     return [parse_instance(root, options) for root in roots]
+
+
+class _InstanceReader(_TreeBuilder):
+    """Builds the instances of a document while expat reads it (``read_instances``).
+
+    The outermost xbrl elements are found as they start. Outside them
+    nothing is built; the prefix bindings are still tracked. A child of an
+    xbrl element goes to its ``_InstanceBuilder`` when its end tag closes:
+    a fact without child elements straight from expat's name, raw
+    attributes and text, anything else as the ``XmlElement`` that
+    ``read_document`` would build. The first error building an instance is
+    held in ``error`` while the rest of the document is read, unbuilt, so
+    that a read error anywhere wins.
+    """
+
+    def __init__(self, options: ParseOptions):
+        super().__init__()
+        self.options = options
+        self.outcomes: list[ParseOutcome] = []
+        self.instance: _InstanceBuilder | None = None  # the open xbrl element's
+        self.level = 0  # len(self.stack) while the open xbrl element is on top
+        self.error: XbrlError | None = None
+
+    def _start(self, name: str, attributes: dict[str, str]) -> None:
+        stack = self.stack
+        if len(stack) == self.level:  # a child of the open xbrl element
+            text = self.text
+            if text:  # text between the children is not kept
+                text.clear()
+            qname = self.names[name]
+            if qname.namespace_uri not in _RESERVED_NAMESPACES:
+                # A fact: its attributes stay keyed by expat's raw names,
+                # for ``fact`` to read, unless a child element makes it a
+                # tree after all (see ``_end``).
+                parser = self.parser
+                bindings = self.declared
+                if bindings is None:
+                    bindings = stack[-1][4]
+                else:
+                    self.declared = None
+                stack.append([qname, attributes, [], _tuple_new(SourceLocation, (
+                    parser.CurrentLineNumber, parser.CurrentColumnNumber)), bindings])
+                return
+        elif self.instance is None and self.names[name] == c.QN_XBRL:
+            _TreeBuilder._start(self, name, attributes)
+            # The entry's children list is the builder: the tree reader's
+            # ``_end`` hands it each child element it completes.
+            entry = stack[-1]
+            entry[2] = self.instance = _InstanceBuilder(self.options, entry[3])
+            self.level = len(stack)
+            return
+        _TreeBuilder._start(self, name, attributes)
+
+    def _end(self, name: str) -> None:
+        stack = self.stack
+        depth = len(stack)
+        if depth == self.level + 1:  # a child of the open xbrl element
+            entry = stack[-1]
+            qname, attributes, children, location, _ = entry
+            if qname.namespace_uri not in _RESERVED_NAMESPACES:  # a fact, as ``_start`` left it
+                if not children:  # no child element
+                    del stack[-1]
+                    text = self.text
+                    value = "".join(text)
+                    text.clear()
+                    instance = self.instance
+                    try:
+                        fact = instance.fact(qname, attributes, _RAW_KEYS, value, (), location, 1)
+                    except XbrlError as exc:
+                        self._hold(exc)
+                        return
+                    if fact is not None:
+                        instance.facts.append(fact)
+                    return
+                names = self.names
+                entry[1] = {names[k]: v for k, v in attributes.items()}
+            try:
+                _TreeBuilder._end(self, name)
+            except XbrlError as exc:
+                self._hold(exc)
+        elif depth == self.level:  # the open xbrl element
+            del stack[-1]
+            self.text.clear()
+            self.outcomes.append(self.instance.outcome())
+            self.instance, self.level = None, 0
+        elif self.instance is None:  # outside every instance
+            del stack[-1]
+            self.text.clear()
+        else:
+            _TreeBuilder._end(self, name)
+
+    def _hold(self, error: XbrlError) -> None:
+        """Keep ``error`` and read the rest of the document without building."""
+        self.error = error
+        parser = self.parser
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = parser.StartNamespaceDeclHandler = None
+
+
+@_without_cyclic_gc
+def read_instances(data: bytes, options: ParseOptions = ParseOptions()) -> list[ParseOutcome]:
+    """Read XML bytes and parse every xbrl element not nested in another one.
+
+    The same outcomes, or the same error, as
+    ``find_instances(read_document(data), options)``, from one pass of the
+    XML reader and without building a tree of the facts: a read error
+    anywhere in the document wins over an error building an instance.
+    """
+    reader = _InstanceReader(options)
+    _read(reader, data)
+    # The error's traceback holds the reader's frames: neither the reader
+    # nor this frame, which the traceback gains, may hold the error.
+    error, reader.error = reader.error, None
+    if error is not None:
+        try:
+            raise error
+        finally:
+            error = None
+    return reader.outcomes
 
 
 # ---------------------------------------------------------------------------

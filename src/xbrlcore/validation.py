@@ -32,6 +32,8 @@ from .xmltree import QName
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Ordered findings, their counts per severity, and the digest of the input."""
+
     findings: tuple[Finding, ...]
     counts: Mapping[str, int]
     input_digest: str | None

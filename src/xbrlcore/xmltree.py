@@ -17,9 +17,10 @@ in the class body, and the constructor is built from them at import.
 
 The calls that allocate in proportion to the document run with Python's
 cyclic garbage collector paused (``_without_cyclic_gc``): ``read_document``,
-and with it every taxonomy load, ``parser.parse_instance``,
-``parser.find_instances``, ``facttable.fact_rows`` and the whole command in
-``cli.main``. Trees, instances and rows hold no reference cycles, so
+``parser.parse_instance``, ``parser.find_instances``,
+``parser.read_instances``, ``dts.discover`` with every taxonomy load,
+``facttable.fact_rows`` and the whole command in ``cli.main``. Trees,
+instances, taxonomy loads and rows hold no reference cycles, so
 reference counting frees every one of them, and a collection while they
 are built can only rescan live objects. The suite checks that a pipeline
 pass over every fixture, in both modes and on the failure paths, leaves
@@ -275,7 +276,6 @@ class _TreeBuilder:
 
     def __init__(self) -> None:
         parser = self.parser = xml.parsers.expat.ParserCreate(namespace_separator=_NS_SEPARATOR)
-        parser.ordered_attributes = True
         parser.buffer_text = True
         parser.StartElementHandler = self._start
         parser.EndElementHandler = self._end
@@ -307,7 +307,7 @@ class _TreeBuilder:
         else:  # xmlns="": expat rejects undeclaring a prefix
             self.declared.pop("", None)
 
-    def _start(self, name: str, attr_list: list[str]) -> None:
+    def _start(self, name: str, attributes: dict[str, str]) -> None:
         stack = self.stack
         parent = stack[-1]
         text = self.text
@@ -322,12 +322,9 @@ class _TreeBuilder:
         else:
             self.declared = None
         names = self.names
-        if attr_list:
-            it = iter(attr_list)
-            attrs = {names[k]: v for k, v in zip(it, it)}
-        else:
-            attrs = {}
-        stack.append([names[name], attrs, [], loc, bindings])
+        if attributes:
+            attributes = {names[k]: v for k, v in attributes.items()}
+        stack.append([names[name], attributes, [], loc, bindings])
 
     def _end(self, name: str) -> None:
         stack = self.stack
@@ -348,15 +345,9 @@ _UNBOUND_PREFIX = _codes[xml.parsers.expat.errors.XML_ERROR_UNBOUND_PREFIX]
 _DUPLICATE_ATTRIBUTE = _codes[xml.parsers.expat.errors.XML_ERROR_DUPLICATE_ATTRIBUTE]
 
 
-@_without_cyclic_gc
-def read_document(data: bytes) -> XmlElement:
-    """Read XML bytes into the root element, with all prefixes resolved to URIs.
-
-    Pure function of its input: identical bytes yield structurally equal
-    trees. Raises MalformedXml (see its subcodes), UnboundPrefix, or
-    UnsupportedEncoding.
-    """
-    builder = _TreeBuilder()
+def _read(builder: _TreeBuilder, data: bytes) -> None:
+    """Feed all of ``data`` to ``builder``'s parser, mapping expat's errors to
+    MalformedXml (see its subcodes), UnboundPrefix or UnsupportedEncoding."""
     try:
         builder.parser.Parse(data, True)
     except xml.parsers.expat.ExpatError as exc:
@@ -375,9 +366,21 @@ def read_document(data: bytes) -> XmlElement:
     finally:
         # The parser's handlers are bound methods of the builder: dropping
         # the builder's hold on the parser breaks that cycle on every path,
-        # so reference counting frees both, and the tree, without waiting
-        # for the cyclic collector.
+        # so reference counting frees both, and what they built, without
+        # waiting for the cyclic collector.
         del builder.parser
+
+
+@_without_cyclic_gc
+def read_document(data: bytes) -> XmlElement:
+    """Read XML bytes into the root element, with all prefixes resolved to URIs.
+
+    Pure function of its input: identical bytes yield structurally equal
+    trees. Raises MalformedXml (see its subcodes), UnboundPrefix, or
+    UnsupportedEncoding.
+    """
+    builder = _TreeBuilder()
+    _read(builder, data)
     return builder.stack[0][2][0]
 
 

@@ -9,8 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from xbrlcore import Resolver
+from xbrlcore import Resolver, cli
 from xbrlcore.cli import main
 
 
@@ -411,6 +412,22 @@ def test_facts_csv_quotes_awkward_values(repo_root, capsys, tmp_path):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1][1] == 'value, with "quotes" and commas'
     assert rows[1][3] == 'A "quoted", entity'
+
+
+# Fact rows hold XML text, so any character XML 1.0 can carry, weighted
+# towards the ones CSV quoting turns on.
+CSV_FIELD = st.text(st.one_of(
+    st.sampled_from(',"\r\n \t'),
+    st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters="\ufffe\uffff"),
+), max_size=6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rows=st.lists(st.lists(CSV_FIELD, min_size=7, max_size=7), max_size=6))
+def test_facts_csv_text_is_what_csv_writer_writes(rows):
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    assert cli._csv_text(rows) == buffer.getvalue()
 
 
 def test_dts_limit_flag_via_cli(repo_root, capsys):

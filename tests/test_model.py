@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
 import oracle_xml
+import xbrlcore
 from conftest import fixture_bytes
 from xbrlcore import (
     Concept,
@@ -225,3 +228,14 @@ def test_public_constructor_builds_every_record(name):
     for n in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(full, n, values[n])
+
+
+def test_no_dataclass_carries_a_generated_docstring():
+    # Without a docstring, dataclass() writes "Name(field, ...)" from
+    # inspect.signature at import, a cost every CLI call pays.
+    classes = [obj for module in pkgutil.iter_modules(xbrlcore.__path__)
+               for obj in vars(importlib.import_module(f"xbrlcore.{module.name}")).values()
+               if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+               and obj.__module__ == f"xbrlcore.{module.name}"]
+    assert len(classes) > 20
+    assert [cls.__name__ for cls in classes if cls.__doc__.startswith(cls.__name__ + "(")] == []

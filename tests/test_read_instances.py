@@ -1,0 +1,217 @@
+"""``read_instances`` gives what ``find_instances(read_document(data))`` gives.
+
+The same outcomes, source positions and recovered findings included, or
+the same error with the same type, message and location, on every fixture,
+on generated documents with planted defects, on mutated fixture bytes and
+on pinned shapes the one-pass reader handles apart from the tree.
+"""
+
+from __future__ import annotations
+
+import random
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import gen
+from conftest import FIXTURES, fixture_bytes
+from test_cli_properties import EDITS, mutate
+from xbrlcore import (
+    MalformedXml,
+    ParseMode,
+    ParseOptions,
+    UnboundPrefix,
+    XbrlError,
+    find_instances,
+    read_document,
+    read_instances,
+    serialize,
+)
+from xbrlcore.constants import DEFAULT_MAX_TUPLE_DEPTH
+from xbrlcore.parser import DuplicateContextId, MissingContextRef, TupleDepthExceeded
+
+XBRLI = "http://www.xbrl.org/2003/instance"
+MODES = [ParseOptions(mode=mode) for mode in ParseMode]
+
+
+def from_tree(data: bytes, options: ParseOptions):
+    return find_instances(read_document(data), options)
+
+
+def result(read, data: bytes, options: ParseOptions):
+    """What ``read`` gives, in a form that compares every field and position."""
+    try:
+        outcomes = read(data, options)
+    except XbrlError as exc:
+        return type(exc), str(exc), exc.location, getattr(exc, "subcode", None)
+    # Equality ignores source positions and prefix bindings; repr shows the
+    # positions, and the bindings of each kept fragment are listed.
+    bindings = [
+        [(element.name, element.prefix_bindings) for fragment in fragments(outcome)
+         for element in fragment.iter_elements()]
+        for outcome in outcomes
+    ]
+    return outcomes, [repr(outcome) for outcome in outcomes], bindings
+
+
+def fragments(outcome):
+    instance = outcome.instance
+    for context in instance.contexts.values():
+        yield from (f for f in (context.entity.segment, context.scenario) if f is not None)
+    for link in instance.footnote_links:
+        yield from (note.content for _, note in link.footnotes)
+
+
+def assert_same(data: bytes, options: ParseOptions):
+    got = result(read_instances, data, options)
+    assert got == result(from_tree, data, options)
+    return got
+
+
+@pytest.mark.parametrize("options", MODES, ids=lambda o: o.mode.value)
+@pytest.mark.parametrize("path", sorted(p for p in FIXTURES.rglob("*") if p.is_file()),
+                         ids=lambda p: str(p.relative_to(FIXTURES)))
+def test_every_fixture_reads_the_same(path, options):
+    assert_same(path.read_bytes(), options)
+
+
+@pytest.mark.parametrize("data", [
+    b"<!DOCTYPE x><x/>",
+    b"<a:b/>",
+    b'<?xml version="1.0" encoding="x-unknown"?><a/>',
+    b'<x xmlns:p="urn:p" xmlns:q="urn:p" p:a="1" q:a="2"/>',
+    b"",
+], ids=["doctype", "unbound prefix", "unknown encoding", "duplicate attribute", "empty"])
+def test_read_errors_are_the_tree_readers(data):
+    for options in MODES:
+        assert issubclass(assert_same(data, options)[0], XbrlError)
+
+
+def instance_text(**namespaces: str) -> str:
+    declarations = "".join(f' xmlns:{p}="{uri}"' for p, uri in
+                           {"xbrli": XBRLI, "ex": "urn:ex", **namespaces}.items())
+    return f"<xbrli:xbrl{declarations}>{{}}</xbrli:xbrl>"
+
+
+CONTEXT = ('<xbrli:context id="c1"><xbrli:entity><xbrli:identifier scheme="urn:s">E'
+           "</xbrli:identifier></xbrli:entity><xbrli:period><xbrli:forever/></xbrli:period>"
+           "</xbrli:context>")
+
+
+def test_a_read_error_after_an_early_strict_error_wins():
+    data = instance_text().format('<ex:A>1</ex:A><ex:B contextRef="c1">2</ex:B>').encode()
+    assert assert_same(data, ParseOptions())[0] is MissingContextRef
+    got = assert_same(data + b"<tail/>", ParseOptions())
+    assert got[:3] == (MalformedXml, "junk after document element", (1, len(data)))
+
+
+def test_the_first_of_several_errors_is_raised():
+    body = f'<ex:A>1</ex:A>{CONTEXT}{CONTEXT}<ex:B decimals="x" contextRef="c1">2</ex:B>'
+    data = instance_text().format(body).encode()
+    for options in MODES:
+        assert assert_same(data, options)[0] in (MissingContextRef, DuplicateContextId)
+
+
+def test_a_nested_xbrl_is_reported_where_the_tree_reports_it():
+    inner = instance_text().format(CONTEXT)
+    body = (f'{inner}<ex:T><ex:A contextRef="c1">1</ex:A>{inner}</ex:T>'
+            f'<xbrli:context id="c2"><xbrli:entity><xbrli:identifier scheme="s">E'
+            f"</xbrli:identifier><xbrli:segment>{inner}</xbrli:segment></xbrli:entity>"
+            "<xbrli:period><xbrli:forever/></xbrli:period></xbrli:context>")
+    outcomes, _, _ = assert_same(instance_text().format(body).encode(), ParseOptions())
+    assert [f.code for f in outcomes[0].recovered_findings] == ["EMB-001", "EMB-001"]
+
+
+def test_several_instances_in_one_wrapper_keep_document_order():
+    parts = [instance_text().format(f'{CONTEXT}<ex:A contextRef="c1">{n}</ex:A>')
+             for n in range(3)]
+    parts[1] = parts[1].replace(' contextRef="c1"', "")
+    data = (f'<w:filing xmlns:w="urn:w"><w:a>{parts[0]}</w:a>text<w:b/>{parts[1]}'
+            f"{parts[2]}</w:filing>").encode()
+    assert assert_same(data, ParseOptions())[0] is MissingContextRef
+    outcomes, _, _ = assert_same(data, ParseOptions(mode=ParseMode.LENIENT))
+    assert [[f.code for f in o.recovered_findings] for o in outcomes] == [[], ["CTX-002"], []]
+    assert [[i.value for i in o.instance.iter_items()] for o in outcomes] == [["0"], [], ["2"]]
+
+
+def test_contexts_and_units_after_the_facts():
+    unit = '<xbrli:unit id="u1"><xbrli:measure>iso:USD</xbrli:measure></xbrli:unit>'
+    body = f'<ex:A contextRef="c1" unitRef="u1" decimals="0">5</ex:A>{unit}{CONTEXT}'
+    data = instance_text(iso="http://www.xbrl.org/2003/iso4217").format(body).encode()
+    [outcome], _, _ = assert_same(data, ParseOptions())
+    assert list(outcome.instance.contexts) == ["c1"] and list(outcome.instance.units) == ["u1"]
+    # A measure prefix bound on the fact's ancestors only resolves the same way.
+    unbound = instance_text().format(body).encode()
+    assert assert_same(unbound, ParseOptions())[0] is UnboundPrefix
+
+
+def test_a_too_deep_tuple_holding_a_bad_item():
+    depth = DEFAULT_MAX_TUPLE_DEPTH + 1
+    body = "<ex:T>" * depth + "<ex:A>no contextRef</ex:A>" + "</ex:T>" * depth
+    data = instance_text().format(body).encode()
+    assert assert_same(data, ParseOptions())[0] is TupleDepthExceeded
+    [outcome], _, _ = assert_same(data, ParseOptions(mode=ParseMode.LENIENT))
+    assert [f.code for f in outcome.recovered_findings] == ["T-DEPTH"]
+
+
+def test_a_fact_with_element_children_is_read_as_the_tree_reads_it():
+    body = (f'{CONTEXT}<ex:A contextRef="c1" xmlns:ex="urn:other">1<xbrli:x/>2</ex:A>'
+            '<ex:T id="t" contextRef="c1"/><ex:E/>'
+            '<ex:T><ex:A contextRef="c1" ex:decimals="2">3</ex:A></ex:T>')
+    outcomes, _, _ = assert_same(instance_text().format(body).encode(), ParseOptions())
+    facts = list(outcomes[0].instance.iter_facts())
+    assert [type(f).__name__ for f in facts] == ["Item", "Item", "Tuple", "Tuple", "Item"]
+    assert [i.value for i in outcomes[0].instance.iter_items()] == ["12", "", "3"]
+
+
+# Regex edits on serialized text, each applied at one match: every one
+# plants a defect one of the two modes reports or fails on.
+PLANTED = {
+    "no contextRef": (r' contextRef="[^"]*"', ""),
+    "bad decimals": (r' decimals="[^"]*"', ' decimals="x"'),
+    "bad precision": (r' precision="[^"]*"', ' precision="0"'),
+    "decimals and precision": (r' decimals="', ' precision="3" decimals="'),
+    "bad instant": (r"<xbrli:instant>[^<]*", "<xbrli:instant>2020-13-01"),
+    "empty unit": (r'(<xbrli:unit id="[^"]*">).*?(</xbrli:unit>)', r"\1\2"),
+    "unbound measure": (r"(<xbrli:measure[^>]*>)[^<:]*:", r"\1zz:"),
+    "duplicate context": (r"(<xbrli:context .*?</xbrli:context>)", r"\1\1"),
+    "nested xbrl": (r"(<xbrli:xbrl[^>]*>)", r"\1<xbrli:xbrl/>"),
+    "no schemaRef href": (r' xlink:href="gen-taxonomy.xsd"', ""),
+}
+
+
+def plant(text: str, edits: list[tuple[str, int]]) -> str:
+    for name, index in edits:
+        pattern, replacement = PLANTED[name]
+        matches = list(re.finditer(pattern, text, re.S))
+        if matches:
+            match = matches[index % len(matches)]
+            text = text[:match.start()] + match.expand(replacement) + text[match.end():]
+    return text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+       edits=st.lists(st.tuples(st.sampled_from(sorted(PLANTED)), st.integers(0, 20)),
+                      max_size=3),
+       cut=st.none() | st.floats(0, 1))
+def test_generated_documents_read_the_same(seeds, edits, cut):
+    instances = [serialize(gen.random_instance(random.Random(seed))).decode().split("?>", 1)[1]
+                 for seed in seeds]
+    text = plant(f'<w:filing xmlns:w="urn:w">{"<w:gap/>".join(instances)}</w:filing>', edits)
+    data = text.encode()
+    if cut is not None:
+        data = data[:int(len(data) * cut)]
+    for options in MODES:
+        assert_same(data, options)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(name=st.sampled_from(["mini-instance.xml", "mini-embedded.xml", "bad-period.xml",
+                             "bad-footnote.xml", "bad-warnings.xml", "bad-ctxref.xml"]),
+       edits=st.lists(EDITS, min_size=1, max_size=4))
+def test_mutated_fixtures_read_the_same(name, edits):
+    data = mutate(fixture_bytes(name), edits)
+    for options in MODES:
+        assert_same(data, options)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import xml.parsers.expat
 
 import pytest
@@ -15,6 +16,7 @@ from xbrlcore import (
     ParseOptions,
     QName,
     SourceLocation,
+    TaxonomyRef,
     UnboundPrefix,
     UnsupportedEncoding,
     Resolver,
@@ -25,6 +27,7 @@ from xbrlcore import (
     find_instances,
     parse_instance,
     read_document,
+    read_instances,
     serialize,
     validate,
 )
@@ -382,26 +385,28 @@ def test_a_pipeline_pass_leaves_nothing_for_the_cyclic_collector():
     try:
         gc.collect()
         resolver = Resolver(FIXTURES)
-        for path in sorted(p for p in FIXTURES.rglob("*") if p.is_file()):
-            for mode in ParseMode:
-                try:
-                    outcomes = find_instances(read_document(path.read_bytes()),
-                                              ParseOptions(mode=mode))
-                except MalformedXml:
-                    failures.add(MalformedXml)
-                    continue
-                except ParseError:
-                    failures.add(ParseError)
-                    continue
-                for outcome in outcomes:
-                    validate(outcome, discover(outcome.instance, resolver, base_uri=str(path)))
-                    fact_rows(outcome.instance)
-                    serialize(outcome.instance)
+        for path, mode, one_pass in itertools.product(
+                sorted(p for p in FIXTURES.rglob("*") if p.is_file()), ParseMode, (False, True)):
+            data, options = path.read_bytes(), ParseOptions(mode=mode)
+            try:
+                outcomes = (read_instances(data, options) if one_pass
+                            else find_instances(read_document(data), options))
+            except MalformedXml:
+                failures.add((MalformedXml, one_pass))
+                continue
+            except ParseError:
+                failures.add((ParseError, one_pass))
+                continue
+            for outcome in outcomes:
+                validate(outcome, discover(outcome.instance, resolver, base_uri=str(path)))
+                fact_rows(outcome.instance)
+                serialize(outcome.instance)
         del resolver, outcomes, outcome
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert failures == {MalformedXml, ParseError}
+    assert failures == {(error, one_pass) for error in (MalformedXml, ParseError)
+                        for one_pass in (False, True)}
 
 
 def _bulk_instance(items: int) -> bytes:
@@ -421,13 +426,25 @@ def _bulk_instance(items: int) -> bytes:
     ).encode()
 
 
-def test_building_a_large_instance_runs_no_collection():
+def _big_schema(declarations: int) -> bytes:
+    return (
+        '<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema"'
+        f' xmlns:xbrli="{XBRLI}" targetNamespace="urn:big">'
+        + "".join(f'<xsd:element name="C{n}" type="xbrli:monetaryItemType"'
+                  ' substitutionGroup="xbrli:item" xbrli:periodType="instant"/>'
+                  for n in range(declarations))
+        + "</xsd:schema>"
+    ).encode()
+
+
+def test_building_a_large_instance_runs_no_collection(tmp_path):
     # Counted, not timed, so host speed cannot change the outcome. Each call
     # starts from an empty young generation, so a collection that its own
     # argument tuple would trigger on entry is not counted against it, and
     # the call in progress is cleared without allocating, so the first
     # collection after the pause is not counted either.
     data = _bulk_instance(5000)
+    (tmp_path / "big.xsd").write_bytes(_big_schema(3000))
     current = [None]  # name of the call in progress
     collections = []
 
@@ -435,10 +452,10 @@ def test_building_a_large_instance_runs_no_collection():
         if phase == "start" and current[0]:
             collections.append((current[0], info["generation"]))
 
-    def counted(name, function, *args):
+    def counted(name, function, *args, **kwargs):
         gc.collect()
         current[0] = name
-        result = function(*args)
+        result = function(*args, **kwargs)
         current[0] = None
         return result
 
@@ -448,10 +465,16 @@ def test_building_a_large_instance_runs_no_collection():
         root = counted("read_document", read_document, data)
         [outcome] = counted("find_instances", find_instances, root)
         rows = counted("fact_rows", fact_rows, outcome.instance)
+        [again] = counted("read_instances", read_instances, data)
+        # A cold discovery: the resolver is fresh, so the schema is loaded.
+        dts = counted("discover", discover, Instance(schema_refs=(TaxonomyRef("big.xsd"),)),
+                      Resolver(tmp_path), base_uri=str(tmp_path / "instance.xml"))
     finally:
         gc.callbacks.remove(count)
     assert collections == []
     assert len(rows) == 5000
+    assert again == outcome
+    assert len(dts.concepts) == 3000
 
 
 def test_the_collector_state_is_restored_after_each_paused_call():
@@ -462,6 +485,9 @@ def test_the_collector_state_is_restored_after_each_paused_call():
                          (read_document(b"<a/>"),)),
         find_instances: ((read_document(fixture_bytes("mini-embedded.xml")),),
                          (bad_instance,)),
+        read_instances: ((fixture_bytes("mini-embedded.xml"),),
+                         (fixture_bytes("bad-period.xml"),)),
+        discover: ((Instance(), Resolver(FIXTURES)), (None, Resolver(FIXTURES))),
         fact_rows: ((Instance(),), (None,)),
         main: ((["rules"],), (["no-such-command"],)),
     }
