@@ -1,15 +1,17 @@
 """Command-line surface: parse, validate, facts, dts, rules.
 
 Exit codes: 0 success (validate: no Error findings), 1 validation errors,
-2 parse/read failure. Data goes to stdout, diagnostics to stderr, and all
-renderings are deterministic. Flags fall back to XBRLCORE_* environment
-variables, then to defaults. Taxonomy references are read only from files
-under --taxonomy-root; nothing is fetched from the network.
+2 parse/read failure. Data goes to stdout, as UTF-8 whatever the locale,
+diagnostics to stderr, and all renderings are deterministic. Flags fall
+back to XBRLCORE_* environment variables, then to defaults. Taxonomy
+references are read only from files under --taxonomy-root; nothing is
+fetched from the network.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -291,6 +293,26 @@ _COMMANDS = {
 
 @_without_cyclic_gc
 def main(argv: list[str] | None = None) -> int:
+    # Reports are UTF-8 whatever the locale or PYTHONIOENCODING say, so
+    # the same input gives the same bytes everywhere; surrogateescape
+    # writes back the bytes of a path that is not UTF-8. A text sink that
+    # encodes nothing, such as a StringIO, is written as it is.
+    stdout = sys.stdout
+    if not isinstance(stdout, io.TextIOWrapper):
+        return _run(argv)
+    encoding, errors = stdout.encoding, stdout.errors
+    stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
+    try:
+        return _run(argv)
+    finally:
+        # Switching back flushes stdout. If that fails (a closed pipe), the
+        # bytes stay buffered and the interpreter's flush at exit reports
+        # it, as it would without the switch.
+        with contextlib.suppress(OSError):
+            stdout.reconfigure(encoding=encoding, errors=errors)
+
+
+def _run(argv: list[str] | None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -15,8 +15,9 @@ against zoned ones are assumed to be UTC; callers surface that assumption.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime, timedelta
+
+from .xmltree import _record
 
 # [0-9] since \d matches any script's digits; fullmatch since $ matches before "\n".
 _ZONE = r"(Z|[+-][0-9]{2}:[0-9]{2})?"
@@ -27,7 +28,7 @@ _DATETIME_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class TimePoint:
     """A parsed date or date-time, keeping the original lexical form.
 

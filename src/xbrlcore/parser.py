@@ -18,6 +18,11 @@ a tree. Both hand each child of an xbrl element, in document order, to
 one ``_InstanceBuilder``, whose ``fact`` alone decides what an element
 is: skipped, a nested instance (EMB-001), a tuple, an empty tuple or an
 item, and which of CTX-002, ITM-001 and T-DEPTH apply.
+
+A period is read in one pass over its children, with no list of its
+child elements or of their text. Dates, identifiers and other simple-typed values are text
+only: an element inside one is an InvalidIso8601 (PER-001 in lenient
+mode) or an InvalidContextShape at that value's element, never dropped.
 """
 
 from __future__ import annotations
@@ -132,6 +137,21 @@ class ParseOutcome:
     recovered_findings: tuple[Finding, ...] = ()
 
 
+def _simple_text(element: XmlElement, error: type[ParseError]) -> str:
+    """The text of an element of simple type; raises ``error`` at the
+    element if it holds a child element."""
+    children = element.children
+    if len(children) == 1 and children[0].__class__ is str:
+        return children[0]
+    if not all(isinstance(child, str) for child in children):
+        raise error(f"{element.name.local_name} holds element content",
+                    element.source_location)
+    return "".join(children)
+
+
+_PERIOD_SHAPE = "period must contain instant, forever, or startDate+endDate"
+
+
 def _parse_period(element: XmlElement) -> "Instant | Duration | Forever":
     """Build a Period from a period element.
 
@@ -140,28 +160,37 @@ def _parse_period(element: XmlElement) -> "Instant | Duration | Forever":
     failing child), or StartAfterEnd.
     """
     loc = element.source_location
-    children = element.child_elements()
-    names = [ch.name for ch in children]
-    if names == [c.QN_FOREVER]:
-        return Forever()
-    if names == [c.QN_INSTANT]:
-        return Instant(_parse_point(children[0]))
-    if names == [c.QN_START_DATE, c.QN_END_DATE]:
-        start, end = (_parse_point(child) for child in children)
-        cmp, _ = compare_start_end(start, end)
-        if cmp > 0:
-            raise StartAfterEnd(
-                f"period start {start.raw!r} is after end {end.raw!r}", loc
-            )
-        return Duration(start, end)
-    raise InvalidPeriodShape(
-        "period must contain instant, forever, or startDate+endDate", loc
-    )
+    first = second = None
+    for child in element.children:
+        if isinstance(child, str):
+            continue
+        if first is None:
+            first = child
+        elif second is None:
+            second = child
+        else:  # no period holds three elements
+            raise InvalidPeriodShape(_PERIOD_SHAPE, loc)
+    if first is not None:
+        name = first.name
+        if second is None:
+            if name == c.QN_INSTANT:
+                return Instant(_parse_point(first))
+            if name == c.QN_FOREVER:
+                return Forever()
+        elif name == c.QN_START_DATE and second.name == c.QN_END_DATE:
+            start, end = _parse_point(first), _parse_point(second)
+            cmp, _ = compare_start_end(start, end)
+            if cmp > 0:
+                raise StartAfterEnd(
+                    f"period start {start.raw!r} is after end {end.raw!r}", loc
+                )
+            return Duration(start, end)
+    raise InvalidPeriodShape(_PERIOD_SHAPE, loc)
 
 
 def _parse_point(element: XmlElement) -> TimePoint:
     try:
-        return parse_point(element.text_content().strip(XML_WHITESPACE))
+        return parse_point(_simple_text(element, InvalidIso8601).strip(XML_WHITESPACE))
     except ValueError as exc:
         raise InvalidIso8601(str(exc), element.source_location) from None
 
@@ -205,17 +234,13 @@ def _parse_entity(element: XmlElement) -> Entity:
     if identifier is None:
         raise InvalidContextShape("entity has no identifier", element.source_location)
     scheme = identifier.attributes.get(c.QN_ATTR_SCHEME) or ""
-    ident_text = identifier.text_content().strip(XML_WHITESPACE)
+    ident_text = _simple_text(identifier, InvalidContextShape).strip(XML_WHITESPACE)
     if not scheme or not ident_text:
         raise InvalidContextShape(
             "entity identifier requires a scheme and a non-empty value",
             identifier.source_location,
         )
-    return Entity(
-        scheme=scheme,
-        identifier=ident_text,
-        segment=element.first_child(c.QN_SEGMENT),
-    )
+    return Entity(scheme, ident_text, element.first_child(c.QN_SEGMENT))
 
 
 def _parse_context(element: XmlElement) -> Context:
@@ -223,19 +248,14 @@ def _parse_context(element: XmlElement) -> Context:
     context_id = element.attributes.get(c.QN_ATTR_ID)
     if not context_id:
         raise InvalidContextShape("context has no id", loc)
-    entity_el = element.first_child(c.QN_ENTITY)
-    if entity_el is None:
+    entity = element.first_child(c.QN_ENTITY)
+    if entity is None:
         raise InvalidContextShape(f"context {context_id!r} has no entity", loc)
-    period_el = element.first_child(c.QN_PERIOD)
-    if period_el is None:
+    period = element.first_child(c.QN_PERIOD)
+    if period is None:
         raise InvalidPeriodShape(f"context {context_id!r} has no period", loc)
-    return Context(
-        id=context_id,
-        entity=_parse_entity(entity_el),
-        period=_parse_period(period_el),
-        scenario=element.first_child(c.QN_SCENARIO),
-        source_location=loc,
-    )
+    return Context(context_id, _parse_entity(entity), _parse_period(period),
+                   element.first_child(c.QN_SCENARIO), loc)
 
 
 def _parse_footnote_link(element: XmlElement) -> FootnoteLink:
@@ -357,20 +377,22 @@ class _InstanceBuilder:
     def append(self, child: XmlElement) -> None:
         """Add the next child element of the xbrl element."""
         name = child.name
-        if name == c.QN_SCHEMA_REF:
-            self.schema_refs.append(_taxonomy_ref(child))
-        elif name == c.QN_LINKBASE_REF:
-            self.linkbase_refs.append(_taxonomy_ref(child))
+        if name.namespace_uri not in _RESERVED_NAMESPACES:
+            fact = self._build_fact(child, depth=1)
+            if fact is not None:
+                self.facts.append(fact)
         elif name == c.QN_CONTEXT:
             self._add_context(child)
         elif name == c.QN_UNIT:
             self._add_unit(child)
+        elif name == c.QN_SCHEMA_REF:
+            self.schema_refs.append(_taxonomy_ref(child))
+        elif name == c.QN_LINKBASE_REF:
+            self.linkbase_refs.append(_taxonomy_ref(child))
         elif name == c.QN_FOOTNOTE_LINK:
             self.links.append(_parse_footnote_link(child))
-        else:
-            fact = self._build_fact(child, depth=1)
-            if fact is not None:
-                self.facts.append(fact)
+        else:  # never a fact: a nested instance is reported, the rest skipped
+            self._build_fact(child, depth=1)
 
     def outcome(self) -> ParseOutcome:
         instance = Instance(

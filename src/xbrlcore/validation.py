@@ -6,6 +6,10 @@ are ordered (location, code) lexicographically, and two runs over the same
 input produce identical reports. Rules marked ``requires_dts`` run only when a
 taxonomy set is supplied and are listed as skipped otherwise, so providing
 a DTS can only ever add findings.
+
+The item rules (CTX-001, UNT-001, DTS-001, NUM-001, UNT-002) cost a clean
+item a few lookups in one method. Whether a unit has an ISO 4217 measure
+is worked out once per unit and instance.
 """
 
 from __future__ import annotations
@@ -75,11 +79,19 @@ def _has_monetary_measure(unit: Unit) -> bool:
     return any(m.namespace_uri == ISO4217_NS for m in unit.numerator)
 
 
+# A tuple, not a frozenset: ``in`` finds an enum member by identity, while
+# hashing one runs ``Enum.__hash__`` in Python.
+_NUMERIC_KINDS = (DataKind.MONETARY, DataKind.SHARES, DataKind.NUMERIC)
+_MONETARY = DataKind.MONETARY
+
+
 class _Checker:
     def __init__(self, instance: Instance, registry: Mapping[QName, Concept] | None):
         self.instance = instance
         self.registry = registry
         self.findings: list[Finding] = []
+        # unit id -> whether the unit has an ISO 4217 measure, once per unit
+        self.monetary = {uid: _has_monetary_measure(unit) for uid, unit in instance.units.items()}
 
     def emit(self, code: str, message: str, location, subject: str | None = None) -> None:
         self.findings.append(Finding.of(code, message, location, subject))
@@ -102,21 +114,19 @@ class _Checker:
         self.emit(code, message, fact.source_location, fact.id or fact.concept.clark())
 
     def _check_item(self, item: Item) -> None:
+        unit_ref = item.unit_ref
+        monetary = self.monetary.get(unit_ref)  # None: no unitRef, or an undefined one
         if item.context_ref not in self.instance.contexts:
             self.flag(
                 item, "CTX-001",
                 f"item {item.concept.clark()} references undefined context "
                 f"{item.context_ref!r}",
             )
-        unit = None
-        if item.unit_ref is not None:
-            unit = self.instance.units.get(item.unit_ref)
-            if unit is None:
-                self.flag(
-                    item, "UNT-001",
-                    f"item {item.concept.clark()} references undefined unit "
-                    f"{item.unit_ref!r}",
-                )
+        if unit_ref is not None and monetary is None:
+            self.flag(
+                item, "UNT-001",
+                f"item {item.concept.clark()} references undefined unit {unit_ref!r}",
+            )
         if self.registry is None:
             return
         concept = self.registry.get(item.concept)
@@ -125,20 +135,18 @@ class _Checker:
                 item, "DTS-001",
                 f"concept {item.concept.clark()} is not declared in the taxonomy set",
             )
-            return
-        numeric = concept.data_kind in (DataKind.MONETARY, DataKind.SHARES, DataKind.NUMERIC)
-        if numeric and item.unit_ref is None:
-            self.flag(
-                item, "NUM-001",
-                f"numeric item {item.concept.clark()} has no unitRef",
-            )
-        if concept.data_kind is DataKind.MONETARY and unit is not None:
-            if not _has_monetary_measure(unit):
+        elif unit_ref is None:
+            if concept.data_kind in _NUMERIC_KINDS:
                 self.flag(
-                    item, "UNT-002",
-                    f"monetary item {item.concept.clark()} uses unit "
-                    f"{item.unit_ref!r} without an ISO 4217 measure",
+                    item, "NUM-001",
+                    f"numeric item {item.concept.clark()} has no unitRef",
                 )
+        elif monetary is False and concept.data_kind is _MONETARY:
+            self.flag(
+                item, "UNT-002",
+                f"monetary item {item.concept.clark()} uses unit "
+                f"{unit_ref!r} without an ISO 4217 measure",
+            )
 
     def _check_tuple(self, tup: Tuple, depth: int) -> None:
         if tup.context_ref is not None:

@@ -11,9 +11,13 @@ Equality of elements is structural: source positions and the prefix
 bindings seen in the source never participate, so two documents that
 differ only in prefix choice compare equal.
 
-``XmlElement``, like the slots records of ``model`` and ``dts``, is
-declared through ``_record``: each field and its default are written once,
-in the class body, and the constructor is built from them at import.
+``XmlElement``, like the slots records of ``model``, ``dts`` and
+``iso8601``, is declared through ``_record``: each field and its default
+are written once, in the class body, and the constructor is built from
+them at import. The tree builder makes each element with
+``object.__new__`` and that constructor, skipping the class call, gives
+an element without children the empty tuple, and makes each distinct
+QName once, with ``tuple.__new__``.
 
 The calls that allocate in proportion to the document run with Python's
 cyclic garbage collector paused (``_without_cyclic_gc``): ``read_document``,
@@ -242,7 +246,11 @@ class XmlElement:
         return QName(self.prefix_bindings.get("", ""), text)
 
 
+# A record built per parsed element skips the class call: ``object.__new__``
+# and the record's ``__init__`` give the same element for less.
 _tuple_new = tuple.__new__
+_new_element = object.__new__
+_init_element = XmlElement.__init__
 
 
 # Separator between namespace name and local name in expat's expanded
@@ -257,7 +265,7 @@ class _Names(dict):
 
     def __missing__(self, expanded: str) -> QName:
         uri, _, local = expanded.rpartition(_NS_SEPARATOR)
-        qname = self[expanded] = QName(uri, local)
+        qname = self[expanded] = _tuple_new(QName, (uri, local))
         return qname
 
 
@@ -333,7 +341,9 @@ class _TreeBuilder:
         if text:
             children.append(text[0] if len(text) == 1 else "".join(text))
             text.clear()
-        stack[-1][2].append(XmlElement(qname, attrs, tuple(children), loc, bindings))
+        element = _new_element(XmlElement)
+        _init_element(element, qname, attrs, tuple(children) if children else (), loc, bindings)
+        stack[-1][2].append(element)
 
 
 _codes = xml.parsers.expat.errors.codes

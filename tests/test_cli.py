@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -579,3 +580,86 @@ def test_deep_wrapper_with_instance_at_bottom_exits_0(repo_root, tmp_path):
     assert proc.returncode == 0
     assert "0 error(s)" in proc.stdout
     assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the same report bytes in every environment
+# ---------------------------------------------------------------------------
+
+# (PYTHONHASHSEED, PYTHONIOENCODING, LC_ALL); None leaves the variable unset.
+# Together they take every value of each variable once or more.
+ENVIRONMENTS = [
+    ("0", "utf-8", None),
+    ("1", "ascii", None),
+    ("random", "latin-1", None),
+    ("1", "latin-1", "C"),
+    ("random", "ascii", "C"),
+    ("0", None, "C"),
+]
+
+
+def test_reports_are_the_same_bytes_in_every_environment(repo_root, tmp_path):
+    # A non-ASCII value, a non-ASCII finding subject (an item whose context
+    # is undefined) and a non-ASCII input path.
+    text = (repo_root / "fixtures" / "mini-instance.xml").read_text(encoding="utf-8")
+    text = text.replace(">250000</ex:Revenue>", ">25€0é</ex:Revenue>", 1)
+    text = text.replace("</xbrli:xbrl>",
+                        '<ex:Umsätze contextRef="c-ghost">1</ex:Umsätze></xbrli:xbrl>')
+    path = tmp_path / "bilanz-ä.xml"
+    path.write_text(text, encoding="utf-8")
+    commands = [("facts", "--format", "csv"), ("facts", "--format", "text"),
+                ("validate", "--format", "text"), ("parse", "--format", "text")]
+    base = {k: v for k, v in os.environ.items()
+            if not k.startswith("XBRLCORE_")
+            and k not in ("PYTHONHASHSEED", "PYTHONIOENCODING", "LC_ALL")}
+    base["PYTHONPATH"] = str(repo_root / "src")
+
+    def run_in(case):
+        (command, *flags), (seed, encoding, lc_all) = case
+        env = dict(base, PYTHONHASHSEED=seed)
+        env.update((k, v) for k, v in (("PYTHONIOENCODING", encoding), ("LC_ALL", lc_all)) if v)
+        proc = subprocess.run([sys.executable, "-m", "xbrlcore", command, str(path), *flags],
+                              capture_output=True, cwd=repo_root, env=env)
+        assert b"Traceback" not in proc.stderr, (case, proc.stderr.decode(errors="replace"))
+        return proc.stdout, proc.returncode
+
+    cases = [(command, environment) for command in commands for environment in ENVIRONMENTS]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = dict(zip(cases, pool.map(run_in, cases)))
+    for command in commands:
+        reference = results[command, ENVIRONMENTS[0]]
+        for environment in ENVIRONMENTS[1:]:
+            assert results[command, environment] == reference, (command, environment)
+    facts_csv, validate_text, parse_text = (results[commands[i], ENVIRONMENTS[0]]
+                                            for i in (0, 2, 3))
+    assert "25€0é".encode() in facts_csv[0] and facts_csv[1] == 0
+    assert "}Umsätze]".encode() in validate_text[0] and validate_text[1] == 1
+    assert str(path).encode() in parse_text[0] and parse_text[1] == 0
+
+
+def test_an_ascii_stdout_gets_utf8_and_its_encoding_back(repo_root, tmp_path, monkeypatch):
+    text = (repo_root / "fixtures" / "mini-instance.xml").read_text(encoding="utf-8")
+    path = tmp_path / "in.xml"
+    path.write_text(text.replace(">250000</ex:Revenue>", ">25€0é</ex:Revenue>", 1),
+                    encoding="utf-8")
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="ascii", errors="strict")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["facts", str(path), "--format", "csv"]) == 0
+    assert (stdout.encoding, stdout.errors) == ("ascii", "strict")
+    stdout.flush()
+    assert "25€0é".encode() in raw.getvalue()
+
+
+def test_a_closed_stdout_pipe_gives_no_traceback(repo_root):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "xbrlcore", "facts", "fixtures/mini-instance.xml",
+             "--format", "csv"],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=repo_root,
+            env={**os.environ, "PYTHONPATH": str(repo_root / "src"), "PYTHONUNBUFFERED": ""})
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from datetime import datetime
 
 import pytest
 
@@ -30,7 +31,7 @@ from xbrlcore import (
     parse_instance,
     read_document,
 )
-from xbrlcore.iso8601 import parse_point
+from xbrlcore.iso8601 import TimePoint, parse_point
 
 EX = "urn:example:model"
 
@@ -178,6 +179,10 @@ RECORDS = {
     "Entity": (Entity, "scheme, identifier, segment=None", {
         "scheme": "urn:scheme", "identifier": "X", "segment": SEGMENT,
     }, {"segment": None}),
+    "TimePoint": (TimePoint, "raw, moment, offset_minutes, is_date", {
+        "raw": "2008-12-31T10:00:00+02:00", "moment": datetime(2008, 12, 31, 10),
+        "offset_minutes": 120, "is_date": False,
+    }, {}),
     "Instant": (Instant, "when", {"when": parse_point("2008-12-31")}, {}),
     "Duration": (Duration, "start, end", {
         "start": parse_point("2008-01-01"), "end": parse_point("2008-12-31"),

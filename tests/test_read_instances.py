@@ -18,9 +18,15 @@ import gen
 from conftest import FIXTURES, fixture_bytes
 from test_cli_properties import EDITS, mutate
 from xbrlcore import (
+    Context,
+    Duration,
+    Entity,
+    Forever,
+    Instant,
     MalformedXml,
     ParseMode,
     ParseOptions,
+    SourceLocation,
     UnboundPrefix,
     XbrlError,
     find_instances,
@@ -29,7 +35,11 @@ from xbrlcore import (
     serialize,
 )
 from xbrlcore.constants import DEFAULT_MAX_TUPLE_DEPTH
-from xbrlcore.parser import DuplicateContextId, MissingContextRef, TupleDepthExceeded
+from xbrlcore.iso8601 import parse_point
+from xbrlcore.parser import (
+    DuplicateContextId, InvalidContextShape, InvalidIso8601, MissingContextRef,
+    TupleDepthExceeded,
+)
 
 XBRLI = "http://www.xbrl.org/2003/instance"
 MODES = [ParseOptions(mode=mode) for mode in ParseMode]
@@ -215,3 +225,148 @@ def test_mutated_fixtures_read_the_same(name, edits):
     data = mutate(fixture_bytes(name), edits)
     for options in MODES:
         assert_same(data, options)
+
+
+# -- context shapes: each result pinned through repr, each error by type,
+# message and location, and the same from both readers --------------------
+
+
+def where(data: bytes, marker: str, occurrence: int = 0) -> SourceLocation:
+    """The position of the ``occurrence``-th ``marker`` in an ASCII document."""
+    at = -1
+    for _ in range(occurrence + 1):
+        at = data.index(marker.encode(), at + 1)
+    line_start = data.rfind(b"\n", 0, at) + 1
+    return SourceLocation(data.count(b"\n", 0, at) + 1, at - line_start)
+
+
+def context_xml(cid: str, period: str, identifier: str = "E", segment: str = "",
+                scenario: str = "") -> str:
+    return (f'<xbrli:context id="{cid}"><xbrli:entity><xbrli:identifier scheme="urn:s">'
+            f"{identifier}</xbrli:identifier>{segment}</xbrli:entity><xbrli:period>{period}"
+            f"</xbrli:period>{scenario}</xbrli:context>")
+
+
+def read_contexts(body: str):
+    data = instance_text().format(body).encode()
+    [outcome], _, _ = assert_same(data, ParseOptions())
+    return data, outcome
+
+
+def expected_context(data: bytes, cid: str, period, entity: Entity = Entity("urn:s", "E"),
+                     scenario=None) -> Context:
+    return Context(cid, entity, period, scenario, where(data, f'<xbrli:context id="{cid}"'))
+
+
+def test_period_children_between_whitespace_comments_and_instructions():
+    period = ("\n  <!-- start --> <?pi x?>\n<xbrli:startDate> 2008-01-01 </xbrli:startDate>"
+              "<!-- between --><?pi y?>\n\t<xbrli:endDate>2008-<!-- in -->12-31"
+              "<?pi z?></xbrli:endDate> <!-- end -->\n")
+    body = (context_xml("c1", period, identifier="\n E <!-- c -->\n")
+            + context_xml("c2", "<?pi?><xbrli:instant>\t2008-12-31\n</xbrli:instant><!---->"))
+    data, outcome = read_contexts(body)
+    assert repr(outcome.instance.contexts) == repr({
+        "c1": expected_context(data, "c1", Duration(parse_point("2008-01-01"),
+                                                    parse_point("2008-12-31"))),
+        "c2": expected_context(data, "c2", Instant(parse_point("2008-12-31"))),
+    })
+
+
+def test_forever_zoned_dates_equal_ends_and_a_segment_with_a_scenario():
+    segment = '<xbrli:segment><ex:region xmlns:ex="urn:ex">north</ex:region></xbrli:segment>'
+    scenario = "<xbrli:scenario><ex:basis>actual</ex:basis></xbrli:scenario>"
+    body = (context_xml("forever", "<xbrli:forever/>")
+            + context_xml("zoned", "<xbrli:startDate>2008-01-01Z</xbrli:startDate>"
+                                   "<xbrli:endDate>2008-12-31T23:59:59.5-05:00</xbrli:endDate>")
+            + context_xml("same", "<xbrli:startDate>2008-06-30</xbrli:startDate>"
+                                  "<xbrli:endDate>2008-06-30</xbrli:endDate>")
+            + context_xml("both", "<xbrli:instant>2008-12-31T24:00:00+14:00</xbrli:instant>",
+                          segment=segment, scenario=scenario))
+    data, outcome = read_contexts(body)
+    by_name = {element.name.local_name: element for element in read_document(data).iter_elements()}
+    assert repr(outcome.instance.contexts) == repr({
+        "forever": expected_context(data, "forever", Forever()),
+        "zoned": expected_context(data, "zoned", Duration(
+            parse_point("2008-01-01Z"), parse_point("2008-12-31T23:59:59.5-05:00"))),
+        "same": expected_context(data, "same", Duration(parse_point("2008-06-30"),
+                                                        parse_point("2008-06-30"))),
+        "both": expected_context(
+            data, "both", Instant(parse_point("2008-12-31T24:00:00+14:00")),
+            Entity("urn:s", "E", by_name["segment"]), by_name["scenario"]),
+    })
+
+
+def test_contexts_sharing_dates_stay_equal_and_keep_their_positions():
+    texts = ["2008-12-31", " 2008-12-31 ", "2007-12-31", "2008-12-31T00:00:00Z"]
+    periods = {}
+    for n in range(60):
+        text = texts[n % 4]
+        if n % 3:
+            periods[f"c{n}"] = (f"<xbrli:instant>{text}</xbrli:instant>",
+                                Instant(parse_point(text.strip())))
+        else:
+            periods[f"c{n}"] = (f"<xbrli:startDate>2001-01-01</xbrli:startDate>"
+                                f"<xbrli:endDate>{text}</xbrli:endDate>",
+                                Duration(parse_point("2001-01-01"), parse_point(text.strip())))
+    data, outcome = read_contexts("\n".join(context_xml(cid, xml)
+                                            for cid, (xml, _) in periods.items()))
+    expected = {cid: expected_context(data, cid, period)
+                for cid, (_, period) in periods.items()}
+    assert list(outcome.instance.contexts) == list(periods)
+    assert repr(outcome.instance.contexts) == repr(expected)
+
+
+def test_a_bad_date_repeating_a_good_ones_text_fails_at_its_own_element():
+    body = (context_xml("good", "<xbrli:instant>2008-12-31</xbrli:instant>")
+            + context_xml("child", "<xbrli:instant>2008-<ex:y/>12-31</xbrli:instant>")
+            + context_xml("bad1", "<xbrli:instant>2008-13-01</xbrli:instant>")
+            + context_xml("bad2", "<xbrli:instant>2008-13-01</xbrli:instant>")
+            + context_xml("again", "<xbrli:instant>2008-12-31</xbrli:instant>"))
+    data = instance_text().format(body).encode()
+    child_at = where(data, "<xbrli:instant>", 1)
+    assert assert_same(data, ParseOptions())[:3] == (
+        InvalidIso8601, "instant holds element content", child_at)
+    strict_bad = instance_text().format(body.replace("2008-<ex:y/>12-31", "2008-12-31")).encode()
+    assert assert_same(strict_bad, ParseOptions())[:3] == (
+        InvalidIso8601, "invalid calendar date '2008-13-01': month must be in 1..12",
+        where(strict_bad, "<xbrli:instant>", 2))
+    [outcome], _, _ = assert_same(data, ParseOptions(mode=ParseMode.LENIENT))
+    assert list(outcome.instance.contexts) == ["good", "again"]
+    contexts = outcome.instance.contexts
+    assert contexts["good"].period == contexts["again"].period == Instant(parse_point("2008-12-31"))
+    assert [(f.code, f.location, f.subject, f.message) for f in outcome.recovered_findings] == [
+        ("PER-001", child_at, "child", "context dropped: instant holds element content"),
+        ("PER-001", where(data, "<xbrli:instant>", 2), "bad1",
+         "context dropped: invalid calendar date '2008-13-01': month must be in 1..12"),
+        ("PER-001", where(data, "<xbrli:instant>", 3), "bad2",
+         "context dropped: invalid calendar date '2008-13-01': month must be in 1..12"),
+    ]
+
+
+@pytest.mark.parametrize("period", [
+    "<xbrli:instant>2008-12-31<ex:y/></xbrli:instant>",
+    "<xbrli:startDate><ex:y>2008-01-01</ex:y></xbrli:startDate>"
+    "<xbrli:endDate>2008-12-31</xbrli:endDate>",
+    "<xbrli:startDate>2008-01-01</xbrli:startDate>"
+    "<xbrli:endDate>2008-<xbrli:x/>12-31</xbrli:endDate>",
+], ids=["instant", "startDate", "endDate"])
+def test_an_element_inside_a_date_is_an_invalid_date(period):
+    data = instance_text().format(context_xml("c1", period)).encode()
+    name = re.search(r"<xbrli:(\w+)>[^<]*<(?!/)", period).group(1)
+    at = where(data, f"<xbrli:{name}>")
+    message = f"{name} holds element content"
+    assert assert_same(data, ParseOptions())[:3] == (InvalidIso8601, message, at)
+    [outcome], _, _ = assert_same(data, ParseOptions(mode=ParseMode.LENIENT))
+    assert outcome.instance.contexts == {}
+    assert [(f.code, f.location, f.subject) for f in outcome.recovered_findings] == [
+        ("PER-001", at, "c1")]
+
+
+@pytest.mark.parametrize("identifier", ["E<ex:y/>", "<ex:y>E</ex:y>", "E<!-- c --><ex:y/>F"])
+def test_an_element_inside_an_identifier_is_an_invalid_context(identifier):
+    data = instance_text().format(
+        context_xml("c1", "<xbrli:forever/>", identifier=identifier)).encode()
+    for options in MODES:
+        assert assert_same(data, options)[:3] == (
+            InvalidContextShape, "identifier holds element content",
+            where(data, "<xbrli:identifier"))

@@ -1,9 +1,18 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
+from hypothesis import given, settings, strategies as st
+
+import gen
 from conftest import FIXTURES, fixture_bytes
 from xbrlcore import (
+    Concept,
+    DataKind,
+    Dts,
+    Duration,
+    Finding,
     Instance,
     Item,
     ParseMode,
@@ -12,6 +21,7 @@ from xbrlcore import (
     QName,
     Severity,
     Tuple,
+    Unit,
     build_report,
     discover,
     find_instances,
@@ -21,6 +31,7 @@ from xbrlcore import (
     serialize,
     validate,
 )
+from xbrlcore.constants import DEFAULT_MAX_TUPLE_DEPTH, ISO4217_NS, XBRLI_NS
 
 MINI_NS = "http://example.com/taxonomy/mini"
 LENIENT = ParseOptions(mode=ParseMode.LENIENT)
@@ -312,3 +323,118 @@ def test_catalog_matches_rules_doc():
                   and not line.startswith("| ---")]
     assert documented == [r.code for r in rule_catalog()]
 
+
+
+# ---------------------------------------------------------------------------
+# the item rules against a per-fact reference
+# ---------------------------------------------------------------------------
+
+
+def reference_findings(instance: Instance, concepts) -> list[Finding]:
+    """Every finding ``validate`` must report, checked fact by fact, rule by rule."""
+    found = []
+
+    def facts(children, depth):
+        for fact in children:
+            yield fact, depth
+            if isinstance(fact, Tuple):
+                yield from facts(fact.children, depth + 1)
+
+    for fact, depth in facts(instance.facts, 1):
+        name = fact.concept.clark()
+
+        def flag(code, message):
+            found.append(Finding.of(code, message, fact.source_location, fact.id or name))
+
+        if isinstance(fact, Tuple):
+            if fact.context_ref is not None:
+                flag("T-001", f"tuple {name} carries contextRef {fact.context_ref!r}")
+            if depth > DEFAULT_MAX_TUPLE_DEPTH:
+                flag("T-DEPTH", f"tuple {name} is nested deeper than {DEFAULT_MAX_TUPLE_DEPTH}")
+            if concepts is not None and fact.concept not in concepts:
+                flag("DTS-001", f"concept {name} is not declared in the taxonomy set")
+            continue
+        if all(cid != fact.context_ref for cid in instance.contexts):
+            flag("CTX-001", f"item {name} references undefined context {fact.context_ref!r}")
+        unit = None
+        if fact.unit_ref is not None:
+            units = [u for uid, u in instance.units.items() if uid == fact.unit_ref]
+            if units:
+                unit = units[0]
+            else:
+                flag("UNT-001", f"item {name} references undefined unit {fact.unit_ref!r}")
+        if concepts is None:
+            continue
+        if fact.concept not in concepts:
+            flag("DTS-001", f"concept {name} is not declared in the taxonomy set")
+            continue
+        kind = concepts[fact.concept].data_kind.value
+        if kind in ("monetary", "shares", "numeric") and fact.unit_ref is None:
+            flag("NUM-001", f"numeric item {name} has no unitRef")
+        if (kind == "monetary" and unit is not None
+                and all(m.namespace_uri != ISO4217_NS for m in unit.numerator)):
+            flag("UNT-002", f"monetary item {name} uses unit {fact.unit_ref!r} "
+                            "without an ISO 4217 measure")
+    for context in instance.contexts.values():
+        scenario = context.scenario
+        if scenario is not None and all(isinstance(ch, str) for ch in scenario.children):
+            found.append(Finding.of("SCN-001", f"context {context.id!r} has an empty scenario "
+                                    "element", scenario.source_location, context.id))
+        period = context.period
+        if isinstance(period, Duration) and period.start.zoned != period.end.zoned:
+            found.append(Finding.of(
+                "PER-003", f"context {context.id!r} mixes zoned and zoneless period values; "
+                "the zoneless one was assumed to be UTC", context.source_location, context.id))
+    for link in instance.footnote_links:
+        labels = [label for label, _ in (*link.locators, *link.footnotes)]
+        for arc in link.arcs:
+            for endpoint in (arc.from_label, arc.to_label):
+                if endpoint not in labels:
+                    found.append(Finding.of(
+                        "FTN-001", f"footnote arc endpoint {endpoint!r} matches no locator "
+                        "or footnote label", link.source_location, endpoint))
+    return sorted(found, key=lambda f: (f.location.line, f.location.column, f.code))
+
+
+EXTRA_UNITS = {
+    # A monetary numerator over shares is monetary; pure over a currency is not.
+    "u-eps": Unit("u-eps", (QName(ISO4217_NS, "USD"),), (QName(XBRLI_NS, "shares"),)),
+    "u-rate": Unit("u-rate", (QName(XBRLI_NS, "pure"),), (QName(ISO4217_NS, "EUR"),)),
+}
+
+
+def spoil(rng: random.Random, instance: Instance) -> Instance:
+    """Undefined contexts and units, dropped units and tuples carrying contextRef."""
+    units = {**instance.units, **EXTRA_UNITS}
+    context_ids = [*instance.contexts, "c-ghost"]
+    unit_ids = [*units, "u-ghost"]
+
+    def rebuild(fact):
+        if isinstance(fact, Tuple):
+            context_ref = rng.choice(context_ids) if rng.random() < 0.3 else fact.context_ref
+            return replace(fact, children=tuple(rebuild(ch) for ch in fact.children),
+                           context_ref=context_ref)
+        context_ref = "c-ghost" if rng.random() < 0.2 else fact.context_ref
+        roll = rng.random()
+        unit_ref = (None if roll < 0.25 else rng.choice(unit_ids) if roll < 0.75
+                    else fact.unit_ref)
+        return replace(fact, context_ref=context_ref, unit_ref=unit_ref)
+
+    return replace(instance, units=units, facts=tuple(rebuild(f) for f in instance.facts))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), declared=st.floats(0, 1), with_dts=st.booleans())
+def test_validate_matches_a_per_fact_reference(seed, declared, with_dts):
+    rng = random.Random(seed)
+    spoiled = spoil(rng, gen.random_instance(rng))
+    # A serialize/read round trip gives every fact its own source position.
+    instance = parse_instance(read_document(serialize(spoiled))).instance
+    concepts = None
+    if with_dts:
+        names = [QName(gen.GEN_NS, local + suffix)
+                 for local in gen.CONCEPTS for suffix in ("", "Group")]
+        concepts = {name: Concept(name, data_kind=rng.choice(list(DataKind)))
+                    for name in names if rng.random() < declared}
+    report = validate(instance, Dts(concepts=concepts) if with_dts else None)
+    assert list(report.findings) == reference_findings(instance, concepts)
