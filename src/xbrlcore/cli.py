@@ -1,11 +1,11 @@
 """Command-line surface: parse, validate, facts, dts, rules.
 
 Exit codes: 0 success (validate: no Error findings), 1 validation errors,
-2 parse/read failure. Data goes to stdout, as UTF-8 whatever the locale,
-diagnostics to stderr, and all renderings are deterministic. Flags fall
-back to XBRLCORE_* environment variables, then to defaults. Taxonomy
-references are read only from files under --taxonomy-root; nothing is
-fetched from the network.
+2 parse/read failure or an output that cannot be written. Data goes to
+stdout, as UTF-8 whatever the locale, diagnostics to stderr, and all
+renderings are deterministic. Flags fall back to XBRLCORE_* environment
+variables, then to defaults. Taxonomy references are read only from files
+under --taxonomy-root; nothing is fetched from the network.
 """
 
 from __future__ import annotations
@@ -100,9 +100,16 @@ def _parse_options(args: argparse.Namespace) -> ParseOptions:
     return ParseOptions(mode=mode)
 
 
+class _UnreadableInput(Exception):
+    """The input file could not be read; the message is the reason."""
+
+
 def _load_instances(args: argparse.Namespace) -> tuple[bytes, list[ParseOutcome]]:
-    with open(args.input, "rb") as handle:
-        data = handle.read()
+    try:
+        with open(args.input, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise _UnreadableInput(exc.strerror or exc) from None
     outcomes = read_instances(data, _parse_options(args))
     if not outcomes:
         raise XbrlError("no xbrl element found in input")
@@ -305,9 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _run(argv)
     finally:
-        # Switching back flushes stdout. If that fails (a closed pipe), the
-        # bytes stay buffered and the interpreter's flush at exit reports
-        # it, as it would without the switch.
+        # Switching back flushes stdout; ``_run`` has already reported a
+        # write that failed.
         with contextlib.suppress(OSError):
             stdout.reconfigure(encoding=encoding, errors=errors)
 
@@ -315,13 +321,25 @@ def main(argv: list[str] | None = None) -> int:
 def _run(argv: list[str] | None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except XbrlError as exc:
         where = f" at {exc.location}" if exc.location.line else ""
         print(f"xbrlcore: {args.command} failed{where}: {exc}", file=sys.stderr)
         return EXIT_PARSE_FAILURE
-    except OSError as exc:
-        print(f"xbrlcore: cannot read input: {exc.strerror or exc}", file=sys.stderr)
+    except _UnreadableInput as exc:
+        print(f"xbrlcore: cannot read input: {exc}", file=sys.stderr)
+        return EXIT_PARSE_FAILURE
+    except OSError as exc:  # taxonomy reads report their own: this is stdout's
+        print(f"xbrlcore: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        # What stdout still buffers would fail again when the interpreter
+        # flushes it at exit, so its descriptor goes to the null device.
+        with contextlib.suppress(OSError, ValueError):  # a sink with no descriptor
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         return EXIT_PARSE_FAILURE
 
 

@@ -8,21 +8,24 @@ tuple over-nesting), emitting one finding per recovery so no data is lost
 silently. An xbrl element nested inside an instance is not parsed in
 either mode; both report it as an EMB-001 finding and go on.
 
-There are two ways in, with one result. ``read_instances`` goes from
-bytes to instances in one pass of the XML reader: a fact without child
-elements is built as its end tag closes, straight from the reader's
-events, and every other child of an xbrl element (contexts, units,
-references, footnote links, tuples) as the element tree ``read_document``
-would build for it. ``parse_instance`` and ``find_instances`` start from
-a tree. Both hand each child of an xbrl element, in document order, to
-one ``_InstanceBuilder``, whose ``fact`` alone decides what an element
-is: skipped, a nested instance (EMB-001), a tuple, an empty tuple or an
-item, and which of CTX-002, ITM-001 and T-DEPTH apply.
+There are two ways in, with one result. ``read_instances`` goes from bytes
+to instances in one pass of the XML reader, on ``read_document``'s tree
+builder, whose open elements keep raw attribute names until an element is
+built; it adds only the instance rule. A fact without child elements is
+built as its end tag closes, from its name, raw attributes and text, and
+every other child of an xbrl element (contexts, units, references,
+footnote links, tuples) as the element ``read_document`` would build.
+``parse_instance`` and ``find_instances`` start from a tree. Both hand
+each child of an xbrl element, in document order, to one
+``_InstanceBuilder``, whose ``fact`` alone decides what an element is:
+skipped, a nested instance (EMB-001), a tuple, an empty tuple or an item,
+and which of CTX-002, ITM-001 and T-DEPTH apply.
 
 A period is read in one pass over its children, with no list of its
-child elements or of their text. Dates, identifiers and other simple-typed values are text
-only: an element inside one is an InvalidIso8601 (PER-001 in lenient
-mode) or an InvalidContextShape at that value's element, never dropped.
+child elements or of their text. Dates, identifiers, measures and other
+simple-typed values are text only: an element inside one is an error at
+that value's element, never dropped: InvalidIso8601 (PER-001 in lenient
+mode), InvalidContextShape, or EmptyUnit (MalformedDivide in a divide).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .model import (
 )
 from .xmltree import (
     XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter, _read, _TreeBuilder,
-    _tuple_new, _without_cyclic_gc,
+    _without_cyclic_gc,
 )
 
 _DECIMALS_RE = re.compile(r"INF|[+-]?[0-9]+")
@@ -221,12 +224,13 @@ def _parse_unit(element: XmlElement) -> Unit:
 
 
 def _measure_qnames(parent: XmlElement, error: type[ParseError]) -> tuple[QName, ...]:
-    """The measures under ``parent``; raises ``error`` if it holds anything else."""
+    """The measures under ``parent``; raises ``error`` if it holds anything
+    else, or at a measure holding an element."""
     children = parent.child_elements()
     if any(ch.name != c.QN_MEASURE for ch in children):
         raise error(f"{parent.name.local_name} contains non-measure content",
                     parent.source_location)
-    return tuple(ch.resolve_qname_text(ch.text_content()) for ch in children)
+    return tuple(ch.resolve_qname_text(_simple_text(ch, error)) for ch in children)
 
 
 def _parse_entity(element: XmlElement) -> Entity:
@@ -552,14 +556,16 @@ def find_instances(root: XmlElement,
 class _InstanceReader(_TreeBuilder):
     """Builds the instances of a document while expat reads it (``read_instances``).
 
-    The outermost xbrl elements are found as they start. Outside them
-    nothing is built; the prefix bindings are still tracked. A child of an
-    xbrl element goes to its ``_InstanceBuilder`` when its end tag closes:
-    a fact without child elements straight from expat's name, raw
+    Every element goes on the tree builder's stack, its attributes under
+    expat's raw names until an element is built; the reader adds only the
+    instance rule. An outermost xbrl element is found as it starts, and its
+    ``_InstanceBuilder`` takes the place of its children list; outside it
+    nothing is built. A child of it goes to that builder when its end tag
+    closes: a fact without child elements straight from its name, raw
     attributes and text, anything else as the ``XmlElement`` that
     ``read_document`` would build. The first error building an instance is
-    held in ``error`` while the rest of the document is read, unbuilt, so
-    that a read error anywhere wins.
+    held in ``error`` while the rest of the document is read, unbuilt, so that
+    a read error anywhere wins.
     """
 
     def __init__(self, options: ParseOptions):
@@ -572,59 +578,33 @@ class _InstanceReader(_TreeBuilder):
 
     def _start(self, name: str, attributes: dict[str, str]) -> None:
         stack = self.stack
-        if len(stack) == self.level:  # a child of the open xbrl element
-            text = self.text
-            if text:  # text between the children is not kept
-                text.clear()
-            qname = self.names[name]
-            if qname.namespace_uri not in _RESERVED_NAMESPACES:
-                # A fact: its attributes stay keyed by expat's raw names,
-                # for ``fact`` to read, unless a child element makes it a
-                # tree after all (see ``_end``).
-                parser = self.parser
-                bindings = self.declared
-                if bindings is None:
-                    bindings = stack[-1][4]
-                else:
-                    self.declared = None
-                stack.append([qname, attributes, [], _tuple_new(SourceLocation, (
-                    parser.CurrentLineNumber, parser.CurrentColumnNumber)), bindings])
-                return
-        elif self.instance is None and self.names[name] == c.QN_XBRL:
-            _TreeBuilder._start(self, name, attributes)
-            # The entry's children list is the builder: the tree reader's
+        if len(stack) == self.level:  # text between the xbrl element's children is not kept
+            self.text.clear()
+        _TreeBuilder._start(self, name, attributes)
+        entry = stack[-1]
+        if self.instance is None and entry[0] == c.QN_XBRL:
+            # The entry's children list is the builder: the tree builder's
             # ``_end`` hands it each child element it completes.
-            entry = stack[-1]
             entry[2] = self.instance = _InstanceBuilder(self.options, entry[3])
             self.level = len(stack)
-            return
-        _TreeBuilder._start(self, name, attributes)
 
     def _end(self, name: str) -> None:
         stack = self.stack
         depth = len(stack)
         if depth == self.level + 1:  # a child of the open xbrl element
-            entry = stack[-1]
-            qname, attributes, children, location, _ = entry
-            if qname.namespace_uri not in _RESERVED_NAMESPACES:  # a fact, as ``_start`` left it
-                if not children:  # no child element
+            qname, attributes, children, location, _ = stack[-1]
+            try:
+                if children or qname.namespace_uri in _RESERVED_NAMESPACES:
+                    _TreeBuilder._end(self, name)
+                else:  # a fact without child elements
                     del stack[-1]
                     text = self.text
                     value = "".join(text)
                     text.clear()
                     instance = self.instance
-                    try:
-                        fact = instance.fact(qname, attributes, _RAW_KEYS, value, (), location, 1)
-                    except XbrlError as exc:
-                        self._hold(exc)
-                        return
+                    fact = instance.fact(qname, attributes, _RAW_KEYS, value, (), location, 1)
                     if fact is not None:
                         instance.facts.append(fact)
-                    return
-                names = self.names
-                entry[1] = {names[k]: v for k, v in attributes.items()}
-            try:
-                _TreeBuilder._end(self, name)
             except XbrlError as exc:
                 self._hold(exc)
         elif depth == self.level:  # the open xbrl element

@@ -99,13 +99,6 @@ class QName(NamedTuple):
             return "{%s}%s" % (self.namespace_uri, self.local_name)
         return self.local_name
 
-    @classmethod
-    def from_clark(cls, text: str) -> "QName":
-        if text.startswith("{"):
-            uri, _, local = text[1:].partition("}")
-            return cls(uri, local)
-        return cls("", text)
-
     def __str__(self) -> str:
         return self.clark()
 
@@ -272,14 +265,16 @@ class _Names(dict):
 class _TreeBuilder:
     """Assembles XmlElements from the events of a namespace-aware expat parser.
 
-    Expat resolves every element and attribute name and enforces the
-    Namespaces in XML constraints; ``names`` turns its expanded names into
-    QNames, so every element carrying a name shares one object. Prefix
-    bindings are tracked only for ``XmlElement.prefix_bindings``: an element
-    that declares a namespace gets a copy of its parent's bindings with the
-    declarations applied, any other element shares its parent's mapping.
-    Text collected since the last tag goes to the open element's children
-    as one string; with ``buffer_text`` expat mostly delivers it in one piece.
+    Expat resolves every element and attribute name and enforces the Namespaces
+    in XML constraints; ``names`` turns its expanded names into QNames, so
+    every element carrying a name shares one object. An open element keeps
+    expat's raw attribute names until ``_end`` builds it, the one place they
+    become QName keys; ``parser._InstanceReader`` adds only the instance rule.
+    Prefix bindings are tracked only for ``XmlElement.prefix_bindings``: an
+    element that declares a namespace gets a copy of its parent's bindings with
+    the declarations applied, any other element shares its parent's mapping.
+    Text collected since the last tag goes to the open element's children as
+    one string; with ``buffer_text`` expat mostly delivers it in one piece.
     """
 
     def __init__(self) -> None:
@@ -293,7 +288,7 @@ class _TreeBuilder:
         self.text: list[str] = []
         parser.CharacterDataHandler = self.text.append
         self.names = _Names()
-        # [qname, attrs, children, location, bindings] per open element; the
+        # [qname, raw attrs, children, location, bindings] per open element; the
         # bottom entry holds the initial bindings and collects the root.
         self.stack: list[list] = [[None, None, [], None, _INITIAL_SCOPE]]
         # bindings of the element about to start, if it declares any
@@ -329,10 +324,7 @@ class _TreeBuilder:
             bindings = parent[4]
         else:
             self.declared = None
-        names = self.names
-        if attributes:
-            attributes = {names[k]: v for k, v in attributes.items()}
-        stack.append([names[name], attributes, [], loc, bindings])
+        stack.append([self.names[name], attributes, [], loc, bindings])
 
     def _end(self, name: str) -> None:
         stack = self.stack
@@ -341,6 +333,9 @@ class _TreeBuilder:
         if text:
             children.append(text[0] if len(text) == 1 else "".join(text))
             text.clear()
+        if attrs:
+            names = self.names
+            attrs = {names[k]: v for k, v in attrs.items()}
         element = _new_element(XmlElement)
         _init_element(element, qname, attrs, tuple(children) if children else (), loc, bindings)
         stack[-1][2].append(element)

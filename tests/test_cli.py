@@ -652,14 +652,17 @@ def test_an_ascii_stdout_gets_utf8_and_its_encoding_back(repo_root, tmp_path, mo
 
 
 def test_a_closed_stdout_pipe_gives_no_traceback(repo_root):
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "xbrlcore", "facts", "fixtures/mini-instance.xml",
-             "--format", "csv"],
-            stdout=write_end, stderr=subprocess.PIPE, cwd=repo_root,
-            env={**os.environ, "PYTHONPATH": str(repo_root / "src"), "PYTHONUNBUFFERED": ""})
-    finally:
-        os.close(write_end)
-    assert b"Traceback" not in proc.stderr
+    for unbuffered in ("", "1"):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "xbrlcore", "facts", "fixtures/mini-instance.xml",
+                 "--format", "csv"],
+                stdout=write_end, stderr=subprocess.PIPE, cwd=repo_root,
+                env={**os.environ, "PYTHONPATH": str(repo_root / "src"),
+                     "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (
+            2, b"xbrlcore: cannot write output: Broken pipe\n"), unbuffered

@@ -243,8 +243,8 @@ def test_lookup_hit_miss_and_prefix_independence():
     hit = dts.concepts.get(QName(MINI_NS, "Assets"))
     assert hit is not None and hit.data_kind is DataKind.MONETARY
     assert dts.concepts.get(QName(MINI_NS, "Nope")) is None
-    # QName identity is URI + local, so any prefix spelling resolves the same
-    assert dts.concepts.get(QName.from_clark("{%s}Assets" % MINI_NS)) is hit
+    # QName identity is URI + local, so the bare pair finds the same concept
+    assert dts.concepts.get((MINI_NS, "Assets")) is hit
 
 
 # ---------------------------------------------------------------------------

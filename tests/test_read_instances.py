@@ -26,6 +26,7 @@ from xbrlcore import (
     MalformedXml,
     ParseMode,
     ParseOptions,
+    QName,
     SourceLocation,
     UnboundPrefix,
     XbrlError,
@@ -34,12 +35,13 @@ from xbrlcore import (
     read_instances,
     serialize,
 )
-from xbrlcore.constants import DEFAULT_MAX_TUPLE_DEPTH
+from xbrlcore.constants import DEFAULT_MAX_TUPLE_DEPTH, ISO4217_NS, LINK_NS, XLINK_NS
 from xbrlcore.iso8601 import parse_point
 from xbrlcore.parser import (
-    DuplicateContextId, InvalidContextShape, InvalidIso8601, MissingContextRef,
-    TupleDepthExceeded,
+    DuplicateContextId, EmptyUnit, InvalidContextShape, InvalidIso8601, MalformedDivide,
+    MissingContextRef, TupleDepthExceeded,
 )
+from xbrlcore.xmltree import XML_NAMESPACE
 
 XBRLI = "http://www.xbrl.org/2003/instance"
 MODES = [ParseOptions(mode=mode) for mode in ParseMode]
@@ -370,3 +372,78 @@ def test_an_element_inside_an_identifier_is_an_invalid_context(identifier):
         assert assert_same(data, options)[:3] == (
             InvalidContextShape, "identifier holds element content",
             where(data, "<xbrli:identifier"))
+
+
+# -- units: a measure is QName text, so an element inside one fails at it --
+
+
+def unit_xml(numerator: str, denominator: str | None = None) -> str:
+    if denominator is None:
+        return f'<xbrli:unit id="u1">{numerator}</xbrli:unit>'
+    return (f'<xbrli:unit id="u1"><xbrli:divide><xbrli:unitNumerator>{numerator}'
+            f"</xbrli:unitNumerator><xbrli:unitDenominator>{denominator}"
+            "</xbrli:unitDenominator></xbrli:divide></xbrli:unit>")
+
+
+GOOD_MEASURE = "<xbrli:measure>iso4217:USD</xbrli:measure>"
+BAD_MEASURE = "<xbrli:measure>iso4217:<ex:x/>USD</xbrli:measure>"
+
+
+@pytest.mark.parametrize("unit, error, occurrence", [
+    (unit_xml(GOOD_MEASURE + BAD_MEASURE), EmptyUnit, 1),
+    (unit_xml(BAD_MEASURE, "<xbrli:measure>xbrli:shares</xbrli:measure>"), MalformedDivide, 0),
+    (unit_xml(GOOD_MEASURE, BAD_MEASURE), MalformedDivide, 1),
+], ids=["unit", "numerator", "denominator"])
+def test_an_element_inside_a_measure_is_an_invalid_unit(unit, error, occurrence):
+    data = instance_text(iso4217=ISO4217_NS).format(unit).encode()
+    for options in MODES:
+        assert assert_same(data, options)[:3] == (
+            error, "measure holds element content", where(data, "<xbrli:measure>", occurrence))
+
+
+# -- attributes: unprefixed, foreign-prefixed and xml:lang ones become QName
+# keys in document order; namespace declarations are not attributes ------
+
+ATTRS = ' a="1" xmlns:f="urn:f" f:b="2" xml:lang="de"'
+KEYED = [(QName("", "a"), "1"), (QName("urn:f", "b"), "2"), (QName(XML_NAMESPACE, "lang"), "de")]
+
+
+def test_attributes_are_keyed_by_qname_in_document_order():
+    segment = f"<xbrli:segment{ATTRS}><ex:member{ATTRS}>m</ex:member></xbrli:segment>"
+    body = (f'<xbrli:context id="c1"{ATTRS}><xbrli:entity><xbrli:identifier scheme="urn:s">E'
+            f"</xbrli:identifier>{segment}</xbrli:entity><xbrli:period><xbrli:forever/>"
+            f'</xbrli:period></xbrli:context><xbrli:unit id="u1"{ATTRS}>{GOOD_MEASURE}'
+            f'</xbrli:unit><ex:Leaf contextRef="c1"{ATTRS} unitRef="u1" decimals="0">5</ex:Leaf>'
+            f'<ex:Tuple{ATTRS}><ex:Child{ATTRS} contextRef="c1">x</ex:Child></ex:Tuple>'
+            '<link:footnoteLink xlink:type="extended"><link:loc xlink:type="locator"'
+            ' xlink:label="l" xlink:href="#f"/><link:footnote xlink:type="resource"'
+            f' xlink:label="n"{ATTRS}>note</link:footnote></link:footnoteLink>')
+    data = instance_text(iso4217=ISO4217_NS, link=LINK_NS, xlink=XLINK_NS).format(body).encode()
+    expected = {
+        "xbrl": [], "context": [(QName("", "id"), "c1"), *KEYED], "entity": [],
+        "identifier": [(QName("", "scheme"), "urn:s")], "segment": KEYED, "member": KEYED,
+        "period": [], "forever": [], "unit": [(QName("", "id"), "u1"), *KEYED], "measure": [],
+        "Leaf": [(QName("", "contextRef"), "c1"), *KEYED, (QName("", "unitRef"), "u1"),
+                 (QName("", "decimals"), "0")],
+        "Tuple": KEYED, "Child": [*KEYED, (QName("", "contextRef"), "c1")],
+        "footnoteLink": [(QName(XLINK_NS, "type"), "extended")],
+        "loc": [(QName(XLINK_NS, "type"), "locator"), (QName(XLINK_NS, "label"), "l"),
+                (QName(XLINK_NS, "href"), "#f")],
+        "footnote": [(QName(XLINK_NS, "type"), "resource"), (QName(XLINK_NS, "label"), "n"),
+                     *KEYED],
+    }
+    tree = list(read_document(data).iter_elements())
+    assert sorted(e.name.local_name for e in tree) == sorted(expected)
+    for element in tree:
+        assert list(element.attributes.items()) == expected[element.name.local_name], element
+    for options in MODES:
+        [outcome], _, _ = assert_same(data, options)
+        kept = [e for fragment in fragments(outcome) for e in fragment.iter_elements()]
+        assert [e.name.local_name for e in kept] == ["segment", "member", "footnote"]
+        for element in kept:
+            assert list(element.attributes.items()) == expected[element.name.local_name]
+        assert [(f.concept.local_name, f.context_ref, f.unit_ref, f.decimals, f.value)
+                for f in outcome.instance.iter_items()] == [
+            ("Leaf", "c1", "u1", "0", "5"), ("Child", "c1", None, None, "x")]
+        [tuple_] = [f for f in outcome.instance.facts if f.concept.local_name == "Tuple"]
+        assert tuple_.context_ref is None
