@@ -16,7 +16,6 @@ from .model import (
     Duration,
     Entity,
     Fact,
-    Footnote,
     FootnoteArc,
     FootnoteLink,
     Forever,
@@ -62,7 +61,7 @@ __all__ = [
     "MalformedXml", "UnboundPrefix", "UnsupportedEncoding", "XmlReadError",
     "Instance", "Item", "Tuple", "Fact", "Context", "Entity", "Unit",
     "Instant", "Duration", "Forever",
-    "TaxonomyRef", "Footnote", "FootnoteArc", "FootnoteLink",
+    "TaxonomyRef", "FootnoteArc", "FootnoteLink",
     "ParseOptions", "ParseMode", "ParseOutcome", "ParseError",
     "parse_instance", "find_instances", "read_instances", "serialize",
     "Dts", "DtsDocument", "Concept",

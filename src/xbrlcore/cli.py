@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .dts import Dts, Resolver, build_resolver, discover, DEFAULT_MAX_DOCUMENTS
+from .dts import Dts, Resolver, discover, DEFAULT_MAX_DOCUMENTS
 from .errors import XbrlError
 from .facttable import CSV_HEADER, fact_rows
 from .findings import Finding, rule_catalog
@@ -95,11 +95,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_options(args: argparse.Namespace) -> ParseOptions:
-    mode = ParseMode.LENIENT if args.mode == "lenient" else ParseMode.STRICT
-    return ParseOptions(mode=mode)
-
-
 class _UnreadableInput(Exception):
     """The input file could not be read; the message is the reason."""
 
@@ -110,7 +105,7 @@ def _load_instances(args: argparse.Namespace) -> tuple[bytes, list[ParseOutcome]
             data = handle.read()
     except OSError as exc:
         raise _UnreadableInput(exc.strerror or exc) from None
-    outcomes = read_instances(data, _parse_options(args))
+    outcomes = read_instances(data, ParseOptions(ParseMode(args.mode)))
     if not outcomes:
         raise XbrlError("no xbrl element found in input")
     return data, outcomes
@@ -196,7 +191,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     data, outcomes = _load_instances(args)
-    resolver = build_resolver(args.taxonomy_root)
+    resolver = Resolver(args.taxonomy_root)
     reports = []
     for outcome in outcomes:
         dts = _discover_dts(args, resolver, outcome) if args.taxonomy_root else None
@@ -242,7 +237,7 @@ def cmd_dts(args: argparse.Namespace) -> int:
     unresolved: list = []
     concepts: set = set()
     limit_exceeded = False
-    resolver = build_resolver(args.taxonomy_root)
+    resolver = Resolver(args.taxonomy_root)
     for outcome in outcomes:
         dts = _discover_dts(args, resolver, outcome)
         for uri, doc in dts.documents.items():
@@ -319,28 +314,43 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    args = _build_arg_parser().parse_args(argv)
     try:
+        args = _build_arg_parser().parse_args(argv)
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code
     except XbrlError as exc:
         where = f" at {exc.location}" if exc.location.line else ""
-        print(f"xbrlcore: {args.command} failed{where}: {exc}", file=sys.stderr)
-        return EXIT_PARSE_FAILURE
+        return _fail(f"{args.command} failed{where}: {exc}")
     except _UnreadableInput as exc:
-        print(f"xbrlcore: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_PARSE_FAILURE
+        return _fail(f"cannot read input: {exc}")
     except OSError as exc:  # taxonomy reads report their own: this is stdout's
-        print(f"xbrlcore: cannot write output: {exc.strerror or exc}", file=sys.stderr)
-        # What stdout still buffers would fail again when the interpreter
-        # flushes it at exit, so its descriptor goes to the null device.
-        with contextlib.suppress(OSError, ValueError):  # a sink with no descriptor
-            fd = sys.stdout.fileno()
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
-        return EXIT_PARSE_FAILURE
+        _to_null_device(sys.stdout)
+        return _fail(f"cannot write output: {exc.strerror or exc}")
+    finally:
+        # A closed stderr, such as a pipe whose reader has gone, keeps the
+        # exit code: what it still buffers (an error or a usage message)
+        # would fail again when the interpreter flushes it at exit.
+        try:
+            sys.stderr.flush()
+        except OSError:
+            _to_null_device(sys.stderr)
+
+
+def _fail(message: str) -> int:
+    with contextlib.suppress(OSError):  # stderr is closed; the exit code still tells
+        print(f"xbrlcore: {message}", file=sys.stderr)
+    return EXIT_PARSE_FAILURE
+
+
+def _to_null_device(stream) -> None:
+    """Point ``stream``'s descriptor at the null device: what the stream still
+    buffers would fail again when the interpreter flushes it at exit."""
+    with contextlib.suppress(OSError, ValueError):  # a sink with no descriptor
+        fd = stream.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -64,7 +64,6 @@ QN_XLINK_LABEL = QName(XLINK_NS, "label")
 QN_XLINK_FROM = QName(XLINK_NS, "from")
 QN_XLINK_TO = QName(XLINK_NS, "to")
 QN_XLINK_ARCROLE = QName(XLINK_NS, "arcrole")
-QN_XML_LANG = QName(XML_NS, "lang")
 
 # schema layer
 QN_XSD_SCHEMA = QName(XSD_NS, "schema")

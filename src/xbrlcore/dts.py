@@ -10,21 +10,20 @@ references. Every reachable href ends up either in ``documents`` or in
 linkbases are fetched and recorded but not interpreted.
 
 A schema is loaded in one pre-order walk, and declarations sharing their
-raw classifying attributes under prefix bindings with the same contents
-are classified once per resolver; each still gets its own ``Concept`` and
-DTS-002 finding.
+raw classifying attributes under the same prefix bindings are classified
+once per load; each still gets its own ``Concept`` and DTS-002 finding.
 
 Per resolver and for its lifetime, each resolved URI is loaded once: its
 document, outgoing hrefs resolved against it, concepts and schema
-findings, or the reason it stays unresolved. That and the classification
-memo are all a resolver keeps, so a long-lived one holds one load per
-distinct URI, each filing's own extension schema included, and nothing per
-entry set. Every discovery walks the loads breadth-first and merges each
-document's concepts with one ``dict.update``; only when some QName is
-declared twice (DTS-003) is the merge redone in document order, first
-declaration winning. This is sound only while ``resolve`` is a pure
-function of its arguments and the documents do not change; concurrent
-discoveries may load one URI twice, with equal results.
+findings, or the reason it stays unresolved. That is all a resolver keeps,
+so a long-lived one holds one load per distinct URI, each filing's own
+extension schema included, and nothing per entry set. Every discovery
+walks the loads breadth-first and merges each document's concepts with one
+``dict.update``; only when some QName is declared twice (DTS-003) is the
+merge redone in document order, first declaration winning. This is sound
+only while ``resolve`` is a pure function of its arguments and the
+documents do not change; concurrent discoveries may load one URI twice,
+with equal results.
 """
 
 from __future__ import annotations
@@ -195,8 +194,7 @@ _PERIOD_TYPES = {"instant": PeriodType.INSTANT, "duration": PeriodType.DURATION}
 class _Classes(dict):
     """Raw (substitutionGroup, type, periodType, abstract) text -> (item kind,
     data kind, period type, abstract), under the prefix bindings of ``element``
-    and of every element whose bindings have the same contents; a QName that
-    will not resolve is unknown."""
+    and of every element sharing them; a QName that will not resolve is unknown."""
 
     def __init__(self, element: XmlElement):
         super().__init__()
@@ -240,20 +238,14 @@ class _Loaded(NamedTuple):
     findings: tuple[Finding, ...]
 
 
-# Per resolver, the outcome of loading each resolved URI, and the
-# classifications of its loads by the contents of the prefix bindings. Keyed
-# weakly, so both live exactly as long as their resolver.
+# Per resolver, the outcome of loading each resolved URI. Keyed weakly, so
+# the loads live exactly as long as their resolver.
 _LOADED: weakref.WeakKeyDictionary[Resolver, dict[str, str | _Loaded]] = \
     weakref.WeakKeyDictionary()
-_CLASSES: weakref.WeakKeyDictionary[Resolver, dict[frozenset, _Classes]] = \
-    weakref.WeakKeyDictionary()
 
 
-def _load(resolver: Resolver, uri: str, shared: dict[frozenset, _Classes]) -> str | _Loaded:
-    """Fetch, read and classify one resolved URI; resolve its outgoing hrefs.
-
-    ``shared`` is the resolver's classification memo per bindings contents.
-    """
+def _load(resolver: Resolver, uri: str) -> str | _Loaded:
+    """Fetch, read and classify one resolved URI; resolve its outgoing hrefs."""
     try:
         data = resolver.fetch(uri)
     except ResolutionError as exc:
@@ -288,11 +280,7 @@ def _load(resolver: Resolver, uri: str, shared: dict[frozenset, _Classes]) -> st
         if local:
             memo = classes.get(id(top.prefix_bindings))
             if memo is None:
-                contents = frozenset(top.prefix_bindings.items())
-                memo = shared.get(contents)
-                if memo is None:
-                    memo = shared[contents] = _Classes(top)
-                classes[id(top.prefix_bindings)] = memo
+                memo = classes[id(top.prefix_bindings)] = _Classes(top)
             kinds = memo[attrs.get(c.QN_ATTR_SUBSTITUTION_GROUP), attrs.get(c.QN_ATTR_TYPE),
                          attrs.get(c.QN_PERIOD_TYPE_ATTR), attrs.get(c.QN_ATTR_ABSTRACT)]
             qname = QName(target_ns, local)
@@ -334,7 +322,6 @@ def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
     call returns its own ``documents`` and ``concepts``.
     """
     loaded = _LOADED.setdefault(resolver, {})
-    shared = _CLASSES.setdefault(resolver, {})
     queue = [resolver.resolve(base_uri, ref.href)
              for ref in (*instance.schema_refs, *instance.linkbase_refs)]
     seen: set[str] = set()
@@ -355,7 +342,7 @@ def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
             continue
         outcome = loaded.get(uri)
         if outcome is None:
-            outcome = loaded[uri] = _load(resolver, uri, shared)
+            outcome = loaded[uri] = _load(resolver, uri)
         if isinstance(outcome, str):
             unresolved.append((uri, outcome))
             continue

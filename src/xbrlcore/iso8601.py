@@ -112,16 +112,3 @@ def timeline_position(point: TimePoint, at_end: bool = False) -> int:
                - (point.offset_minutes or 0) * 60)
     return seconds * 1_000_000 + moment.microsecond
 
-
-def compare_start_end(start: TimePoint, end: TimePoint) -> tuple[int, bool]:
-    """Order a duration's endpoints on the common timeline.
-
-    Returns (cmp, assumed_utc) where cmp is -1/0/1 and assumed_utc is True
-    when exactly one endpoint carried a zone, i.e. the zoneless side was
-    silently treated as UTC.
-    """
-    s = timeline_position(start, at_end=False)
-    e = timeline_position(end, at_end=True)
-    assumed = start.zoned != end.zoned
-    cmp = (s > e) - (s < e)
-    return cmp, assumed

@@ -6,8 +6,8 @@ numeric facts their measurement semantics. Everything is immutable after
 parse and equality is structural: source positions and the prefixes used
 in the source document never matter.
 
-Scenario and segment content is preserved as opaque element fragments and
-never interpreted.
+Scenario, segment and footnote content is preserved as opaque element
+fragments and never interpreted.
 
 The records built once per context, unit or fact are slots records,
 declared through ``xmltree._record``: each field and its default are
@@ -126,14 +126,6 @@ Fact = Union[Item, Tuple]
 
 
 @dataclass(frozen=True)
-class Footnote:
-    """A footnote resource: its element as written, and its ``xml:lang``."""
-
-    content: XmlElement
-    language: str = ""
-
-
-@dataclass(frozen=True)
 class FootnoteArc:
     """An arc from the resources labelled ``from_label`` to those labelled ``to_label``."""
 
@@ -146,14 +138,16 @@ class FootnoteArc:
 class FootnoteLink:
     """An XLink extended link associating facts with footnote content.
 
-    ``locators`` and ``footnotes`` are (label, value) pairs in document
-    order; XLink lets several of them share a label, and an arc from or to
+    ``locators`` are (label, href) pairs and ``footnotes`` the footnote
+    resource elements as written, both in document order; a footnote's
+    label and language are its ``xlink:label`` and ``xml:lang``. XLink lets
+    several locators and footnotes share a label, and an arc from or to
     that label then applies to each. ``role`` is the link's ``xlink:role``,
     empty when absent.
     """
 
     locators: tuple[tuple[str, str], ...] = ()
-    footnotes: tuple[tuple[str, Footnote], ...] = ()
+    footnotes: tuple[XmlElement, ...] = ()
     arcs: tuple[FootnoteArc, ...] = ()
     role: str = ""
     source_location: SourceLocation = field(default=SourceLocation(), compare=False)

@@ -38,12 +38,11 @@ from enum import Enum
 from . import constants as c
 from .errors import XbrlError
 from .findings import Finding
-from .iso8601 import TimePoint, compare_start_end, parse_point
+from .iso8601 import TimePoint, parse_point, timeline_position
 from .model import (
     Context,
     Entity,
     Fact,
-    Footnote,
     FootnoteArc,
     FootnoteLink,
     Forever,
@@ -182,8 +181,7 @@ def _parse_period(element: XmlElement) -> "Instant | Duration | Forever":
                 return Forever()
         elif name == c.QN_START_DATE and second.name == c.QN_END_DATE:
             start, end = _parse_point(first), _parse_point(second)
-            cmp, _ = compare_start_end(start, end)
-            if cmp > 0:
+            if timeline_position(start) > timeline_position(end, at_end=True):
                 raise StartAfterEnd(
                     f"period start {start.raw!r} is after end {end.raw!r}", loc
                 )
@@ -264,7 +262,7 @@ def _parse_context(element: XmlElement) -> Context:
 
 def _parse_footnote_link(element: XmlElement) -> FootnoteLink:
     locators: list[tuple[str, str]] = []
-    footnotes: list[tuple[str, Footnote]] = []
+    footnotes: list[XmlElement] = []
     arcs: list[FootnoteArc] = []
     for child in element.child_elements():
         label = child.attributes.get(c.QN_XLINK_LABEL)
@@ -281,9 +279,7 @@ def _parse_footnote_link(element: XmlElement) -> FootnoteLink:
                 raise MalformedFootnoteLink(
                     "footnote requires xlink:label", child.source_location
                 )
-            footnotes.append((label, Footnote(
-                content=child, language=child.attributes.get(c.QN_XML_LANG) or ""
-            )))
+            footnotes.append(child)
         elif child.name == c.QN_FOOTNOTE_ARC:
             from_label = child.attributes.get(c.QN_XLINK_FROM)
             to_label = child.attributes.get(c.QN_XLINK_TO)
@@ -578,7 +574,8 @@ class _InstanceReader(_TreeBuilder):
 
     def _start(self, name: str, attributes: dict[str, str]) -> None:
         stack = self.stack
-        if len(stack) == self.level:  # text between the xbrl element's children is not kept
+        # Text outside every instance or between the xbrl element's children is not kept.
+        if self.instance is None or len(stack) == self.level:
             self.text.clear()
         _TreeBuilder._start(self, name, attributes)
         entry = stack[-1]
@@ -659,8 +656,9 @@ def serialize(instance: Instance) -> bytes:
     Root children are written in canonical section order (schema refs,
     linkbase refs, contexts, units, facts, footnote links); re-parsing the
     output yields a structurally equal instance. The model is written
-    straight to text in one pass (see ``XmlWriter``); a value holding a
-    character XML 1.0 cannot carry raises ValueError.
+    straight to text in one pass (see ``XmlWriter``). A value holding a
+    character XML 1.0 cannot carry raises ValueError, as does a unit with
+    no numerator measure, which would not read back.
     """
     w = XmlWriter(c.PREFERRED_PREFIXES)
     names, attr, text, write = w.names, w.attr, w.text, w.out.append
@@ -704,6 +702,8 @@ def serialize(instance: Instance) -> bytes:
             w.element(context.scenario)
         write(f"</{names[c.QN_CONTEXT]}>")
     for unit in instance.units.values():
+        if not unit.numerator:
+            raise ValueError(f"unit {unit.id!r} has no numerator measure")
         tag = names[c.QN_UNIT]
         write(f'<{tag} id="{attr[unit.id]}"')
         if unit.denominator:
@@ -755,8 +755,8 @@ def serialize(instance: Instance) -> bytes:
             w.start(c.QN_LOC, ((c.QN_XLINK_TYPE, "locator"), (c.QN_XLINK_LABEL, label),
                                (c.QN_XLINK_HREF, href)))
             write("/>")
-        for _, note in link.footnotes:
-            w.element(note.content)
+        for note in link.footnotes:
+            w.element(note)
         for arc in link.arcs:
             w.start(c.QN_FOOTNOTE_ARC, ((c.QN_XLINK_TYPE, "arc"),
                                         (c.QN_XLINK_ARCROLE, arc.arc_role),
@@ -769,13 +769,7 @@ def serialize(instance: Instance) -> bytes:
 
 
 def _write_measures(w: XmlWriter, parent: str, measures: tuple[QName, ...]) -> None:
-    """Close the open start tag of ``parent``, write its measures and its end tag.
-
-    With no measures the start tag is closed as an empty element.
-    """
-    if not measures:
-        w.out.append("/>")
-        return
+    """Close the open start tag of ``parent``, write its measures and its end tag."""
     w.out.append(">")
     # Measure text is QName-valued; bind the needed prefix locally so the
     # value resolves no matter which prefixes the writer picks.

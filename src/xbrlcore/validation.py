@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .constants import DEFAULT_MAX_TUPLE_DEPTH, ISO4217_NS
+from .constants import DEFAULT_MAX_TUPLE_DEPTH, ISO4217_NS, QN_XLINK_LABEL
 from .dts import Concept, DataKind, Dts
 from .findings import Finding, Severity, rule_catalog
 from .model import (
@@ -29,7 +29,6 @@ from .model import (
     Tuple,
     Unit,
 )
-from .iso8601 import compare_start_end
 from .parser import ParseOutcome
 from .xmltree import QName
 
@@ -177,21 +176,20 @@ class _Checker:
                     context.scenario.source_location, context.id,
                 )
             period = context.period
-            if isinstance(period, Duration):
-                _, assumed_utc = compare_start_end(period.start, period.end)
-                if assumed_utc:
-                    self.emit(
-                        "PER-003",
-                        f"context {context.id!r} mixes zoned and zoneless period "
-                        "values; the zoneless one was assumed to be UTC",
-                        context.source_location, context.id,
-                    )
+            if isinstance(period, Duration) and period.start.zoned != period.end.zoned:
+                self.emit(
+                    "PER-003",
+                    f"context {context.id!r} mixes zoned and zoneless period "
+                    "values; the zoneless one was assumed to be UTC",
+                    context.source_location, context.id,
+                )
 
     # -- footnotes ----------------------------------------------------------
 
     def _check_footnotes(self) -> None:
         for link in self.instance.footnote_links:
-            labels = {label for label, _ in (*link.locators, *link.footnotes)}
+            labels = {label for label, _ in link.locators}
+            labels.update(note.attributes.get(QN_XLINK_LABEL) for note in link.footnotes)
             for arc in link.arcs:
                 for endpoint in (arc.from_label, arc.to_label):
                     if endpoint not in labels:

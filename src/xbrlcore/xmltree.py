@@ -178,7 +178,8 @@ class XmlElement:
 
     def __eq__(self, other: object) -> bool:
         # Explicit stack, so depth is bounded by memory and not by the
-        # recursion limit. The dataclass still generates __hash__.
+        # recursion limit. The generated __hash__ hashes the attributes
+        # dict, so hash() of an element raises TypeError.
         if not isinstance(other, XmlElement):
             return NotImplemented
         stack = [(self, other)]

@@ -15,7 +15,6 @@ from xbrlcore import (
     Duration,
     Entity,
     Fact,
-    Footnote,
     FootnoteArc,
     FootnoteLink,
     Forever,
@@ -29,7 +28,7 @@ from xbrlcore import (
     XmlElement,
 )
 from xbrlcore.constants import ISO4217_NS, LINK_NS, XBRLI_NS, XLINK_NS, XML_NS
-from xbrlcore.iso8601 import compare_start_end, parse_point
+from xbrlcore.iso8601 import parse_point, timeline_position
 
 GEN_NS = "urn:example:generated"
 
@@ -67,8 +66,7 @@ def random_period(rng: random.Random):
     while True:
         a = parse_point(random_point_text(rng))
         b = parse_point(random_point_text(rng))
-        cmp, _ = compare_start_end(a, b)
-        if cmp <= 0:
+        if timeline_position(a) <= timeline_position(b, at_end=True):
             return Duration(start=a, end=b)
 
 
@@ -179,7 +177,7 @@ def random_footnote_link(rng: random.Random, item_ids: list[str]) -> FootnoteLin
     targets = rng.sample(item_ids, min(len(item_ids), rng.randint(1, 2)))
     return FootnoteLink(
         locators=tuple((loc_label, "#" + target) for target in targets),
-        footnotes=((note_label, Footnote(content=content, language="en")),),
+        footnotes=(content,),
         arcs=(FootnoteArc(
             from_label=loc_label, to_label=note_label,
             arc_role="http://www.xbrl.org/2003/arcrole/fact-footnote",

@@ -666,3 +666,23 @@ def test_a_closed_stdout_pipe_gives_no_traceback(repo_root):
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (
             2, b"xbrlcore: cannot write output: Broken pipe\n"), unbuffered
+
+
+@pytest.mark.parametrize("args", [
+    ["facts", "fixtures/nope.xml"], ["validate", "fixtures/not-xml.txt"], ["facts"],
+], ids=["unreadable", "not-xml", "usage"])
+def test_a_closed_stderr_pipe_keeps_the_exit_code(repo_root, args):
+    # The message fails as it is printed when stderr is unbuffered, else
+    # when the interpreter flushes stderr at exit; either way the code is 2.
+    for unbuffered in ("", "1"):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "xbrlcore", *args],
+                stdout=subprocess.PIPE, stderr=write_end, cwd=repo_root,
+                env={**os.environ, "PYTHONPATH": str(repo_root / "src"),
+                     "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stdout) == (2, b""), unbuffered

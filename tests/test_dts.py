@@ -157,25 +157,29 @@ def test_declarations_sharing_an_unbound_type_prefix_are_unknown():
     assert all(concept.item_kind is ItemKind.ITEM for concept in dts.concepts.values())
 
 
-def test_a_resolver_classifies_each_combination_once(monkeypatch, tmp_path):
-    # The seed-1 benchmark taxonomy: 40 schemas under the same prefix
-    # bindings, six distinct combinations of classifying attributes.
+def test_each_load_classifies_each_combination_once(monkeypatch, tmp_path):
+    # The seed-1 benchmark taxonomy: 40 schemas, six distinct combinations
+    # of classifying attributes among their declarations.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     import corpus
 
     manifest = corpus.generate("dts-closure", 1, tmp_path)
-    misses = []
+    loads = []  # (uri, the combinations classified while loading it)
+    load = dts_module._load
+    monkeypatch.setattr(dts_module, "_load",
+                        lambda resolver, uri: loads.append((uri, [])) or load(resolver, uri))
     missing = dts_module._Classes.__missing__
     monkeypatch.setattr(dts_module._Classes, "__missing__",
-                        lambda memo, raw: misses.append(raw) or missing(memo, raw))
+                        lambda memo, raw: loads[-1][1].append(raw) or missing(memo, raw))
     resolver = Resolver(tmp_path)
     for doc in manifest["documents"]:
         path = tmp_path / doc["path"]
         dts = discover(parse_instance(read_document(path.read_bytes())).instance, resolver,
                        base_uri=str(path))
         assert len(dts.documents) == doc["dts"]["documents"]
-    assert len(dts_module._LOADED[resolver]) > 40
-    assert len(misses) == len(set(misses)) == 6
+    assert len(loads) == len({uri for uri, _ in loads}) > 40
+    assert all(len(raws) == len(set(raws)) for _, raws in loads)
+    assert len({raw for _, raws in loads for raw in raws}) == 6
 
 
 def test_missing_target_namespace_skips_declarations():

@@ -5,7 +5,7 @@ from datetime import datetime, timedelta
 import pytest
 
 import iso_cases
-from xbrlcore.iso8601 import compare_start_end, parse_point, timeline_position
+from xbrlcore.iso8601 import parse_point, timeline_position
 
 
 def at(*fields: int) -> int:
@@ -72,38 +72,38 @@ def test_zone_offsets_shift_to_utc():
     assert timeline_position(point) == at(2008, 12, 31, 10)
 
 
-def test_compare_start_end_ordering():
+def ends(start: str, end: str) -> tuple[int, int]:
+    """The timeline positions of a duration's start and end."""
+    return (timeline_position(parse_point(start)),
+            timeline_position(parse_point(end), at_end=True))
+
+
+def mixes_zones(start: str, end: str) -> bool:
+    """Whether exactly one end carries a zone (PER-003)."""
+    return parse_point(start).zoned != parse_point(end).zoned
+
+
+def test_duration_ends_order_on_the_timeline():
     # a period ending 2008-12-31 includes that day
-    cmp, assumed = compare_start_end(parse_point("2008-01-01"), parse_point("2008-12-31"))
-    assert cmp < 0 and not assumed
-    cmp, _ = compare_start_end(parse_point("2008-12-31"), parse_point("2008-01-01"))
-    assert cmp > 0
+    start, end = ends("2008-01-01", "2008-12-31")
+    assert start < end and not mixes_zones("2008-01-01", "2008-12-31")
+    start, end = ends("2008-12-31", "2008-01-01")
+    assert start > end
     # same-day duration occupies a full day, start strictly before end
-    cmp, _ = compare_start_end(parse_point("2008-12-31"), parse_point("2008-12-31"))
-    assert cmp < 0
+    start, end = ends("2008-12-31", "2008-12-31")
+    assert start < end
 
 
 def test_mixed_zone_comparison_assumes_utc():
-    cmp, assumed = compare_start_end(
-        parse_point("2008-01-01T00:00:00Z"), parse_point("2008-12-31")
-    )
-    assert cmp < 0 and assumed
-    _, assumed = compare_start_end(
-        parse_point("2008-01-01T00:00:00"), parse_point("2008-12-31")
-    )
-    assert not assumed
-    _, assumed = compare_start_end(
-        parse_point("2008-01-01T00:00:00Z"), parse_point("2008-12-31T00:00:00+01:00")
-    )
-    assert not assumed
+    start, end = ends("2008-01-01T00:00:00Z", "2008-12-31")
+    assert start < end and mixes_zones("2008-01-01T00:00:00Z", "2008-12-31")
+    assert not mixes_zones("2008-01-01T00:00:00", "2008-12-31")
+    assert not mixes_zones("2008-01-01T00:00:00Z", "2008-12-31T00:00:00+01:00")
 
 
 def test_zoned_equal_instants_compare_equal_across_offsets():
-    cmp, assumed = compare_start_end(
-        parse_point("2008-06-15T14:00:00+02:00"),
-        parse_point("2008-06-15T12:00:00Z"),
-    )
-    assert cmp == 0 and not assumed
+    start, end = ends("2008-06-15T14:00:00+02:00", "2008-06-15T12:00:00Z")
+    assert start == end and not mixes_zones("2008-06-15T14:00:00+02:00", "2008-06-15T12:00:00Z")
 
 
 def test_positions_reach_past_the_ends_of_the_datetime_range():
@@ -112,9 +112,7 @@ def test_positions_reach_past_the_ends_of_the_datetime_range():
         at(9999, 12, 31) + 86_400_000_000
     # midnight of the first day at +01:00 is an hour before it in UTC
     assert timeline_position(parse_point("0001-01-01T00:00:00+01:00")) == -3_600_000_000
-    cmp, assumed = compare_start_end(parse_point("0001-01-01T00:00:00+01:00"),
-                                     parse_point("9999-12-31"))
-    assert cmp < 0 and assumed
-    cmp, _ = compare_start_end(parse_point("9999-12-31T23:59:59.999999-14:00"),
-                               parse_point("9999-12-31"))
-    assert cmp > 0
+    start, end = ends("0001-01-01T00:00:00+01:00", "9999-12-31")
+    assert start < end and mixes_zones("0001-01-01T00:00:00+01:00", "9999-12-31")
+    start, end = ends("9999-12-31T23:59:59.999999-14:00", "9999-12-31")
+    assert start > end

@@ -10,6 +10,8 @@ import oracle_xml
 from conftest import fixture_bytes
 from xbrlcore import (
     Duration,
+    FootnoteArc,
+    FootnoteLink,
     Forever,
     Instance,
     Instant,
@@ -21,6 +23,8 @@ from xbrlcore import (
     TaxonomyRef,
     Tuple,
     UnboundPrefix,
+    Unit,
+    XmlElement,
     fact_rows,
     find_instances,
     parse_instance,
@@ -46,6 +50,7 @@ from xbrlcore.parser import (
     TupleDepthExceeded,
 )
 from xbrlcore.cli import main
+from xbrlcore.constants import LINK_NS, XLINK_NS, XML_NS
 
 XBRLI = "http://www.xbrl.org/2003/instance"
 ISO4217 = "http://www.xbrl.org/2003/iso4217"
@@ -291,8 +296,9 @@ def test_footnote_link_parsed():
     instance = parse_instance(read_document(fixture_bytes("mini-instance.xml"))).instance
     link = instance.footnote_links[0]
     assert link.locators == (("assets", "#f-assets"),)
-    assert [label for label, _ in link.footnotes] == ["note-1"]
-    assert link.footnotes[0][1].language == "en"
+    [note] = link.footnotes
+    assert note.attributes[QName(XLINK_NS, "label")] == "note-1"
+    assert note.attributes[QName(XML_NS, "lang")] == "en"
     assert link.role == ""
     arc = link.arcs[0]
     assert (arc.from_label, arc.to_label) == ("assets", "note-1")
@@ -320,6 +326,23 @@ def test_footnote_link_keeps_shared_labels_and_role():
     assert text.count("<link:loc ") == 2 and f'xlink:role="{role}"' in text
     assert parse_instance(read_document(text.encode())).instance == instance
     assert not [f for f in validate(instance).findings if f.code == "FTN-001"]
+
+
+@pytest.mark.parametrize("attributes", [
+    {QName(XLINK_NS, "label"): "note", QName(XML_NS, "lang"): "en"},
+    {QName(XLINK_NS, "label"): "note"},
+], ids=["with-lang", "without-lang"])
+def test_a_footnote_is_its_element_through_serialize(attributes):
+    # A footnote's label and language are its element's attributes, so what
+    # serialize writes is all there is to read back.
+    note = XmlElement(QName(LINK_NS, "footnote"), attributes, ("a note",))
+    link = FootnoteLink(locators=(("fact", "#f1"),), footnotes=(note,),
+                        arcs=(FootnoteArc("fact", "note", "urn:fact-footnote"),))
+    instance = Instance(facts=(Item(QName("urn:ex", "V"), "c1", "1", id="f1"),),
+                        footnote_links=(link,))
+    again = parse_instance(read_document(serialize(instance))).instance
+    assert again == instance
+    assert again.footnote_links[0].footnotes[0].attributes == attributes
 
 
 def test_an_empty_footnote_link_round_trips():
@@ -701,6 +724,15 @@ def test_serialize_rejects_characters_xml_cannot_carry(bad):
     with pytest.raises(ValueError) as info:
         serialize(instance(f"a{bad}b"))
     assert str(info.value).startswith(f"U+{ord(bad):04X} at byte {offset} ")
+
+
+@pytest.mark.parametrize("unit", [
+    Unit("u", ()),  # would read back as EmptyUnit
+    Unit("u", (), (QName(ISO4217, "USD"),)),  # would read back as MalformedDivide
+], ids=["no-measure", "no-numerator"])
+def test_serialize_rejects_a_unit_with_no_numerator_measure(unit):
+    with pytest.raises(ValueError, match="^unit 'u' has no numerator measure$"):
+        serialize(Instance(units={"u": unit}))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,8 +39,8 @@ from xbrlcore import (
 from xbrlcore.constants import DEFAULT_MAX_TUPLE_DEPTH, ISO4217_NS, LINK_NS, XLINK_NS
 from xbrlcore.iso8601 import parse_point
 from xbrlcore.parser import (
-    DuplicateContextId, EmptyUnit, InvalidContextShape, InvalidIso8601, MalformedDivide,
-    MissingContextRef, TupleDepthExceeded,
+    DuplicateContextId, EmptyUnit, InvalidContextShape, InvalidIso8601, InvalidPeriodShape,
+    MalformedDivide, MissingContextRef, TupleDepthExceeded,
 )
 from xbrlcore.xmltree import XML_NAMESPACE
 
@@ -72,7 +73,7 @@ def fragments(outcome):
     for context in instance.contexts.values():
         yield from (f for f in (context.entity.segment, context.scenario) if f is not None)
     for link in instance.footnote_links:
-        yield from (note.content for _, note in link.footnotes)
+        yield from link.footnotes
 
 
 def assert_same(data: bytes, options: ParseOptions):
@@ -145,6 +146,21 @@ def test_several_instances_in_one_wrapper_keep_document_order():
     outcomes, _, _ = assert_same(data, ParseOptions(mode=ParseMode.LENIENT))
     assert [[f.code for f in o.recovered_findings] for o in outcomes] == [[], ["CTX-002"], []]
     assert [[i.value for i in o.instance.iter_items()] for o in outcomes] == [["0"], [], ["2"]]
+
+
+def test_text_outside_every_instance_is_not_kept():
+    # 5 MB of text sitting directly in a wrapper, in 1,000-character runs
+    # between empty elements: nothing reads it, so no copy of it is kept.
+    data = (b'<w:filing xmlns:w="urn:w">' + (b"x" * 1000 + b"<w:e/>") * 5000
+            + instance_text().format(CONTEXT).encode() + b"</w:filing>")
+    tracemalloc.start()
+    try:
+        [outcome] = read_instances(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(outcome.instance.contexts) == ["c1"]
+    assert peak < len(data)
 
 
 def test_contexts_and_units_after_the_facts():
@@ -362,6 +378,16 @@ def test_an_element_inside_a_date_is_an_invalid_date(period):
     assert outcome.instance.contexts == {}
     assert [(f.code, f.location, f.subject) for f in outcome.recovered_findings] == [
         ("PER-001", at, "c1")]
+
+
+def test_a_period_of_three_elements_fails_in_both_modes():
+    period = ("<xbrli:startDate>2008-01-01</xbrli:startDate><xbrli:endDate>2008-12-31"
+              "</xbrli:endDate><xbrli:instant>2008-12-31</xbrli:instant>")
+    data = instance_text().format(context_xml("c1", period)).encode()
+    for options in MODES:
+        assert assert_same(data, options)[:3] == (
+            InvalidPeriodShape, "period must contain instant, forever, or startDate+endDate",
+            where(data, "<xbrli:period>"))
 
 
 @pytest.mark.parametrize("identifier", ["E<ex:y/>", "<ex:y>E</ex:y>", "E<!-- c --><ex:y/>F"])

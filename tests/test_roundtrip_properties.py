@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from xbrlcore import (
     Context,
     Entity,
-    Footnote,
     FootnoteArc,
     FootnoteLink,
     Forever,
@@ -69,7 +68,7 @@ def instances(draw) -> Instance:
                       (draw(NONEMPTY),))
     link = FootnoteLink(
         locators=((loc_label, draw(NONEMPTY)),),
-        footnotes=((note_label, Footnote(note)),),
+        footnotes=(note,),
         arcs=(FootnoteArc(loc_label, note_label, draw(TEXT)),),
         role=draw(TEXT),
     )

@@ -31,7 +31,7 @@ from xbrlcore import (
     serialize,
     validate,
 )
-from xbrlcore.constants import DEFAULT_MAX_TUPLE_DEPTH, ISO4217_NS, XBRLI_NS
+from xbrlcore.constants import DEFAULT_MAX_TUPLE_DEPTH, ISO4217_NS, XBRLI_NS, XLINK_NS
 
 MINI_NS = "http://example.com/taxonomy/mini"
 LENIENT = ParseOptions(mode=ParseMode.LENIENT)
@@ -386,7 +386,8 @@ def reference_findings(instance: Instance, concepts) -> list[Finding]:
                 "PER-003", f"context {context.id!r} mixes zoned and zoneless period values; "
                 "the zoneless one was assumed to be UTC", context.source_location, context.id))
     for link in instance.footnote_links:
-        labels = [label for label, _ in (*link.locators, *link.footnotes)]
+        labels = [label for label, _ in link.locators]
+        labels += [note.attributes.get(QName(XLINK_NS, "label")) for note in link.footnotes]
         for arc in link.arcs:
             for endpoint in (arc.from_label, arc.to_label):
                 if endpoint not in labels:
