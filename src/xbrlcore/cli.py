@@ -315,7 +315,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     try:
-        args = _build_arg_parser().parse_args(argv)
+        try:
+            args = _build_arg_parser().parse_args(argv)
+        finally:  # argparse exits here after --help: a write it left buffered fails now
+            sys.stdout.flush()
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code

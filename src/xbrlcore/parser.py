@@ -10,11 +10,11 @@ either mode; both report it as an EMB-001 finding and go on.
 
 There are two ways in, with one result. ``read_instances`` goes from bytes
 to instances in one pass of the XML reader, on ``read_document``'s tree
-builder, whose open elements keep raw attribute names until an element is
-built; it adds only the instance rule. A fact without child elements is
-built as its end tag closes, from its name, raw attributes and text, and
-every other child of an xbrl element (contexts, units, references,
-footnote links, tuples) as the element ``read_document`` would build.
+builder, from which every name and attribute key arrives as a QName; it
+adds only the instance rule. A fact without child elements is built as
+its end tag closes, from its name, attributes and text, and every other
+child of an xbrl element (contexts, units, references, footnote links,
+tuples) as the element ``read_document`` would build.
 ``parse_instance`` and ``find_instances`` start from a tree. Both hand
 each child of an xbrl element, in document order, to one
 ``_InstanceBuilder``, whose ``fact`` alone decides what an element is:
@@ -337,12 +337,8 @@ class _Lexicon(dict):
         return value
 
 
-# The attributes a fact reads (contextRef, unitRef, decimals, precision, id),
-# under the keys of a tree's attribute maps and under expat's raw names,
-# which for an unqualified attribute are its local names.
-_TREE_KEYS = (c.QN_ATTR_CONTEXT_REF, c.QN_ATTR_UNIT_REF, c.QN_ATTR_DECIMALS,
+_FACT_KEYS = (c.QN_ATTR_CONTEXT_REF, c.QN_ATTR_UNIT_REF, c.QN_ATTR_DECIMALS,
               c.QN_ATTR_PRECISION, c.QN_ATTR_ID)
-_RAW_KEYS = tuple(key.local_name for key in _TREE_KEYS)
 
 
 class _InstanceBuilder:
@@ -440,16 +436,15 @@ class _InstanceBuilder:
             kids, text = (), children[0]
         else:
             kids, text = element.child_elements(), element.text_content()
-        return self.fact(element.name, element.attributes, _TREE_KEYS, text, kids,
+        return self.fact(element.name, element.attributes, text, kids,
                          element.source_location, depth)
 
-    def fact(self, name: QName, attrs: Mapping, keys: tuple, text: str,
+    def fact(self, name: QName, attrs: Mapping[QName, str], text: str,
              kids: Sequence[XmlElement], location: SourceLocation, depth: int) -> Fact | None:
         """The fact an element stands for, or None when it stands for none.
 
-        ``attrs`` are its attributes, read through ``keys`` (``_TREE_KEYS``
-        or ``_RAW_KEYS``), ``text`` its direct text and ``kids`` its child
-        elements; ``depth`` is 1 for a child of the xbrl element.
+        ``attrs`` are its attributes, ``text`` its direct text and ``kids``
+        its child elements; ``depth`` is 1 for a child of the xbrl element.
         """
         if name.namespace_uri in _RESERVED_NAMESPACES:
             # Unknown structural elements in the reserved namespaces are
@@ -461,7 +456,7 @@ class _InstanceBuilder:
                     location,
                 )
             return None
-        context_key, unit_key, decimals_key, precision_key, id_key = keys
+        context_key, unit_key, decimals_key, precision_key, id_key = _FACT_KEYS
         get = attrs.get
         context_ref, unit_ref, decimals = get(context_key), get(unit_key), get(decimals_key)
         precision, fact_id = get(precision_key), get(id_key)
@@ -552,12 +547,12 @@ def find_instances(root: XmlElement,
 class _InstanceReader(_TreeBuilder):
     """Builds the instances of a document while expat reads it (``read_instances``).
 
-    Every element goes on the tree builder's stack, its attributes under
-    expat's raw names until an element is built; the reader adds only the
+    Every element goes on the tree builder's stack, with its QName and its
+    QName-keyed attributes as expat hands them over; the reader adds only the
     instance rule. An outermost xbrl element is found as it starts, and its
     ``_InstanceBuilder`` takes the place of its children list; outside it
     nothing is built. A child of it goes to that builder when its end tag
-    closes: a fact without child elements straight from its name, raw
+    closes: a fact without child elements straight from its name,
     attributes and text, anything else as the ``XmlElement`` that
     ``read_document`` would build. The first error building an instance is
     held in ``error`` while the rest of the document is read, unbuilt, so that
@@ -572,7 +567,7 @@ class _InstanceReader(_TreeBuilder):
         self.level = 0  # len(self.stack) while the open xbrl element is on top
         self.error: XbrlError | None = None
 
-    def _start(self, name: str, attributes: dict[str, str]) -> None:
+    def _start(self, name: str | QName, attributes: dict) -> None:
         stack = self.stack
         # Text outside every instance or between the xbrl element's children is not kept.
         if self.instance is None or len(stack) == self.level:
@@ -585,7 +580,7 @@ class _InstanceReader(_TreeBuilder):
             entry[2] = self.instance = _InstanceBuilder(self.options, entry[3])
             self.level = len(stack)
 
-    def _end(self, name: str) -> None:
+    def _end(self, name: QName) -> None:
         stack = self.stack
         depth = len(stack)
         if depth == self.level + 1:  # a child of the open xbrl element
@@ -599,7 +594,7 @@ class _InstanceReader(_TreeBuilder):
                     value = "".join(text)
                     text.clear()
                     instance = self.instance
-                    fact = instance.fact(qname, attributes, _RAW_KEYS, value, (), location, 1)
+                    fact = instance.fact(qname, attributes, value, (), location, 1)
                     if fact is not None:
                         instance.facts.append(fact)
             except XbrlError as exc:
@@ -656,9 +651,9 @@ def serialize(instance: Instance) -> bytes:
     Root children are written in canonical section order (schema refs,
     linkbase refs, contexts, units, facts, footnote links); re-parsing the
     output yields a structurally equal instance. The model is written
-    straight to text in one pass (see ``XmlWriter``). A value holding a
-    character XML 1.0 cannot carry raises ValueError, as does a unit with
-    no numerator measure, which would not read back.
+    straight to text in one pass (see ``XmlWriter``). ValueError is raised for
+    a character XML 1.0 cannot carry and for what would not read back: a unit
+    with no numerator measure, a footnote link part without a label or href.
     """
     w = XmlWriter(c.PREFERRED_PREFIXES)
     names, attr, text, write = w.names, w.attr, w.text, w.out.append
@@ -752,12 +747,18 @@ def serialize(instance: Instance) -> bytes:
             continue
         write(">")
         for label, href in link.locators:
+            if not label or not href:
+                raise ValueError("locator requires xlink:label and xlink:href")
             w.start(c.QN_LOC, ((c.QN_XLINK_TYPE, "locator"), (c.QN_XLINK_LABEL, label),
                                (c.QN_XLINK_HREF, href)))
             write("/>")
         for note in link.footnotes:
+            if not note.attributes.get(c.QN_XLINK_LABEL):
+                raise ValueError("footnote requires xlink:label")
             w.element(note)
         for arc in link.arcs:
+            if not arc.from_label or not arc.to_label:
+                raise ValueError("footnote arc requires xlink:from and xlink:to")
             w.start(c.QN_FOOTNOTE_ARC, ((c.QN_XLINK_TYPE, "arc"),
                                         (c.QN_XLINK_ARCROLE, arc.arc_role),
                                         (c.QN_XLINK_FROM, arc.from_label),

@@ -15,9 +15,8 @@ differ only in prefix choice compare equal.
 ``iso8601``, is declared through ``_record``: each field and its default
 are written once, in the class body, and the constructor is built from
 them at import. The tree builder makes each element with
-``object.__new__`` and that constructor, skipping the class call, gives
-an element without children the empty tuple, and makes each distinct
-QName once, with ``tuple.__new__``.
+``object.__new__`` and that constructor, skipping the class call, and
+gives an element without children the empty tuple.
 
 The calls that allocate in proportion to the document run with Python's
 cyclic garbage collector paused (``_without_cyclic_gc``): ``read_document``,
@@ -254,23 +253,23 @@ _init_element = XmlElement.__init__
 _NS_SEPARATOR = "\x01"
 
 
-class _Names(dict):
-    """Expat's expanded name -> QName, one object per distinct name."""
-
-    def __missing__(self, expanded: str) -> QName:
-        uri, _, local = expanded.rpartition(_NS_SEPARATOR)
-        qname = self[expanded] = _tuple_new(QName, (uri, local))
-        return qname
+@functools.cache
+def _known_names() -> dict[str, QName]:
+    """Expat's expanded name -> QName, for every QName ``constants`` declares."""
+    from . import constants
+    return {_NS_SEPARATOR.join(qn).lstrip(_NS_SEPARATOR): qn
+            for qn in vars(constants).values() if qn.__class__ is QName}
 
 
 class _TreeBuilder:
     """Assembles XmlElements from the events of a namespace-aware expat parser.
 
-    Expat resolves every element and attribute name and enforces the Namespaces
-    in XML constraints; ``names`` turns its expanded names into QNames, so
-    every element carrying a name shares one object. An open element keeps
-    expat's raw attribute names until ``_end`` builds it, the one place they
-    become QName keys; ``parser._InstanceReader`` adds only the instance rule.
+    Expat resolves every element and attribute name, enforces the Namespaces in
+    XML constraints and hands over what ``names``, its intern table, stores
+    for each name: its QName, one object per name, so an attribute dict comes
+    keyed by QName and is kept as it is. A name new to the read comes as a
+    string and grows the table, and ``_start`` stores its QName; ``_declare``
+    drops the prefixes and URIs expat interns in the same table.
     Prefix bindings are tracked only for ``XmlElement.prefix_bindings``: an
     element that declares a namespace gets a copy of its parent's bindings with
     the declarations applied, any other element shares its parent's mapping.
@@ -279,7 +278,10 @@ class _TreeBuilder:
     """
 
     def __init__(self) -> None:
-        parser = self.parser = xml.parsers.expat.ParserCreate(namespace_separator=_NS_SEPARATOR)
+        names = self.names = _known_names().copy()
+        self.known = len(names)
+        parser = self.parser = xml.parsers.expat.ParserCreate(
+            namespace_separator=_NS_SEPARATOR, intern=names)
         parser.buffer_text = True
         parser.StartElementHandler = self._start
         parser.EndElementHandler = self._end
@@ -288,9 +290,8 @@ class _TreeBuilder:
         # Expat reports no character data outside the root element.
         self.text: list[str] = []
         parser.CharacterDataHandler = self.text.append
-        self.names = _Names()
-        # [qname, raw attrs, children, location, bindings] per open element; the
-        # bottom entry holds the initial bindings and collects the root.
+        # [qname, attributes, children, location, bindings] per open element;
+        # the bottom entry holds the initial bindings and collects the root.
         self.stack: list[list] = [[None, None, [], None, _INITIAL_SCOPE]]
         # bindings of the element about to start, if it declares any
         self.declared: dict[str, str] | None = None
@@ -303,7 +304,13 @@ class _TreeBuilder:
             subcode="doctype",
         )
 
-    def _declare(self, prefix: str | None, uri: str | None) -> None:
+    def _declare(self, prefix: str | QName | None, uri: str | QName | None) -> None:
+        names = self.names
+        if len(names) != self.known:  # a prefix or URI new to the table: not a name
+            names.pop(prefix, None)
+            names.pop(uri, None)
+        # One equal to an unqualified name in the table comes as its QName.
+        prefix, uri = getattr(prefix, "local_name", prefix), getattr(uri, "local_name", uri)
         if self.declared is None:
             self.declared = dict(self.stack[-1][4])
         if uri:
@@ -311,7 +318,25 @@ class _TreeBuilder:
         else:  # xmlns="": expat rejects undeclaring a prefix
             self.declared.pop("", None)
 
-    def _start(self, name: str, attributes: dict[str, str]) -> None:
+    def _admit(self, name: str | QName, attributes: dict) -> tuple[QName, dict]:
+        """Give each name that came as a string its QName, in the table and in the event."""
+        names = self.names
+        self.known = len(names)
+        if name.__class__ is str:
+            uri, _, local = name.rpartition(_NS_SEPARATOR)
+            names[name] = name = _tuple_new(QName, (uri, local))  # stored, then bound
+        for key in attributes:
+            if key.__class__ is str:  # an attribute name new to the read
+                for key in attributes:
+                    if names.get(key).__class__ is str:
+                        uri, _, local = key.rpartition(_NS_SEPARATOR)
+                        names[key] = _tuple_new(QName, (uri, local))
+                return name, {names.get(k, k): v for k, v in attributes.items()}
+        return name, attributes
+
+    def _start(self, name: str | QName, attributes: dict) -> None:
+        if len(self.names) != self.known:
+            name, attributes = self._admit(name, attributes)
         stack = self.stack
         parent = stack[-1]
         text = self.text
@@ -325,18 +350,15 @@ class _TreeBuilder:
             bindings = parent[4]
         else:
             self.declared = None
-        stack.append([self.names[name], attributes, [], loc, bindings])
+        stack.append([name, attributes, [], loc, bindings])
 
-    def _end(self, name: str) -> None:
+    def _end(self, name: QName) -> None:
         stack = self.stack
         qname, attrs, children, loc, bindings = stack.pop()
         text = self.text
         if text:
             children.append(text[0] if len(text) == 1 else "".join(text))
             text.clear()
-        if attrs:
-            names = self.names
-            attrs = {names[k]: v for k, v in attrs.items()}
         element = _new_element(XmlElement)
         _init_element(element, qname, attrs, tuple(children) if children else (), loc, bindings)
         stack[-1][2].append(element)
@@ -472,7 +494,10 @@ class XmlWriter:
 
     @staticmethod
     def text(value: str) -> str:
-        return _escape(value, _TEXT_ESCAPES)
+        # Most text holds none of these: four tests cost less than the loop.
+        if "&" in value or "<" in value or ">" in value or "\r" in value:
+            return _escape(value, _TEXT_ESCAPES)
+        return value
 
     def start(self, name: QName, attributes: Iterable[tuple[QName, str]] = ()) -> str:
         """Write ``<name`` and the (QName, value) attribute pairs; return the written name.
@@ -508,7 +533,7 @@ class XmlWriter:
             out.append(">")
             stack.append(f"</{tag}>")
             for child in reversed(node.children):
-                stack.append(_escape(child, _TEXT_ESCAPES) if isinstance(child, str) else child)
+                stack.append(self.text(child) if isinstance(child, str) else child)
 
     def finish(self) -> bytes:
         """Fill in the root's namespace declarations and return the UTF-8 bytes.

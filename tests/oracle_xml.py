@@ -237,6 +237,21 @@ def parse(data: bytes) -> Node:
     return _Scanner(text).parse_document()
 
 
+def shape(node: Node):
+    """``(name, attributes, children)`` of ``node``, each child element as its
+    shape. The scan splits text at CDATA sections and yields "" between
+    adjacent elements; here each run of text is one string, never empty."""
+    children: list = []
+    for child in node.children:
+        if not isinstance(child, str):
+            children.append(shape(child))
+        elif children and isinstance(children[-1], str):
+            children[-1] += child
+        elif child:
+            children.append(child)
+    return node.name, node.attrs, children
+
+
 # ---------------------------------------------------------------------------
 # Fixture-oriented oracle queries
 # ---------------------------------------------------------------------------

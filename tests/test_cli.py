@@ -651,21 +651,44 @@ def test_an_ascii_stdout_gets_utf8_and_its_encoding_back(repo_root, tmp_path, mo
     assert "25€0é".encode() in raw.getvalue()
 
 
+def run_into_closed_stdout(repo_root, args: list[str], unbuffered: str):
+    """Run the CLI with stdout a pipe whose reader has closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "xbrlcore", *args],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=repo_root,
+            env={**os.environ, "PYTHONPATH": str(repo_root / "src"),
+                 "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+
+
 def test_a_closed_stdout_pipe_gives_no_traceback(repo_root):
     for unbuffered in ("", "1"):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "xbrlcore", "facts", "fixtures/mini-instance.xml",
-                 "--format", "csv"],
-                stdout=write_end, stderr=subprocess.PIPE, cwd=repo_root,
-                env={**os.environ, "PYTHONPATH": str(repo_root / "src"),
-                     "PYTHONUNBUFFERED": unbuffered})
-        finally:
-            os.close(write_end)
+        proc = run_into_closed_stdout(
+            repo_root, ["facts", "fixtures/mini-instance.xml", "--format", "csv"], unbuffered)
         assert (proc.returncode, proc.stderr) == (
             2, b"xbrlcore: cannot write output: Broken pipe\n"), unbuffered
+
+
+@pytest.mark.parametrize("args", [["--help"], ["facts", "--help"]], ids=["help", "facts-help"])
+def test_help_into_a_closed_stdout_pipe_keeps_the_exit_code(repo_root, args):
+    # Buffered only: argparse drops the error of an unbuffered write, while
+    # a buffered one fails when the interpreter flushes stdout at exit.
+    proc = run_into_closed_stdout(repo_root, args, unbuffered="")
+    assert (proc.returncode, proc.stderr) == (
+        2, b"xbrlcore: cannot write output: Broken pipe\n")
+
+
+def test_a_usage_error_with_a_closed_stdout_pipe_keeps_its_message(repo_root):
+    for unbuffered in ("", "1"):
+        proc = run_into_closed_stdout(repo_root, ["facts"], unbuffered)
+        assert proc.returncode == 2, unbuffered
+        assert proc.stderr.startswith(b"usage: xbrlcore facts ")
+        assert proc.stderr.endswith(
+            b"xbrlcore facts: error: the following arguments are required: input\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -735,6 +735,26 @@ def test_serialize_rejects_a_unit_with_no_numerator_measure(unit):
         serialize(Instance(units={"u": unit}))
 
 
+FOOTNOTE = QName(LINK_NS, "footnote")
+LABEL = QName(XLINK_NS, "label")
+
+
+# Each would read back as MalformedFootnoteLink, with the message serialize gives.
+@pytest.mark.parametrize("link, message", [
+    (FootnoteLink(footnotes=(XmlElement(FOOTNOTE),)), "footnote requires xlink:label"),
+    (FootnoteLink(footnotes=(XmlElement(FOOTNOTE, {LABEL: ""}),)),
+     "footnote requires xlink:label"),
+    (FootnoteLink(locators=(("", "#f1"),)), "locator requires xlink:label and xlink:href"),
+    (FootnoteLink(locators=(("l1", ""),)), "locator requires xlink:label and xlink:href"),
+    (FootnoteLink(arcs=(FootnoteArc("", "n1", ""),)),
+     "footnote arc requires xlink:from and xlink:to"),
+], ids=["footnote-without-label", "footnote-empty-label", "locator-empty-label",
+        "locator-empty-href", "arc-empty-from"])
+def test_serialize_rejects_a_footnote_link_that_would_not_read_back(link, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        serialize(Instance(footnote_links=(link,)))
+
+
 # ---------------------------------------------------------------------------
 # classification details
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 import xml.parsers.expat
 
 import pytest
 
+import gen
 import oracle_xml
 from conftest import FIXTURES, fixture_bytes
 from xbrlcore import (
@@ -31,6 +33,7 @@ from xbrlcore import (
     serialize,
     validate,
 )
+from xbrlcore import constants
 from xbrlcore.cli import main
 from xbrlcore.xmltree import serialize_element
 
@@ -51,12 +54,31 @@ def test_document_order_of_children():
     assert children[1] == "text"
 
 
-def test_fixture_root_matches_oracle():
-    data = fixture_bytes("mini-instance.xml")
-    oracle_root = oracle_xml.parse(data)
-    root = read_document(data)
-    assert root.name == QName(*oracle_root.name)
-    assert root.name == QName(XBRLI, "xbrl")
+def tree_shape(element: XmlElement):
+    """``oracle_xml.shape`` of an element."""
+    return (element.name, element.attributes,
+            [c if isinstance(c, str) else tree_shape(c) for c in element.children])
+
+
+def assert_reads_as_the_oracle(data: bytes) -> None:
+    try:
+        expected = oracle_xml.shape(oracle_xml.parse(data))
+    except oracle_xml.OracleError:  # not a document: the tree must refuse it too
+        with pytest.raises(MalformedXml):
+            read_document(data)
+        return
+    assert tree_shape(read_document(data)) == expected
+
+
+@pytest.mark.parametrize("path", sorted(p for p in FIXTURES.rglob("*") if p.is_file()),
+                         ids=lambda p: p.relative_to(FIXTURES).as_posix())
+def test_fixture_tree_matches_oracle(path):
+    assert_reads_as_the_oracle(path.read_bytes())
+
+
+def test_generated_instances_match_oracle():
+    for seed in range(40):
+        assert_reads_as_the_oracle(serialize(gen.random_instance(random.Random(seed))))
 
 
 def test_prefix_never_part_of_identity():
@@ -255,6 +277,57 @@ def test_same_named_elements_in_one_scope_share_one_qname():
     assert xs[0].name is xs[1].name is xs[2].name
     first, second, third = (next(iter(x.attributes)) for x in xs)
     assert first is second is third
+    # the library's own names arrive as its constants
+    root = read_document(f'<x:xbrl xmlns:x="{XBRLI}" id="i"><x:context id="c"/></x:xbrl>'
+                         .encode())
+    context = root.child_elements()[0]
+    assert root.name is constants.QN_XBRL and context.name is constants.QN_CONTEXT
+    assert next(iter(root.attributes)) is next(iter(context.attributes)) is constants.QN_ATTR_ID
+
+
+# Expat interns namespace prefixes and URIs in the table it interns names
+# in: each case has a prefix or URI equal to an unqualified name, seen before
+# or after that name, or a default namespace, or a name first seen deep in
+# the tree. Expected: each element's name, attributes and the bindings it
+# adds to the initial scope, in document order.
+@pytest.mark.parametrize("data, expected", [
+    (b'<a id="1"><b xmlns:id="urn:x" id:k="2"/></a>',
+     [(("", "a"), {("", "id"): "1"}, {}),
+      (("", "b"), {("urn:x", "k"): "2"}, {"id": "urn:x"})]),
+    (b'<a k="1"><b xmlns:p="k" p:x="2"/></a>',
+     [(("", "a"), {("", "k"): "1"}, {}),
+      (("", "b"), {("k", "x"): "2"}, {"p": "k"})]),
+    (b'<a><a xmlns:q="urn:x" q:k="2"/><a q="3"/></a>',
+     [(("", "a"), {}, {}), (("", "a"), {("urn:x", "k"): "2"}, {"q": "urn:x"}),
+      (("", "a"), {("", "q"): "3"}, {})]),
+    (b'<a xmlns:p="k"><a k="3"/><k k="4"/><p:a/></a>',
+     [(("", "a"), {}, {"p": "k"}), (("", "a"), {("", "k"): "3"}, {"p": "k"}),
+      (("", "k"), {("", "k"): "4"}, {"p": "k"}), (("k", "a"), {}, {"p": "k"})]),
+    (b'<k xmlns:k="k" k="1"><k:k k:k="2" k="3"/></k>',
+     [(("", "k"), {("", "k"): "1"}, {"k": "k"}),
+      (("k", "k"), {("k", "k"): "2", ("", "k"): "3"}, {"k": "k"})]),
+    (b'<a xmlns="urn:d" x="1"><b xmlns="" y="2"><c/></b><d/></a>',
+     [(("urn:d", "a"), {("", "x"): "1"}, {"": "urn:d"}), (("", "b"), {("", "y"): "2"}, {}),
+      (("", "c"), {}, {}), (("urn:d", "d"), {}, {"": "urn:d"})]),
+    (b'<a><b><c><d><e deep="1" xmlns:q="deep" q:deep="2"/></d></c></b></a>',
+     [(("", "a"), {}, {}), (("", "b"), {}, {}), (("", "c"), {}, {}), (("", "d"), {}, {}),
+      (("", "e"), {("", "deep"): "1", ("deep", "deep"): "2"}, {"q": "deep"})]),
+    (b'<id xmlns:id="id" xmlns="contextRef" id:id="1" id="2"><contextRef/></id>',
+     [(("contextRef", "id"), {("id", "id"): "1", ("", "id"): "2"},
+       {"id": "id", "": "contextRef"}),
+      (("contextRef", "contextRef"), {}, {"id": "id", "": "contextRef"})]),
+], ids=["prefix-after-name", "uri-after-name", "prefix-before-name", "uri-before-name",
+        "one-string-everywhere", "default-namespace", "deep", "library-names"])
+def test_every_name_arrives_as_a_qname(data, expected):
+    elements = list(read_document(data).iter_elements())
+    for element in elements:
+        assert element.name.__class__ is QName
+        assert all(key.__class__ is QName for key in element.attributes)
+        assert all(text.__class__ is str for item in element.prefix_bindings.items()
+                   for text in item)
+    assert [(e.name, list(e.attributes.items()),
+             {k: v for k, v in e.prefix_bindings.items() if k != "xml"}) for e in elements] \
+        == [(name, list(attributes.items()), bindings) for name, attributes, bindings in expected]
 
 
 def test_qname_and_source_location_hash_and_compare_as_tuples():
