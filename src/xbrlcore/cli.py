@@ -50,8 +50,17 @@ def _one_of(*choices: str):
     return check
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse, except that a failed write of help or usage raises its OSError
+    (argparse drops it: ``--help`` into a closed unbuffered pipe would exit 0)."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="xbrlcore",
         description="Parse, validate, and extract facts from XBRL instance documents.",
     )

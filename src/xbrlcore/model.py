@@ -9,9 +9,9 @@ in the source document never matter.
 Scenario, segment and footnote content is preserved as opaque element
 fragments and never interpreted.
 
-The records built once per context, unit or fact are slots records,
+The records built once per context, unit or fact are final slots records,
 declared through ``xmltree._record``: each field and its default are
-written once, in the class body.
+written once, in the class body, and construction costs one slot store each.
 """
 
 from __future__ import annotations

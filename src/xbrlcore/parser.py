@@ -653,7 +653,8 @@ def serialize(instance: Instance) -> bytes:
     output yields a structurally equal instance. The model is written
     straight to text in one pass (see ``XmlWriter``). ValueError is raised for
     a character XML 1.0 cannot carry and for what would not read back: a unit
-    with no numerator measure, a footnote link part without a label or href.
+    with no numerator measure, a footnote that is not ``link:footnote``, a
+    footnote link part without a label or href.
     """
     w = XmlWriter(c.PREFERRED_PREFIXES)
     names, attr, text, write = w.names, w.attr, w.text, w.out.append
@@ -713,19 +714,23 @@ def serialize(instance: Instance) -> bytes:
             _write_measures(w, tag, unit.numerator)
     # End tags of the open tuples with children, innermost last.
     open_tags: list[str] = []
+    # An item's written attributes after its id, per distinct set of values.
+    tails: dict[tuple, str] = {}
     for fact, ancestors in instance.walk():
         while len(open_tags) > len(ancestors):
             write(open_tags.pop())
         tag = names[fact.concept]
         write(f"<{tag}" if fact.id is None else f'<{tag} id="{attr[fact.id]}"')
         if isinstance(fact, Item):
-            write(f' contextRef="{attr[fact.context_ref]}"')
-            if fact.unit_ref is not None:
-                write(f' unitRef="{attr[fact.unit_ref]}"')
-            if fact.decimals is not None:
-                write(f' decimals="{attr[fact.decimals]}"')
-            if fact.precision is not None:
-                write(f' precision="{attr[fact.precision]}"')
+            key = (fact.context_ref, fact.unit_ref, fact.decimals, fact.precision)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = (
+                    f' contextRef="{attr[fact.context_ref]}"'
+                    + ("" if fact.unit_ref is None else f' unitRef="{attr[fact.unit_ref]}"')
+                    + ("" if fact.decimals is None else f' decimals="{attr[fact.decimals]}"')
+                    + ("" if fact.precision is None else f' precision="{attr[fact.precision]}"'))
+            write(tail)
             write(f">{text(fact.value)}</{tag}>" if fact.value else "/>")
             continue
         if fact.context_ref is not None:
@@ -753,6 +758,8 @@ def serialize(instance: Instance) -> bytes:
                                (c.QN_XLINK_HREF, href)))
             write("/>")
         for note in link.footnotes:
+            if note.name != c.QN_FOOTNOTE:
+                raise ValueError(f"footnote must be a link:footnote element, not {note.name}")
             if not note.attributes.get(c.QN_XLINK_LABEL):
                 raise ValueError("footnote requires xlink:label")
             w.element(note)

@@ -12,11 +12,9 @@ bindings seen in the source never participate, so two documents that
 differ only in prefix choice compare equal.
 
 ``XmlElement``, like the slots records of ``model``, ``dts`` and
-``iso8601``, is declared through ``_record``: each field and its default
-are written once, in the class body, and the constructor is built from
-them at import. The tree builder makes each element with
-``object.__new__`` and that constructor, skipping the class call, and
-gives an element without children the empty tuple.
+``iso8601``, is declared through ``_record``: its fields are written once,
+in the class body, and its constructor sets them with plain slot stores.
+The tree builder gives an element without children the empty tuple.
 
 The calls that allocate in proportion to the document run with Python's
 cyclic garbage collector paused (``_without_cyclic_gc``): ``read_document``,
@@ -125,21 +123,31 @@ def _without_cyclic_gc(function):
     return paused
 
 
-def _record(cls: type) -> type:
-    """Declare a frozen slots record: ``dataclass(frozen=True, slots=True)``
-    plus the ``__init__`` it would generate, built once per class.
+def _reduce(record):
+    return record.__class__, tuple([getattr(record, name) for name in record.__match_args__])
 
-    That ``__init__`` has the generated one's parameters, order and
-    defaults, except that a field with a ``default_factory`` defaults to
-    None and then gets a fresh value. It stores each field through its
-    slot's ``__set__``, for about 40% less than the one ``object.__setattr__``
-    per field the ``__init__`` of a frozen dataclass pays.
+
+def _final(cls, **kwargs):
+    raise TypeError(f"{cls.__base__.__name__} is a final record and cannot be subclassed")
+
+
+def _record(cls: type) -> type:
+    """Declare a final frozen slots record: ``dataclass(frozen=True, slots=True)``
+    built so that constructing one costs a plain slot store per field.
+
+    The slots live on a private base without a ``__setattr__``, and the public
+    class adds ``__slots__ = ()``. Its ``__new__`` takes the dataclass
+    ``__init__``'s parameters (a ``default_factory`` field defaults to None,
+    then gets a fresh value), stores each field into an object of the base and
+    hands that object to the public class through ``__class__``.
+    ``__reduce__`` serves pickle and copy; subclassing raises TypeError.
     """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    namespace: dict = {"__name__": cls.__module__}
+    cls = dataclass(frozen=True, init=False)(cls)
+    names = tuple(f.name for f in fields(cls))
+    base = type(f"_{cls.__name__}Slots", (), {"__slots__": names, "__module__": cls.__module__})
+    namespace: dict = {"__name__": cls.__module__, "_new": object.__new__, "_base": base}
     params, body, annotations = [], [], {"return": None}
     for i, f in enumerate(fields(cls)):
-        namespace[f"_set{i}"] = getattr(cls, f.name).__set__
         param, value, annotation = f.name, f.name, f.type
         if f.default_factory is not MISSING:
             namespace[f"_new{i}"] = f.default_factory
@@ -149,13 +157,17 @@ def _record(cls: type) -> type:
             namespace[f"_default{i}"] = f.default
             param = f"{f.name}=_default{i}"
         params.append(param)
-        body.append(f"\n    _set{i}(self, {value})")
+        body.append(f"\n    self.{f.name} = {value}")
         annotations[f.name] = annotation
-    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", namespace)
-    init = cls.__init__ = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = annotations
-    return cls
+    members = {k: v for k, v in vars(cls).items()
+               if k not in {*names, "__dict__", "__weakref__"}}
+    exec(f"def __new__(cls, {', '.join(params)}):\n    self = _new(_base){''.join(body)}\n"
+         "    self.__class__ = cls\n    return self", namespace, members)
+    members["__new__"].__qualname__ = f"{cls.__qualname__}.__new__"
+    members["__new__"].__annotations__ = annotations
+    members.update(__slots__=(), __qualname__=cls.__qualname__, __reduce__=_reduce,
+                   __init_subclass__=_final)
+    return type(cls.__name__, (base,), members)
 
 
 @_record
@@ -239,11 +251,7 @@ class XmlElement:
         return QName(self.prefix_bindings.get("", ""), text)
 
 
-# A record built per parsed element skips the class call: ``object.__new__``
-# and the record's ``__init__`` give the same element for less.
 _tuple_new = tuple.__new__
-_new_element = object.__new__
-_init_element = XmlElement.__init__
 
 
 # Separator between namespace name and local name in expat's expanded
@@ -359,9 +367,8 @@ class _TreeBuilder:
         if text:
             children.append(text[0] if len(text) == 1 else "".join(text))
             text.clear()
-        element = _new_element(XmlElement)
-        _init_element(element, qname, attrs, tuple(children) if children else (), loc, bindings)
-        stack[-1][2].append(element)
+        stack[-1][2].append(
+            XmlElement(qname, attrs, tuple(children) if children else (), loc, bindings))
 
 
 _codes = xml.parsers.expat.errors.codes

@@ -675,11 +675,12 @@ def test_a_closed_stdout_pipe_gives_no_traceback(repo_root):
 
 @pytest.mark.parametrize("args", [["--help"], ["facts", "--help"]], ids=["help", "facts-help"])
 def test_help_into_a_closed_stdout_pipe_keeps_the_exit_code(repo_root, args):
-    # Buffered only: argparse drops the error of an unbuffered write, while
-    # a buffered one fails when the interpreter flushes stdout at exit.
-    proc = run_into_closed_stdout(repo_root, args, unbuffered="")
-    assert (proc.returncode, proc.stderr) == (
-        2, b"xbrlcore: cannot write output: Broken pipe\n")
+    # An unbuffered write fails as help is printed, a buffered one when
+    # stdout is flushed after parsing.
+    for unbuffered in ("", "1"):
+        proc = run_into_closed_stdout(repo_root, args, unbuffered)
+        assert (proc.returncode, proc.stderr) == (
+            2, b"xbrlcore: cannot write output: Broken pipe\n"), unbuffered
 
 
 def test_a_usage_error_with_a_closed_stdout_pipe_keeps_its_message(repo_root):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
 import inspect
+import pickle
 import pkgutil
 from datetime import datetime
 
@@ -10,7 +12,7 @@ import pytest
 
 import oracle_xml
 import xbrlcore
-from conftest import fixture_bytes
+from conftest import FIXTURES, fixture_bytes
 from xbrlcore import (
     Concept,
     Context,
@@ -21,15 +23,21 @@ from xbrlcore import (
     Instant,
     Item,
     ItemKind,
+    ParseMode,
     ParseOptions,
     PeriodType,
     QName,
     SourceLocation,
     Tuple,
     Unit,
+    XbrlError,
     XmlElement,
+    build_resolver,
+    discover,
+    find_instances,
     parse_instance,
     read_document,
+    read_instances,
 )
 from xbrlcore.iso8601 import TimePoint, parse_point
 
@@ -233,6 +241,72 @@ def test_public_constructor_builds_every_record(name):
     for n in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(full, n, values[n])
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_every_record_pickles_and_copies_to_an_equal_record(name):
+    cls, _, values, _ = RECORDS[name]
+    full = cls(**values)
+    for twin in (pickle.loads(pickle.dumps(full)), copy.copy(full), copy.deepcopy(full)):
+        # compare=False fields too: a copy keeps its position and bindings
+        assert type(twin) is cls and twin == full
+        assert {n: getattr(twin, n) for n in values} == values
+    assert all(getattr(copy.copy(full), n) is v for n, v in values.items())
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_cannot_be_subclassed(name):
+    cls = RECORDS[name][0]
+    with pytest.raises(TypeError, match=f"^{name} is a final record and cannot be subclassed$"):
+        type("Sub", (cls,), {"__slots__": ()})
+
+
+def reachable(root):
+    """Every object reachable from ``root`` through containers and attributes."""
+    stack, seen = [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, int, float, type(None), datetime)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.items())
+        else:
+            stack.extend(getattr(obj, n) for c in type(obj).__mro__
+                         for n in c.__dict__.get("__slots__", ()))
+            stack.extend(getattr(obj, "__dict__", {}).values())
+
+
+def tree_and_instances(data, options):
+    root = read_document(data)
+    return root, find_instances(root, options)
+
+
+def test_both_readers_build_every_record_as_its_public_class():
+    # A record is built as an instance of a private base and then handed to
+    # its class: no object of the base may reach a caller.
+    public = {cls for cls, *_ in RECORDS.values()}
+    private = tuple(cls.__base__ for cls in public)
+    assert not public & set(private)
+    seen = set()
+    for path in sorted(p for p in FIXTURES.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        for mode in ParseMode:
+            for read in (read_instances, tree_and_instances):
+                try:
+                    result = read(data, ParseOptions(mode))
+                except XbrlError:
+                    continue
+                kinds = {type(obj) for obj in reachable(result) if isinstance(obj, private)}
+                assert kinds <= public, (path.name, mode)
+                seen |= kinds
+    assert seen == public - {Concept}
+    dts = discover(parse_instance(read_document(fixture_bytes("mini-instance.xml"))).instance,
+                   build_resolver(str(FIXTURES)), base_uri=str(FIXTURES / "mini-instance.xml"))
+    assert {type(obj) for obj in reachable(dts) if isinstance(obj, private)} == {Concept}
 
 
 def test_no_dataclass_carries_a_generated_docstring():

@@ -739,17 +739,21 @@ FOOTNOTE = QName(LINK_NS, "footnote")
 LABEL = QName(XLINK_NS, "label")
 
 
-# Each would read back as MalformedFootnoteLink, with the message serialize gives.
+# Each would read back as MalformedFootnoteLink, with the message serialize
+# gives, or not as written.
 @pytest.mark.parametrize("link, message", [
     (FootnoteLink(footnotes=(XmlElement(FOOTNOTE),)), "footnote requires xlink:label"),
     (FootnoteLink(footnotes=(XmlElement(FOOTNOTE, {LABEL: ""}),)),
      "footnote requires xlink:label"),
+    # read back, it would be skipped: a link with no footnotes
+    (FootnoteLink(footnotes=(XmlElement(QName("urn:x", "note"), {LABEL: "n1"}, ("hello",)),)),
+     r"footnote must be a link:footnote element, not \{urn:x\}note"),
     (FootnoteLink(locators=(("", "#f1"),)), "locator requires xlink:label and xlink:href"),
     (FootnoteLink(locators=(("l1", ""),)), "locator requires xlink:label and xlink:href"),
     (FootnoteLink(arcs=(FootnoteArc("", "n1", ""),)),
      "footnote arc requires xlink:from and xlink:to"),
-], ids=["footnote-without-label", "footnote-empty-label", "locator-empty-label",
-        "locator-empty-href", "arc-empty-from"])
+], ids=["footnote-without-label", "footnote-empty-label", "footnote-not-link-footnote",
+        "locator-empty-label", "locator-empty-href", "arc-empty-from"])
 def test_serialize_rejects_a_footnote_link_that_would_not_read_back(link, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         serialize(Instance(footnote_links=(link,)))
