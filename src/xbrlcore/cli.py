@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import os
 import sys
 
@@ -48,6 +46,17 @@ def _one_of(*choices: str):
                 f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
         return value
     return check
+
+
+def _document_limit(value: str) -> int:
+    """The argparse ``type`` of ``--max-documents``: an integer, 0 or more."""
+    try:
+        limit = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {limit}")
+    return limit
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -84,7 +93,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--taxonomy-root", default=_env("TAXONOMY_ROOT"),
                        help="directory taxonomy references resolve under; "
                             "without it, taxonomy-dependent rules are skipped")
-        p.add_argument("--max-documents", type=int,
+        p.add_argument("--max-documents", type=_document_limit,
                        default=_env("MAX_DOCUMENTS", str(DEFAULT_MAX_DOCUMENTS)),
                        help="discovery document limit")
 
@@ -138,6 +147,7 @@ def _finding_dict(finding: Finding) -> dict:
 
 
 def _print_json(payload) -> None:
+    import json
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
@@ -147,6 +157,7 @@ def _csv_text(rows) -> str:
     A row whose fields hold no comma, quote, CR or LF needs no quoting, and
     is joined directly; ``csv.writer`` writes every other row.
     """
+    import csv
     lines = []
     buffer = io.StringIO()
     writer = csv.writer(buffer)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 import posixpath
 import weakref
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple
 from urllib.parse import unquote, urlsplit, urljoin
@@ -41,7 +40,8 @@ from .errors import XbrlError
 from .findings import Finding
 from .model import Instance
 from .xmltree import (
-    XML_WHITESPACE, QName, XmlElement, XmlReadError, _record, _without_cyclic_gc, read_document,
+    XML_WHITESPACE, QName, XmlElement, XmlReadError, _field, _record, _without_cyclic_gc,
+    read_document,
 )
 
 DEFAULT_MAX_DOCUMENTS = 256
@@ -87,7 +87,7 @@ class Concept:
     abstract: bool = False
 
 
-@dataclass(frozen=True)
+@_record
 class DtsDocument:
     """One discovered document and the hrefs it refers to, as written."""
 
@@ -96,15 +96,15 @@ class DtsDocument:
     outgoing_refs: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@_record
 class Dts:
     """The discovered taxonomy set reachable from one instance.
 
     ``concepts`` maps each declared QName to its first declaration.
     """
 
-    documents: Mapping[str, DtsDocument] = field(default_factory=dict)
-    concepts: Mapping[QName, Concept] = field(default_factory=dict)
+    documents: Mapping[str, DtsDocument] = _field(default_factory=dict)
+    concepts: Mapping[QName, Concept] = _field(default_factory=dict)
     unresolved: tuple[tuple[str, str], ...] = ()
     findings: tuple[Finding, ...] = ()
     limit_exceeded: bool = False
@@ -311,8 +311,9 @@ def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
     once per resolver, documents appear in discovery order, and unresolved
     entries keep the order of the referencing edge. At most
     ``max_documents`` documents are loaded; when more are reachable the
-    partial result is returned with ``limit_exceeded`` set. ``concepts``
-    keeps the first declaration of each QName in discovery order.
+    partial result is returned with ``limit_exceeded`` set; a negative
+    limit raises ValueError. ``concepts`` keeps the first declaration of
+    each QName in discovery order.
 
     The resolver keeps one load per URI for its lifetime (see the module
     docstring), so a warm call fetches nothing and resolves only the entry
@@ -321,6 +322,8 @@ def discover(instance: Instance, resolver: Resolver, *, base_uri: str = "",
     and weakly referenceable, as instances of any plain class are. Each
     call returns its own ``documents`` and ``concepts``.
     """
+    if max_documents < 0:
+        raise ValueError(f"max_documents must be 0 or more, not {max_documents}")
     loaded = _LOADED.setdefault(resolver, {})
     queue = [resolver.resolve(base_uri, ref.href)
              for ref in (*instance.schema_refs, *instance.linkbase_refs)]

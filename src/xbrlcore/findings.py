@@ -6,11 +6,10 @@ finding is built from its code through ``Finding.of``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .constants import DEFAULT_MAX_TUPLE_DEPTH
-from .xmltree import SourceLocation
+from .xmltree import SourceLocation, _record
 
 
 class Severity(Enum):
@@ -19,7 +18,7 @@ class Severity(Enum):
     INFO = "info"
 
 
-@dataclass(frozen=True)
+@_record
 class Finding:
     """One validation result with a stable code and a source position.
 
@@ -43,7 +42,7 @@ class Finding:
         return (self.location.line, self.location.column, self.code)
 
 
-@dataclass(frozen=True)
+@_record
 class Rule:
     """One entry of the rule catalog; ``requires_dts`` rules need a taxonomy."""
 

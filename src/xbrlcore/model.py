@@ -9,21 +9,22 @@ in the source document never matter.
 Scenario, segment and footnote content is preserved as opaque element
 fragments and never interpreted.
 
-The records built once per context, unit or fact are final slots records,
-declared through ``xmltree._record``: each field and its default are
-written once, in the class body, and construction costs one slot store each.
+Every class here is a final slots record declared through
+``xmltree._record``: each field and its default are written once, in the
+class body, construction costs one slot store per field, and equality,
+hashing, ``repr`` and the ``dataclasses`` functions behave as for a frozen
+dataclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
 from .iso8601 import TimePoint
-from .xmltree import QName, SourceLocation, XmlElement, _record
+from .xmltree import QName, SourceLocation, XmlElement, _field, _record
 
 
-@dataclass(frozen=True)
+@_record
 class TaxonomyRef:
     """A schemaRef or linkbaseRef; ``arcrole`` and ``role`` are empty when absent."""
 
@@ -56,7 +57,7 @@ class Duration:
     end: TimePoint
 
 
-@dataclass(frozen=True)
+@_record
 class Forever:
     """A period without start or end."""
 
@@ -72,7 +73,7 @@ class Context:
     entity: Entity
     period: Period
     scenario: XmlElement | None = None
-    source_location: SourceLocation = field(default=SourceLocation(), compare=False)
+    source_location: SourceLocation = _field(default=SourceLocation(), compare=False)
 
 
 @_record
@@ -85,7 +86,7 @@ class Unit:
     id: str
     numerator: tuple[QName, ...]
     denominator: tuple[QName, ...] = ()
-    source_location: SourceLocation = field(default=SourceLocation(), compare=False)
+    source_location: SourceLocation = _field(default=SourceLocation(), compare=False)
 
 
 @_record
@@ -104,7 +105,7 @@ class Item:
     decimals: str | None = None
     precision: str | None = None
     id: str | None = None
-    source_location: SourceLocation = field(default=SourceLocation(), compare=False)
+    source_location: SourceLocation = _field(default=SourceLocation(), compare=False)
 
 
 @_record
@@ -119,13 +120,13 @@ class Tuple:
     children: tuple["Fact", ...] = ()
     id: str | None = None
     context_ref: str | None = None
-    source_location: SourceLocation = field(default=SourceLocation(), compare=False)
+    source_location: SourceLocation = _field(default=SourceLocation(), compare=False)
 
 
 Fact = Union[Item, Tuple]
 
 
-@dataclass(frozen=True)
+@_record
 class FootnoteArc:
     """An arc from the resources labelled ``from_label`` to those labelled ``to_label``."""
 
@@ -134,7 +135,7 @@ class FootnoteArc:
     arc_role: str
 
 
-@dataclass(frozen=True)
+@_record
 class FootnoteLink:
     """An XLink extended link associating facts with footnote content.
 
@@ -150,20 +151,20 @@ class FootnoteLink:
     footnotes: tuple[XmlElement, ...] = ()
     arcs: tuple[FootnoteArc, ...] = ()
     role: str = ""
-    source_location: SourceLocation = field(default=SourceLocation(), compare=False)
+    source_location: SourceLocation = _field(default=SourceLocation(), compare=False)
 
 
-@dataclass(frozen=True)
+@_record
 class Instance:
     """Root aggregate of one XBRL instance document."""
 
     schema_refs: tuple[TaxonomyRef, ...] = ()
     linkbase_refs: tuple[TaxonomyRef, ...] = ()
-    contexts: Mapping[str, Context] = field(default_factory=dict)
-    units: Mapping[str, Unit] = field(default_factory=dict)
+    contexts: Mapping[str, Context] = _field(default_factory=dict)
+    units: Mapping[str, Unit] = _field(default_factory=dict)
     facts: tuple[Fact, ...] = ()
     footnote_links: tuple[FootnoteLink, ...] = ()
-    source_location: SourceLocation = field(default=SourceLocation(), compare=False)
+    source_location: SourceLocation = _field(default=SourceLocation(), compare=False)
 
     def walk(self) -> Iterator[tuple[Fact, tuple[Tuple, ...]]]:
         """Every fact with its enclosing tuples (outermost first, ``()`` at top

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 from . import constants as c
@@ -55,7 +54,7 @@ from .model import (
     Unit,
 )
 from .xmltree import (
-    XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter, _read, _TreeBuilder,
+    XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter, _read, _record, _TreeBuilder,
     _without_cyclic_gc,
 )
 
@@ -124,14 +123,14 @@ class ParseMode(Enum):
     LENIENT = "lenient"
 
 
-@dataclass(frozen=True)
+@_record
 class ParseOptions:
     """How to parse: strict (the default) or lenient."""
 
     mode: ParseMode = ParseMode.STRICT
 
 
-@dataclass(frozen=True)
+@_record
 class ParseOutcome:
     """A parsed instance and the findings of what lenient parsing recovered from."""
 

@@ -14,8 +14,6 @@ is worked out once per unit and instance.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .constants import DEFAULT_MAX_TUPLE_DEPTH, ISO4217_NS, QN_XLINK_LABEL
@@ -30,10 +28,10 @@ from .model import (
     Unit,
 )
 from .parser import ParseOutcome
-from .xmltree import QName
+from .xmltree import QName, _record
 
 
-@dataclass(frozen=True)
+@_record
 class ValidationReport:
     """Ordered findings, their counts per severity, and the digest of the input."""
 
@@ -229,4 +227,5 @@ def validate(subject: Instance | ParseOutcome, dts: Dts | None = None, *,
 
 
 def digest_bytes(data: bytes) -> str:
+    import hashlib
     return "sha256:" + hashlib.sha256(data).hexdigest()

@@ -11,10 +11,13 @@ Equality of elements is structural: source positions and the prefix
 bindings seen in the source never participate, so two documents that
 differ only in prefix choice compare equal.
 
-``XmlElement``, like the slots records of ``model``, ``dts`` and
-``iso8601``, is declared through ``_record``: its fields are written once,
-in the class body, and its constructor sets them with plain slot stores.
-The tree builder gives an element without children the empty tuple.
+``XmlElement``, like every frozen value class of the package, is a final
+slots record declared through ``_record``: its fields are written once, in
+the class body, and its constructor sets them with plain slot stores.
+``_record`` never runs ``dataclasses.dataclass()``, so importing the
+package loads neither ``dataclasses`` nor the modules it imports; the
+``dataclasses`` functions still work on every record. The tree builder
+gives an element without children the empty tuple.
 
 The calls that allocate in proportion to the document run with Python's
 cyclic garbage collector paused (``_without_cyclic_gc``): ``read_document``,
@@ -37,8 +40,8 @@ from __future__ import annotations
 import functools
 import gc
 import re
+import reprlib
 import xml.parsers.expat
-from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import SourceLocation, XbrlError
@@ -123,50 +126,137 @@ def _without_cyclic_gc(function):
     return paused
 
 
+class _field(dict):
+    """A record field's ``dataclasses.field`` options, as written in the class
+    body: ``default``, ``default_factory``, ``compare`` and ``repr``."""
+
+
 def _reduce(record):
     return record.__class__, tuple([getattr(record, name) for name in record.__match_args__])
+
+
+def _replace(record, /, **changes):
+    return record.__class__(**{**{n: getattr(record, n) for n in record.__match_args__},
+                               **changes})
+
+
+def _setattr(record, name, value):
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(record, name):
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _final(cls, **kwargs):
     raise TypeError(f"{cls.__base__.__name__} is a final record and cannot be subclassed")
 
 
-def _record(cls: type) -> type:
-    """Declare a final frozen slots record: ``dataclass(frozen=True, slots=True)``
-    built so that constructing one costs a plain slot store per field.
+def _compared_methods(qualname: str, compared: tuple[str, ...], shown: tuple[str, ...]) -> dict:
+    """``__eq__``, ``__hash__`` and ``__repr__`` as ``dataclass(frozen=True)``
+    writes them, over the ``compared`` and the ``shown`` fields."""
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, n) for n in compared] == [getattr(other, n) for n in compared]
 
-    The slots live on a private base without a ``__setattr__``, and the public
-    class adds ``__slots__ = ()``. Its ``__new__`` takes the dataclass
+    def __hash__(self):
+        return hash(tuple([getattr(self, n) for n in compared]))
+
+    def __repr__(self):
+        shown_fields = ", ".join([f"{n}={getattr(self, n)!r}" for n in shown])
+        return f"{self.__class__.__qualname__}({shown_fields})"
+
+    for method in (__eq__, __hash__, __repr__):
+        method.__qualname__ = f"{qualname}.{method.__name__}"
+    return {"__eq__": __eq__, "__hash__": __hash__,
+            "__repr__": reprlib.recursive_repr()(__repr__)}
+
+
+class _DataclassFields:
+    """A record's ``__dataclass_fields__``, built on first access, so that the
+    ``dataclasses`` functions work on records and only their callers import
+    ``dataclasses``: the fields of a dataclass declared with the record's
+    annotations and field options. The built mapping then replaces this."""
+
+    def __init__(self, options: dict[str, _field]):
+        self.options = options
+
+    def __get__(self, record, cls):
+        import dataclasses
+        namespace = {name: dataclasses.field(**options) for name, options in self.options.items()}
+        namespace.update(__annotations__=cls.__annotations__, __module__=cls.__module__,
+                         __doc__=cls.__doc__)
+        shadow = dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
+        fields = {f.name: f for f in dataclasses.fields(shadow)}
+        setattr(cls, "__dataclass_fields__", fields)
+        return fields
+
+
+def _record(cls: type) -> type:
+    """Declare a final frozen slots record: a class that behaves as
+    ``dataclass(frozen=True, slots=True)`` would make it, built without ``dataclass()``.
+
+    The class body declares each field with an annotation and an optional
+    default; ``_field`` takes ``dataclasses.field``'s options. The slots live
+    on a private base without a ``__setattr__``, and the public class adds
+    ``__slots__ = ()``. Only ``__new__`` is compiled: it takes the dataclass
     ``__init__``'s parameters (a ``default_factory`` field defaults to None,
-    then gets a fresh value), stores each field into an object of the base and
-    hands that object to the public class through ``__class__``.
-    ``__reduce__`` serves pickle and copy; subclassing raises TypeError.
+    then gets a fresh value), stores each field into an object of the base
+    and hands that object to the public class through ``__class__``, so a
+    record costs a plain slot store per field.
+
+    The rest is shared or made per class without compiling: ``__eq__``,
+    ``__hash__`` and ``__repr__`` over the compared and the shown fields (a
+    class's own ``__eq__`` stays), ``__match_args__``, ``__reduce__`` for
+    pickle and copy, ``__replace__`` for ``copy.replace``,
+    ``FrozenInstanceError`` on assigning or deleting a field and TypeError
+    on subclassing. ``__dataclass_fields__`` builds itself on first use, so
+    ``dataclasses.fields``, ``replace``, ``asdict``, ``astuple`` and
+    ``is_dataclass`` work on records and only their callers import
+    ``dataclasses``.
     """
-    cls = dataclass(frozen=True, init=False)(cls)
-    names = tuple(f.name for f in fields(cls))
+    body_namespace = vars(cls)
+    declared = body_namespace.get("__annotations__", {})
+    names = tuple(declared)
     base = type(f"_{cls.__name__}Slots", (), {"__slots__": names, "__module__": cls.__module__})
     namespace: dict = {"__name__": cls.__module__, "_new": object.__new__, "_base": base}
     params, body, annotations = [], [], {"return": None}
-    for i, f in enumerate(fields(cls)):
-        param, value, annotation = f.name, f.name, f.type
-        if f.default_factory is not MISSING:
-            namespace[f"_new{i}"] = f.default_factory
-            param, value = f"{f.name}=None", f"_new{i}() if {f.name} is None else {f.name}"
-            annotation = f"{f.type} | None"
-        elif f.default is not MISSING:
-            namespace[f"_default{i}"] = f.default
-            param = f"{f.name}=_default{i}"
+    options: dict[str, _field] = {}
+    for i, (name, annotation) in enumerate(declared.items()):
+        field = body_namespace.get(name, _field())
+        if not isinstance(field, _field):
+            field = _field(default=field)
+        options[name] = field
+        param, stored = name, name
+        if "default_factory" in field:
+            namespace[f"_new{i}"] = field["default_factory"]
+            param, stored = f"{name}=None", f"_new{i}() if {name} is None else {name}"
+            annotation = f"{annotation} | None"
+        elif "default" in field:
+            namespace[f"_default{i}"] = field["default"]
+            param = f"{name}=_default{i}"
         params.append(param)
-        body.append(f"\n    self.{f.name} = {value}")
-        annotations[f.name] = annotation
-    members = {k: v for k, v in vars(cls).items()
+        body.append(f"\n    self.{name} = {stored}")
+        annotations[name] = annotation
+    members = {k: v for k, v in body_namespace.items()
                if k not in {*names, "__dict__", "__weakref__"}}
     exec(f"def __new__(cls, {', '.join(params)}):\n    self = _new(_base){''.join(body)}\n"
          "    self.__class__ = cls\n    return self", namespace, members)
     members["__new__"].__qualname__ = f"{cls.__qualname__}.__new__"
     members["__new__"].__annotations__ = annotations
-    members.update(__slots__=(), __qualname__=cls.__qualname__, __reduce__=_reduce,
-                   __init_subclass__=_final)
+    methods = _compared_methods(
+        cls.__qualname__, tuple(n for n in names if options[n].get("compare", True)),
+        tuple(n for n in names if options[n].get("repr", True)))
+    members = {**methods, **members}  # a class's own __eq__ or __repr__ stays
+    if members["__hash__"] is None:  # as Python sets it for a class that defines __eq__
+        members["__hash__"] = methods["__hash__"]
+    members.update(__slots__=(), __qualname__=cls.__qualname__, __match_args__=names,
+                   __reduce__=_reduce, __replace__=_replace, __setattr__=_setattr,
+                   __delattr__=_delattr, __init_subclass__=_final,
+                   __dataclass_fields__=_DataclassFields(options))
     return type(cls.__name__, (base,), members)
 
 
@@ -182,10 +272,10 @@ class XmlElement:
     """
 
     name: QName
-    attributes: Mapping[QName, str] = field(default_factory=dict)
+    attributes: Mapping[QName, str] = _field(default_factory=dict)
     children: tuple[XmlNode, ...] = ()
-    source_location: SourceLocation = field(default=SourceLocation(), compare=False)
-    prefix_bindings: Mapping[str, str] = field(default_factory=dict, compare=False, repr=False)
+    source_location: SourceLocation = _field(default=SourceLocation(), compare=False)
+    prefix_bindings: Mapping[str, str] = _field(default_factory=dict, compare=False, repr=False)
 
     def __eq__(self, other: object) -> bool:
         # Explicit stack, so depth is bounded by memory and not by the

@@ -469,6 +469,23 @@ def test_bad_numeric_env_var_is_a_usage_error(repo_root, variable):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "dts"])
+def test_negative_document_limit_is_a_usage_error(repo_root, capsys, monkeypatch, command):
+    message = "argument --max-documents: must be 0 or more, not -5"
+    assert message in usage_error(capsys, command, "fixtures/mini-instance.xml",
+                                  "--taxonomy-root", "fixtures/", "--max-documents", "-5")
+    monkeypatch.setenv("XBRLCORE_MAX_DOCUMENTS", "-5")
+    assert message in usage_error(capsys, command, "fixtures/mini-instance.xml",
+                                  "--taxonomy-root", "fixtures/")
+
+
+def test_zero_document_limit_loads_no_document(repo_root, capsys):
+    code, out, _ = run(capsys, "dts", "fixtures/mini-instance.xml",
+                       "--taxonomy-root", "fixtures/", "--max-documents", "0", "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["documents"], payload["limit_exceeded"]) == (0, [], True)
+
+
 def usage_error(capsys, *argv) -> str:
     """Run ``argv``, require an argparse usage error (exit 2, no output), return stderr."""
     with pytest.raises(SystemExit) as exit_:
@@ -710,3 +727,41 @@ def test_a_closed_stderr_pipe_keeps_the_exit_code(repo_root, args):
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stdout) == (2, b""), unbuffered
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+START_UP_PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+import xbrlcore.cli
+imported = set(sys.modules) - before
+with contextlib.redirect_stdout(io.StringIO()):
+    code = xbrlcore.cli.main(["validate", "fixtures/mini-instance.xml"])
+validated = set(sys.modules) - before
+import dataclasses
+from xbrlcore import Item
+print(code)
+print(*sorted(imported))
+print(*sorted(validated))
+print(*[f.name for f in dataclasses.fields(Item)])
+"""
+
+
+def test_cli_start_up_loads_only_the_modules_it_uses(repo_root):
+    # Each CLI call pays for what importing the CLI loads. The records load
+    # dataclasses (and with it inspect, ast, dis and tokenize) only when a
+    # dataclasses function is called on one; json, csv and hashlib load in
+    # the commands and formats that use them.
+    proc = subprocess.run([sys.executable, "-c", START_UP_PROBE], capture_output=True,
+                          text=True, cwd=repo_root, check=True,
+                          env={**os.environ, "PYTHONPATH": str(repo_root / "src")})
+    code, imported, validated, fields = proc.stdout.splitlines()
+    unused = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "csv", "hashlib"}
+    assert unused & set(imported.split()) == set()
+    assert {"json", "csv"} & set(validated.split()) == set()
+    assert "hashlib" in validated.split()  # the report's input digest
+    assert (code, fields) == ("0", "concept context_ref value unit_ref decimals precision id "
+                                   "source_location")

@@ -352,6 +352,15 @@ def test_discover_document_limit():
     assert dts.unresolved == (("b.xsd", "document limit 1 reached"),)
 
 
+def test_discover_rejects_a_negative_document_limit():
+    resolver = DictResolver({"a.xsd": schema("urn:a")})
+    with pytest.raises(ValueError, match="^max_documents must be 0 or more, not -1$"):
+        discover(instance_with_refs("a.xsd"), resolver, max_documents=-1)
+    dts = discover(instance_with_refs("a.xsd"), resolver, max_documents=0)
+    assert dts.documents == {} and dts.limit_exceeded
+    assert dts.unresolved == (("a.xsd", "document limit 0 reached"),)
+
+
 def test_discover_follows_a_deep_import_chain_whole():
     # 20 schemas, each importing the next: the closure has no depth bound
     chain = {
