@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .model import Duration, Forever, Instance, Instant, Item, Unit
-from .xmltree import QName, _tuple_new, _without_cyclic_gc
+from .xmltree import QName, _handed_off, _tuple_new
 
 
 class FactRow(NamedTuple):
@@ -50,7 +50,7 @@ def _unit_text(unit: Unit) -> str:
     return text
 
 
-@_without_cyclic_gc
+@_handed_off
 def fact_rows(instance: Instance) -> list[FactRow]:
     """One row per Item, document order; unresolvable references render empty."""
     # Each context, unit and concept is rendered once, not once per row.

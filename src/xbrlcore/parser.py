@@ -55,7 +55,7 @@ from .model import (
 )
 from .xmltree import (
     XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter, _read, _record, _TreeBuilder,
-    _without_cyclic_gc,
+    _handed_off,
 )
 
 _DECIMALS_RE = re.compile(r"INF|[+-]?[0-9]+")
@@ -504,7 +504,7 @@ class _InstanceBuilder:
                     f"{message} ignored")
 
 
-@_without_cyclic_gc
+@_handed_off
 def parse_instance(root: XmlElement,
                    options: ParseOptions = ParseOptions()) -> ParseOutcome:
     """Parse one instance whose root is the xbrl element.
@@ -524,7 +524,7 @@ def parse_instance(root: XmlElement,
     return builder.outcome()
 
 
-@_without_cyclic_gc
+@_handed_off
 def find_instances(root: XmlElement,
                    options: ParseOptions = ParseOptions()) -> list[ParseOutcome]:
     """Parse every xbrl element that is not nested inside another one.
@@ -617,7 +617,7 @@ class _InstanceReader(_TreeBuilder):
         parser.CharacterDataHandler = parser.StartNamespaceDeclHandler = None
 
 
-@_without_cyclic_gc
+@_handed_off
 def read_instances(data: bytes, options: ParseOptions = ParseOptions()) -> list[ParseOutcome]:
     """Read XML bytes and parse every xbrl element not nested in another one.
 
@@ -627,9 +627,14 @@ def read_instances(data: bytes, options: ParseOptions = ParseOptions()) -> list[
     anywhere in the document wins over an error building an instance.
     """
     reader = _InstanceReader(options)
-    _read(reader, data)
-    # The error's traceback holds the reader's frames: neither the reader
-    # nor this frame, which the traceback gains, may hold the error.
+    # A held error's traceback holds the reader's frames: neither the reader
+    # nor this frame, which the traceback gains, may hold the error, also
+    # when a read error wins.
+    try:
+        _read(reader, data)
+    except BaseException:
+        reader.error = None
+        raise
     error, reader.error = reader.error, None
     if error is not None:
         try:

@@ -219,18 +219,26 @@ def plant(text: str, edits: list[tuple[str, int]]) -> str:
     return text
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
-       edits=st.lists(st.tuples(st.sampled_from(sorted(PLANTED)), st.integers(0, 20)),
-                      max_size=3),
-       cut=st.none() | st.floats(0, 1))
-def test_generated_documents_read_the_same(seeds, edits, cut):
+def filing(seeds: list[int], edits: list[tuple[str, int]], cut: float | None) -> bytes:
+    """``gen.py`` instances, one per seed, in a wrapper, with ``edits`` planted
+    and, unless ``cut`` is None, cut to that share of their bytes."""
     instances = [serialize(gen.random_instance(random.Random(seed))).decode().split("?>", 1)[1]
                  for seed in seeds]
     text = plant(f'<w:filing xmlns:w="urn:w">{"<w:gap/>".join(instances)}</w:filing>', edits)
     data = text.encode()
-    if cut is not None:
-        data = data[:int(len(data) * cut)]
+    return data if cut is None else data[:int(len(data) * cut)]
+
+
+FILINGS = dict(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+               edits=st.lists(st.tuples(st.sampled_from(sorted(PLANTED)), st.integers(0, 20)),
+                              max_size=3),
+               cut=st.none() | st.floats(0, 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(**FILINGS)
+def test_generated_documents_read_the_same(seeds, edits, cut):
+    data = filing(seeds, edits, cut)
     for options in MODES:
         assert_same(data, options)
 

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import _thread
+import contextlib
 import gc
 import itertools
 import random
+import threading
+import tracemalloc
 import xml.parsers.expat
 
 import pytest
+from hypothesis import given, settings
 
 import gen
 import oracle_xml
 from conftest import FIXTURES, fixture_bytes
+from test_read_instances import FILINGS, MODES, filing
 from xbrlcore import (
     Instance,
     MalformedXml,
@@ -33,7 +39,7 @@ from xbrlcore import (
     serialize,
     validate,
 )
-from xbrlcore import constants
+from xbrlcore import constants, xmltree
 from xbrlcore.cli import main
 from xbrlcore.xmltree import serialize_element
 
@@ -481,6 +487,34 @@ def test_a_pipeline_pass_leaves_nothing_for_the_cyclic_collector():
                         for one_pass in (False, True)}
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(**FILINGS)
+def test_generated_documents_leave_nothing_for_the_cyclic_collector(seeds, edits, cut):
+    # A cycle the library built would now wait for a full collection, since
+    # a call hands what it built to the oldest generation: generated
+    # instances with planted defects, some cut short, through both readers
+    # in both modes, then fact_rows and serialize. With the collector
+    # disabled, all they allocate stays young, so collecting generation 0
+    # finds any cycle among it.
+    data = filing(seeds, edits, cut)
+    gc.disable()
+    try:
+        gc.collect(0)
+        for options, one_pass in itertools.product(MODES, (False, True)):
+            try:
+                outcomes = (read_instances(data, options) if one_pass
+                            else find_instances(read_document(data), options))
+            except XbrlError:
+                continue
+            for outcome in outcomes:
+                fact_rows(outcome.instance)
+                with contextlib.suppress(ValueError):  # what cannot be written back
+                    serialize(outcome.instance)
+        assert gc.collect(0) == 0
+    finally:
+        gc.enable()
+
+
 def _bulk_instance(items: int) -> bytes:
     contexts = "".join(
         f'<xbrli:context id="c{n}"><xbrli:entity><xbrli:identifier scheme="urn:s">e'
@@ -509,33 +543,55 @@ def _big_schema(declarations: int) -> bytes:
     ).encode()
 
 
+def _from_an_empty_young_generation():
+    """Collect every generation, then thaw what CPython 3.12's collector
+    parks in the permanent generation (immortal objects), which the
+    hand-off would take for a caller's ``gc.freeze()``, and have the next
+    call read the freeze count."""
+    gc.collect()
+    gc.unfreeze()
+    xmltree._frozen_recheck = 0
+
+
 def test_building_a_large_instance_runs_no_collection(tmp_path):
     # Counted, not timed, so host speed cannot change the outcome. Each call
     # starts from an empty young generation, so a collection that its own
-    # argument tuple would trigger on entry is not counted against it, and
-    # the call in progress is cleared without allocating, so the first
-    # collection after the pause is not counted either.
+    # argument tuple would trigger on entry is not counted against it. A
+    # call that hands off starts one collection, of generation 1, before it
+    # pauses the collector, none while it is paused, and returns with an
+    # empty young generation, so that no collection starts in the next
+    # threshold - 1 allocations either. discover only pauses: no collection.
+    assert not _thread._count(), "the hand-off needs this thread to be alone"
     data = _bulk_instance(5000)
     (tmp_path / "big.xsd").write_bytes(_big_schema(3000))
+    threshold = gc.get_threshold()[0]
     current = [None]  # name of the call in progress
-    collections = []
+    collections, young = [], {}
 
     def count(phase, info):
         if phase == "start" and current[0]:
-            collections.append((current[0], info["generation"]))
+            collections.append((current[0], info["generation"], gc.isenabled()))
 
     def counted(name, function, *args, **kwargs):
-        gc.collect()
+        _from_an_empty_young_generation()
         current[0] = name
         result = function(*args, **kwargs)
+        if name != "discover":
+            young[name] = gc.get_count()[0]  # one allocation: the tuple
+            current[0] = f"after {name}"
+            allocations = [None] * (threshold - 3)  # one more
+            for n in range(threshold - 3):
+                allocations[n] = []
         current[0] = None
         return result
 
-    assert gc.isenabled()
+    handed_off = ("read_document", "find_instances", "parse_instance", "fact_rows",
+                  "read_instances")
     gc.callbacks.append(count)
     try:
         root = counted("read_document", read_document, data)
         [outcome] = counted("find_instances", find_instances, root)
+        assert counted("parse_instance", parse_instance, root) == outcome
         rows = counted("fact_rows", fact_rows, outcome.instance)
         [again] = counted("read_instances", read_instances, data)
         # A cold discovery: the resolver is fresh, so the schema is loaded.
@@ -543,13 +599,17 @@ def test_building_a_large_instance_runs_no_collection(tmp_path):
                       Resolver(tmp_path), base_uri=str(tmp_path / "instance.xml"))
     finally:
         gc.callbacks.remove(count)
-    assert collections == []
+    assert young == dict.fromkeys(handed_off, 0)
+    assert [c for c in collections if c[0].startswith("after ")] == []
+    assert collections == [(name, 1, True) for name in handed_off]
     assert len(rows) == 5000
     assert again == outcome
     assert len(dts.concepts) == 3000
 
 
 def test_the_collector_state_is_restored_after_each_paused_call():
+    # Enabled or disabled, and with or without a caller's gc.freeze(), which
+    # a hand-off would undo: after a normal return and after an exception.
     bad_instance = read_document(fixture_bytes("bad-period.xml"))  # strict: ParseError
     calls = {
         read_document: ((fixture_bytes("mini-instance.xml"),), (b"<a",)),
@@ -563,14 +623,136 @@ def test_the_collector_state_is_restored_after_each_paused_call():
         fact_rows: ((Instance(),), (None,)),
         main: ((["rules"],), (["no-such-command"],)),
     }
-    for enabled in (True, False):
+    for enabled, frozen in itertools.product((True, False), repeat=2):
+        _from_an_empty_young_generation()
+        kept = []  # frozen with the rest when the caller freezes
+        if frozen:
+            gc.freeze()
         (gc.enable if enabled else gc.disable)()
         try:
             for function, (good, bad) in calls.items():
                 function(*good)
-                assert gc.isenabled() is enabled, function.__name__
+                assert (gc.isenabled(), _is_frozen(kept)) == (enabled, frozen), function.__name__
                 with pytest.raises((XbrlError, AttributeError, SystemExit)):
                     function(*bad)
-                assert gc.isenabled() is enabled, function.__name__
+                assert (gc.isenabled(), _is_frozen(kept)) == (enabled, frozen), function.__name__
         finally:
             gc.enable()
+            gc.unfreeze()
+
+
+def _is_frozen(obj) -> bool:
+    # gc.get_objects() lists every generation but the permanent one. The
+    # freeze count itself is no witness: a frozen object still dies when
+    # its last reference goes, as a stream reconfigured by main drops two.
+    return not any(o is obj for o in gc.get_objects())
+
+
+def test_a_frozen_heap_is_not_counted_on_every_call(monkeypatch):
+    # Counting the frozen objects walks them all, so a call that reads n
+    # leaves the next n // 1024 calls to pause without reading.
+    data = fixture_bytes("mini-instance.xml")
+    count, reads = gc.get_freeze_count, []
+
+    def read():
+        reads.append(count())
+        return reads[-1]
+
+    monkeypatch.setattr(gc, "get_freeze_count", read)
+    _from_an_empty_young_generation()
+    kept = [[] for _ in range(100 * 1024)]
+    gc.freeze()
+    try:
+        for _ in range(100):
+            read_instances(data)
+    finally:
+        gc.unfreeze()
+    assert len(reads) == 1 and reads[0] > len(kept)
+
+
+def test_cycles_made_between_handed_off_calls_are_collected():
+    # The entry collection of each call collects the caller's young cycles;
+    # handing them to the oldest generation instead would keep the 10,000
+    # made in the measured calls, about 10 MB, until a full collection that
+    # nothing triggers.
+    data = fixture_bytes("mini-instance.xml")
+
+    def garbage():
+        for _ in range(20):
+            cycle = [bytes(1000)]
+            cycle.append(cycle)
+
+    def calls(number):
+        for _ in range(number):
+            garbage()
+            read_instances(data)
+
+    _from_an_empty_young_generation()
+    tracemalloc.start()
+    try:
+        calls(50)
+        before = tracemalloc.get_traced_memory()[0]
+        calls(500)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1_000_000
+
+
+def test_no_call_hands_off_while_another_thread_runs(monkeypatch):
+    # gc.freeze() would hand the other thread's young objects, its cycles
+    # included, to the oldest generation along with the call's. Those
+    # already there stay after a collection of the young generations.
+    data = _bulk_instance(500)
+    freeze, freezes = gc.freeze, []
+    monkeypatch.setattr(gc, "freeze", lambda: (freezes.append(1), freeze()))
+    stop = threading.Event()
+
+    def garbage():
+        cycle = [bytes(50_000)]
+        cycle.append(cycle)
+
+    def make_cycles():
+        while not stop.wait(0.0001):
+            garbage()
+
+    _from_an_empty_young_generation()
+    thread = threading.Thread(target=make_cycles)
+    tracemalloc.start()
+    thread.start()
+    try:
+        for _ in range(5):
+            read_instances(data)
+        gc.collect(1)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(60):
+            read_instances(data)
+        stop.set()
+        thread.join(timeout=10)
+        gc.collect(1)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        tracemalloc.stop()
+    assert not thread.is_alive()
+    assert freezes == []
+    assert grown < 2_000_000
+    _from_an_empty_young_generation()
+    read_instances(data)
+    assert freezes == [1]
+
+
+def test_a_call_that_raises_hands_nothing_off():
+    # The young generation keeps what the call made, here the error, and
+    # a raised threshold keeps any collection from promoting it before
+    # it is looked for.
+    threshold = gc.get_threshold()
+    _from_an_empty_young_generation()
+    gc.set_threshold(10**6)
+    try:
+        with pytest.raises(MalformedXml) as raised:
+            read_instances(b"<a")
+        assert any(o is raised.value for o in gc.get_objects(generation=0))
+    finally:
+        gc.set_threshold(*threshold)
