@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import Duration, Forever, Instance, Instant, Item, Unit
+from .model import Duration, Forever, Instance, Instant, Item, Tuple, Unit
 from .xmltree import QName, _handed_off, _tuple_new
 
 
@@ -62,19 +62,28 @@ def fact_rows(instance: Instance) -> list[FactRow]:
     concept_text: dict[QName, str] = {}
     no_context = ("", "")
     rows: list[FactRow] = []
-    last_ancestors, tuple_path = (), ""
-    for fact, ancestors in instance.walk():
-        if not isinstance(fact, Item):
-            continue
-        if ancestors is not last_ancestors:
-            last_ancestors = ancestors
-            tuple_path = "/".join(t.concept.clark() for t in ancestors)
-        concept = concept_text.get(fact.concept)
-        if concept is None:
-            concept = concept_text[fact.concept] = fact.concept.clark()
-        entity, period = context_text.get(fact.context_ref, no_context)
-        unit = unit_text.get(fact.unit_ref, "") if fact.unit_ref else ""
-        # tuple.__new__ skips the NamedTuple's own __new__, a Python call.
-        rows.append(_tuple_new(FactRow, (concept, fact.value, fact.context_ref, entity, period,
-                                         unit, tuple_path)))
+    # Instance.walk's order without its generator: one iterator per open
+    # tuple, innermost last, and the tuple path of each.
+    pending, paths = [iter(instance.facts)], [""]
+    while pending:
+        tuple_path = paths[-1]
+        for fact in pending[-1]:
+            if fact.__class__ is Tuple:
+                concept = fact.concept.clark()
+                pending.append(iter(fact.children))
+                paths.append(f"{tuple_path}/{concept}" if len(paths) > 1 else concept)
+                break
+            if fact.__class__ is not Item:
+                continue
+            concept = concept_text.get(fact.concept)
+            if concept is None:
+                concept = concept_text[fact.concept] = fact.concept.clark()
+            entity, period = context_text.get(fact.context_ref, no_context)
+            unit = unit_text.get(fact.unit_ref, "") if fact.unit_ref else ""
+            # tuple.__new__ skips the NamedTuple's own __new__, a Python call.
+            rows.append(_tuple_new(FactRow, (concept, fact.value, fact.context_ref, entity,
+                                             period, unit, tuple_path)))
+        else:
+            pending.pop()
+            paths.pop()
     return rows

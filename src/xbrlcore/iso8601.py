@@ -47,17 +47,20 @@ class TimePoint:
         return self.offset_minutes is not None
 
 
+# The compiled constructor: calling it skips the class call's round trip
+# through type.__call__ and slot_tp_new (see ``xmltree._record``).
+_new_point = TimePoint.__new__
+
+
 def parse_point(text: str) -> TimePoint:
     """Parse a date or date-time; raises ValueError on any lexical failure."""
     m = _DATE_RE.fullmatch(text)
     if m:
-        year, month, day = (int(g) for g in m.group(1, 2, 3))
         try:
-            moment = datetime(year, month, day)
+            moment = datetime(int(m[1]), int(m[2]), int(m[3]))
         except ValueError as exc:
             raise ValueError(f"invalid calendar date {text!r}: {exc}") from None
-        return TimePoint(raw=text, moment=moment, offset_minutes=_offset(m.group(4), text),
-                         is_date=True)
+        return _new_point(TimePoint, text, moment, _offset(m[4], text), True)
 
     m = _DATETIME_RE.fullmatch(text)
     if not m:
@@ -80,8 +83,7 @@ def parse_point(text: str) -> TimePoint:
     except (ValueError, OverflowError) as exc:  # overflow: 9999-12-31T24:00:00
         raise ValueError(f"invalid date-time {text!r}: {exc}") from None
 
-    return TimePoint(raw=text, moment=moment, offset_minutes=_offset(zone, text),
-                     is_date=False)
+    return _new_point(TimePoint, text, moment, _offset(zone, text), False)
 
 
 def _offset(zone: str | None, text: str) -> int | None:

@@ -54,9 +54,17 @@ from .model import (
     Unit,
 )
 from .xmltree import (
-    XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlWriter, _read, _record, _TreeBuilder,
-    _handed_off,
+    XML_WHITESPACE, QName, SourceLocation, XmlElement, XmlNode, XmlWriter, _read, _record,
+    _TreeBuilder, _handed_off,
 )
+
+# Each per-fact and per-context record's compiled constructor, called with its
+# class first: a class call goes through type.__call__ and slot_tp_new, which
+# looks ``__new__`` up and runs it in a new interpreter loop (see
+# ``xmltree._record``).
+_new_item, _new_tuple, _new_unit = Item.__new__, Tuple.__new__, Unit.__new__
+_new_context, _new_entity = Context.__new__, Entity.__new__
+_new_instant, _new_duration, _new_forever = Instant.__new__, Duration.__new__, Forever.__new__
 
 _DECIMALS_RE = re.compile(r"INF|[+-]?[0-9]+")
 _PRECISION_RE = re.compile(r"INF|[1-9][0-9]*")
@@ -163,7 +171,7 @@ def _parse_period(element: XmlElement) -> "Instant | Duration | Forever":
     loc = element.source_location
     first = second = None
     for child in element.children:
-        if isinstance(child, str):
+        if child.__class__ is str:
             continue
         if first is None:
             first = child
@@ -175,16 +183,16 @@ def _parse_period(element: XmlElement) -> "Instant | Duration | Forever":
         name = first.name
         if second is None:
             if name == c.QN_INSTANT:
-                return Instant(_parse_point(first))
+                return _new_instant(Instant, _parse_point(first))
             if name == c.QN_FOREVER:
-                return Forever()
+                return _new_forever(Forever)
         elif name == c.QN_START_DATE and second.name == c.QN_END_DATE:
             start, end = _parse_point(first), _parse_point(second)
             if timeline_position(start) > timeline_position(end, at_end=True):
                 raise StartAfterEnd(
                     f"period start {start.raw!r} is after end {end.raw!r}", loc
                 )
-            return Duration(start, end)
+            return _new_duration(Duration, start, end)
     raise InvalidPeriodShape(_PERIOD_SHAPE, loc)
 
 
@@ -204,7 +212,7 @@ def _parse_unit(element: XmlElement) -> Unit:
         raise EmptyUnit("unit has no measure or divide content", loc)
     divide = element.first_child(c.QN_DIVIDE)
     if divide is None:
-        return Unit(unit_id, _measure_qnames(element, EmptyUnit), source_location=loc)
+        return _new_unit(Unit, unit_id, _measure_qnames(element, EmptyUnit), (), loc)
     if len(children) > 1:
         raise MalformedDivide("unit mixes divide with other content", loc)
     legs = divide.child_elements()
@@ -217,7 +225,7 @@ def _parse_unit(element: XmlElement) -> Unit:
             "divide requires measures in both numerator and denominator",
             divide.source_location,
         )
-    return Unit(unit_id, numerator, denominator, loc)
+    return _new_unit(Unit, unit_id, numerator, denominator, loc)
 
 
 def _measure_qnames(parent: XmlElement, error: type[ParseError]) -> tuple[QName, ...]:
@@ -230,8 +238,32 @@ def _measure_qnames(parent: XmlElement, error: type[ParseError]) -> tuple[QName,
     return tuple(ch.resolve_qname_text(_simple_text(ch, error)) for ch in children)
 
 
+# The child elements a context and an entity may hold (XBRL 2.1 section 4.7),
+# each with its position in what ``_parts`` returns.
+_CONTEXT_PARTS = {c.QN_ENTITY: 0, c.QN_PERIOD: 1, c.QN_SCENARIO: 2}
+_ENTITY_PARTS = {c.QN_IDENTIFIER: 0, c.QN_SEGMENT: 1}
+
+
+def _parts(element: XmlElement, allowed: dict[QName, int]) -> list[XmlElement | None]:
+    """``element``'s child elements at their ``allowed`` positions, None where
+    absent, read in one pass; raises InvalidContextShape at a child element
+    that ``allowed`` does not name or that repeats an earlier one."""
+    parts: list[XmlElement | None] = [None] * len(allowed)
+    for child in element.children:
+        if child.__class__ is str:
+            continue
+        i = allowed.get(child.name)
+        if i is None or parts[i] is not None:
+            owner, name = element.name.local_name, child.name
+            raise InvalidContextShape(
+                f"{owner} holds {name.clark()}, which it may not" if i is None
+                else f"{owner} holds a second {name.local_name}", child.source_location)
+        parts[i] = child
+    return parts
+
+
 def _parse_entity(element: XmlElement) -> Entity:
-    identifier = element.first_child(c.QN_IDENTIFIER)
+    identifier, segment = _parts(element, _ENTITY_PARTS)
     if identifier is None:
         raise InvalidContextShape("entity has no identifier", element.source_location)
     scheme = identifier.attributes.get(c.QN_ATTR_SCHEME) or ""
@@ -241,7 +273,7 @@ def _parse_entity(element: XmlElement) -> Entity:
             "entity identifier requires a scheme and a non-empty value",
             identifier.source_location,
         )
-    return Entity(scheme, ident_text, element.first_child(c.QN_SEGMENT))
+    return _new_entity(Entity, scheme, ident_text, segment)
 
 
 def _parse_context(element: XmlElement) -> Context:
@@ -249,14 +281,13 @@ def _parse_context(element: XmlElement) -> Context:
     context_id = element.attributes.get(c.QN_ATTR_ID)
     if not context_id:
         raise InvalidContextShape("context has no id", loc)
-    entity = element.first_child(c.QN_ENTITY)
+    entity, period, scenario = _parts(element, _CONTEXT_PARTS)
     if entity is None:
         raise InvalidContextShape(f"context {context_id!r} has no entity", loc)
-    period = element.first_child(c.QN_PERIOD)
     if period is None:
         raise InvalidPeriodShape(f"context {context_id!r} has no period", loc)
-    return Context(context_id, _parse_entity(entity), _parse_period(period),
-                   element.first_child(c.QN_SCENARIO), loc)
+    return _new_context(Context, context_id, _parse_entity(entity), _parse_period(period),
+                        scenario, loc)
 
 
 def _parse_footnote_link(element: XmlElement) -> FootnoteLink:
@@ -373,7 +404,7 @@ class _InstanceBuilder:
         """Add the next child element of the xbrl element."""
         name = child.name
         if name.namespace_uri not in _RESERVED_NAMESPACES:
-            fact = self._build_fact(child, depth=1)
+            fact = self.fact(name, child.attributes, child.children, child.source_location, 1)
             if fact is not None:
                 self.facts.append(fact)
         elif name == c.QN_CONTEXT:
@@ -387,7 +418,7 @@ class _InstanceBuilder:
         elif name == c.QN_FOOTNOTE_LINK:
             self.links.append(_parse_footnote_link(child))
         else:  # never a fact: a nested instance is reported, the rest skipped
-            self._build_fact(child, depth=1)
+            self.fact(name, child.attributes, child.children, child.source_location, 1)
 
     def outcome(self) -> ParseOutcome:
         instance = Instance(
@@ -427,23 +458,12 @@ class _InstanceBuilder:
             )
         self.units[unit.id] = unit
 
-    def _build_fact(self, element: XmlElement, depth: int) -> Fact | None:
-        children = element.children
-        if not children:
-            kids, text = (), ""
-        elif len(children) == 1 and children[0].__class__ is str:
-            kids, text = (), children[0]
-        else:
-            kids, text = element.child_elements(), element.text_content()
-        return self.fact(element.name, element.attributes, text, kids,
-                         element.source_location, depth)
-
-    def fact(self, name: QName, attrs: Mapping[QName, str], text: str,
-             kids: Sequence[XmlElement], location: SourceLocation, depth: int) -> Fact | None:
+    def fact(self, name: QName, attrs: Mapping[QName, str], children: Sequence[XmlNode],
+             location: SourceLocation, depth: int) -> Fact | None:
         """The fact an element stands for, or None when it stands for none.
 
-        ``attrs`` are its attributes, ``text`` its direct text and ``kids``
-        its child elements; ``depth`` is 1 for a child of the xbrl element.
+        ``attrs`` are its attributes and ``children`` its text and child
+        elements; ``depth`` is 1 for a child of the xbrl element.
         """
         if name.namespace_uri in _RESERVED_NAMESPACES:
             # Unknown structural elements in the reserved namespaces are
@@ -455,6 +475,13 @@ class _InstanceBuilder:
                     location,
                 )
             return None
+        if not children:
+            kids, text = (), ""
+        elif len(children) == 1 and children[0].__class__ is str:
+            kids, text = (), children[0]
+        else:
+            kids = [ch for ch in children if ch.__class__ is not str]
+            text = "".join([ch for ch in children if ch.__class__ is str])
         context_key, unit_key, decimals_key, precision_key, id_key = _FACT_KEYS
         get = attrs.get
         context_ref, unit_ref, decimals = get(context_key), get(unit_key), get(decimals_key)
@@ -470,12 +497,13 @@ class _InstanceBuilder:
                             f"tuple nesting exceeds {c.DEFAULT_MAX_TUPLE_DEPTH}", "T-DEPTH",
                             f"tuple subtree beyond depth {c.DEFAULT_MAX_TUPLE_DEPTH} truncated")
                 return None
-            children: list[Fact] = []
+            facts: list[Fact] = []
             for ch in kids:
-                fact = self._build_fact(ch, depth + 1)
+                fact = self.fact(ch.name, ch.attributes, ch.children, ch.source_location,
+                                 depth + 1)
                 if fact is not None:
-                    children.append(fact)
-            return Tuple(name, tuple(children), fact_id, context_ref, location)
+                    facts.append(fact)
+            return _new_tuple(Tuple, name, tuple(facts), fact_id, context_ref, location)
         if context_ref is None:
             concept = name.clark()
             self.reject(name, location, MissingContextRef, f"item {concept} has no contextRef",
@@ -494,8 +522,8 @@ class _InstanceBuilder:
                         "item carries both decimals and precision",
                         "ITM-001", "precision ignored: decimals is also present")
             precision = None
-        return Item(name, context_ref, text.strip(XML_WHITESPACE), unit_ref, decimals,
-                    precision, fact_id, location)
+        return _new_item(Item, name, context_ref, text.strip(XML_WHITESPACE), unit_ref, decimals,
+                         precision, fact_id, location)
 
     def _reject_invalid(self, name: QName, location: SourceLocation, attribute: str,
                         raw: str) -> None:
@@ -519,8 +547,10 @@ def parse_instance(root: XmlElement,
             root.source_location,
         )
     builder = _InstanceBuilder(options, root.source_location)
-    for child in root.child_elements():
-        builder.append(child)
+    append = builder.append
+    for child in root.children:
+        if child.__class__ is not str:
+            append(child)
     return builder.outcome()
 
 
@@ -590,10 +620,10 @@ class _InstanceReader(_TreeBuilder):
                 else:  # a fact without child elements
                     del stack[-1]
                     text = self.text
-                    value = "".join(text)
+                    children = tuple(text)
                     text.clear()
                     instance = self.instance
-                    fact = instance.fact(qname, attributes, value, (), location, 1)
+                    fact = instance.fact(qname, attributes, children, location, 1)
                     if fact is not None:
                         instance.facts.append(fact)
             except XbrlError as exc:
@@ -716,36 +746,39 @@ def serialize(instance: Instance) -> bytes:
             write(f"</{divide}></{tag}>")
         else:
             _write_measures(w, tag, unit.numerator)
-    # End tags of the open tuples with children, innermost last.
-    open_tags: list[str] = []
     # An item's written attributes after its id, per distinct set of values.
     tails: dict[tuple, str] = {}
-    for fact, ancestors in instance.walk():
-        while len(open_tags) > len(ancestors):
-            write(open_tags.pop())
-        tag = names[fact.concept]
-        write(f"<{tag}" if fact.id is None else f'<{tag} id="{attr[fact.id]}"')
-        if isinstance(fact, Item):
-            key = (fact.context_ref, fact.unit_ref, fact.decimals, fact.precision)
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = (
-                    f' contextRef="{attr[fact.context_ref]}"'
-                    + ("" if fact.unit_ref is None else f' unitRef="{attr[fact.unit_ref]}"')
-                    + ("" if fact.decimals is None else f' decimals="{attr[fact.decimals]}"')
-                    + ("" if fact.precision is None else f' precision="{attr[fact.precision]}"'))
-            write(tail)
-            write(f">{text(fact.value)}</{tag}>" if fact.value else "/>")
-            continue
-        if fact.context_ref is not None:
-            write(f' contextRef="{attr[fact.context_ref]}"')
-        if fact.children:
-            write(">")
-            open_tags.append(f"</{tag}>")
-        else:
+    # Instance.walk's order without its generator: one iterator per open
+    # tuple, innermost last, and the end tag of each.
+    pending, end_tags = [iter(instance.facts)], [""]
+    while pending:
+        for fact in pending[-1]:
+            tag = names[fact.concept]
+            write(f"<{tag}" if fact.id is None else f'<{tag} id="{attr[fact.id]}"')
+            if fact.__class__ is Item:
+                key = (fact.context_ref, fact.unit_ref, fact.decimals, fact.precision)
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = (
+                        f' contextRef="{attr[fact.context_ref]}"'
+                        + ("" if fact.unit_ref is None else f' unitRef="{attr[fact.unit_ref]}"')
+                        + ("" if fact.decimals is None else f' decimals="{attr[fact.decimals]}"')
+                        + ("" if fact.precision is None
+                           else f' precision="{attr[fact.precision]}"'))
+                write(tail)
+                write(f">{text(fact.value)}</{tag}>" if fact.value else "/>")
+                continue
+            if fact.context_ref is not None:
+                write(f' contextRef="{attr[fact.context_ref]}"')
+            if fact.children:
+                write(">")
+                pending.append(iter(fact.children))
+                end_tags.append(f"</{tag}>")
+                break
             write("/>")
-    while open_tags:
-        write(open_tags.pop())
+        else:
+            pending.pop()
+            write(end_tags.pop())
     for link in instance.footnote_links:
         attrs = [(c.QN_XLINK_TYPE, "extended")]
         if link.role:

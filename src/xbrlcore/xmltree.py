@@ -17,7 +17,11 @@ the class body, and its constructor sets them with plain slot stores.
 ``_record`` never runs ``dataclasses.dataclass()``, so importing the
 package loads neither ``dataclasses`` nor the modules it imports; the
 ``dataclasses`` functions still work on every record. The tree builder
-gives an element without children the empty tuple.
+gives an element without children the empty tuple. The tree builder, the
+instance builders in ``parser`` and ``iso8601.parse_point`` build each
+per-element, per-fact and per-context record by calling its compiled
+constructor, never its class: ``XmlElement.__new__``, bound once, is called
+as ``_new_element(XmlElement, ...)`` (``_record`` says why).
 
 The calls that allocate in proportion to the document run with Python's
 cyclic garbage collector paused (``_without_cyclic_gc``): ``read_document``,
@@ -269,9 +273,23 @@ def _record(cls: type) -> type:
     on a private base without a ``__setattr__``, and the public class adds
     ``__slots__ = ()``. Only ``__new__`` is compiled: it takes the dataclass
     ``__init__``'s parameters (a ``default_factory`` field defaults to None,
-    then gets a fresh value), stores each field into an object of the base
-    and hands that object to the public class through ``__class__``, so a
-    record costs a plain slot store per field.
+    then gets a fresh value), allocates an object of the base by calling it,
+    ``_base()``, stores each field into that object and hands it to the public
+    class through ``__class__``, so a record costs a plain slot store per
+    field. ``_base()`` runs ``type.__call__`` and ``object_new`` in C, where
+    ``object.__new__(_base)`` would first go through the argument checks of
+    the wrapper that exposes ``object``'s allocator as ``__new__``.
+
+    A class call, ``Item(...)``, goes through ``type.__call__`` and then
+    ``slot_tp_new``, which looks ``__new__`` up, builds a new argument tuple
+    with the class in front and runs the function in a new C-level
+    interpreter loop; that round trip costs about as much as the
+    constructor itself. The readers, which build tens of thousands of
+    records a document, therefore bind ``Cls.__new__`` once at module level
+    and call it as ``_new_item(Item, ...)``: a plain Python call, which the
+    running interpreter loop executes inline. A caller who writes
+    ``Item(...)`` gets the same record, and of this only the ``_base()``
+    allocation.
 
     The rest is shared or made per class without compiling: ``__eq__``,
     ``__hash__`` and ``__repr__`` over the compared and the shown fields (a
@@ -287,7 +305,7 @@ def _record(cls: type) -> type:
     declared = body_namespace.get("__annotations__", {})
     names = tuple(declared)
     base = type(f"_{cls.__name__}Slots", (), {"__slots__": names, "__module__": cls.__module__})
-    namespace: dict = {"__name__": cls.__module__, "_new": object.__new__, "_base": base}
+    namespace: dict = {"__name__": cls.__module__, "_base": base}
     params, body, annotations = [], [], {"return": None}
     options: dict[str, _field] = {}
     for i, (name, annotation) in enumerate(declared.items()):
@@ -308,7 +326,7 @@ def _record(cls: type) -> type:
         annotations[name] = annotation
     members = {k: v for k, v in body_namespace.items()
                if k not in {*names, "__dict__", "__weakref__"}}
-    exec(f"def __new__(cls, {', '.join(params)}):\n    self = _new(_base){''.join(body)}\n"
+    exec(f"def __new__(cls, {', '.join(params)}):\n    self = _base(){''.join(body)}\n"
          "    self.__class__ = cls\n    return self", namespace, members)
     members["__new__"].__qualname__ = f"{cls.__qualname__}.__new__"
     members["__new__"].__annotations__ = annotations
@@ -407,6 +425,7 @@ class XmlElement:
 
 
 _tuple_new = tuple.__new__
+_new_element = XmlElement.__new__
 
 
 # Separator between namespace name and local name in expat's expanded
@@ -522,8 +541,8 @@ class _TreeBuilder:
         if text:
             children.append(text[0] if len(text) == 1 else "".join(text))
             text.clear()
-        stack[-1][2].append(
-            XmlElement(qname, attrs, tuple(children) if children else (), loc, bindings))
+        stack[-1][2].append(_new_element(
+            XmlElement, qname, attrs, tuple(children) if children else (), loc, bindings))
 
 
 _codes = xml.parsers.expat.errors.codes
@@ -604,7 +623,8 @@ class _EscapedAttributes(dict):
     """Attribute value -> its escaped text, escaped once per writer."""
 
     def __missing__(self, value: str) -> str:
-        escaped = self[value] = _escape(value, _ATTR_ESCAPES)
+        # A value str.isalnum() accepts, such as most ids, holds nothing to escape.
+        escaped = self[value] = value if value.isalnum() else _escape(value, _ATTR_ESCAPES)
         return escaped
 
 

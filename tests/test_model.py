@@ -6,10 +6,13 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+import random
+from collections import Counter
 from datetime import datetime
 
 import pytest
 
+import gen
 import oracle_xml
 import xbrlcore
 from conftest import FIXTURES, fixture_bytes
@@ -51,6 +54,7 @@ from xbrlcore import (
     read_document,
     read_instances,
     rule_catalog,
+    serialize,
     validate,
 )
 from xbrlcore.iso8601 import TimePoint, parse_point
@@ -464,6 +468,55 @@ def test_every_record_pickles_and_copies_to_an_equal_record(name):
         assert type(twin) is cls and twin == full
         assert {n: getattr(twin, n) for n in values} == values
     assert all(getattr(copy.copy(full), n) is v for n, v in values.items())
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_the_compiled_constructor_builds_what_the_class_builds(name):
+    # The readers call Cls.__new__(Cls, ...) to skip the class call's round
+    # trip through type.__call__; the record must be the same in every way.
+    cls, _, values, _ = RECORDS[name]
+    direct, called = cls.__new__(cls, *values.values()), cls(*values.values())
+    assert type(direct) is cls
+    assert direct == called and repr(direct) == repr(called) == REPRS[name]
+    try:
+        expected = hash(called)
+    except TypeError:  # a dict field
+        with pytest.raises(TypeError):
+            hash(direct)
+    else:
+        assert hash(direct) == expected
+    twin = pickle.loads(pickle.dumps(direct))
+    assert type(twin) is cls and twin == called
+    for n in values:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(direct, n, values[n])
+
+
+# The records the readers build per element, per fact and per context.
+BUILT_PER_ELEMENT = (XmlElement, Item, Tuple, Context, Entity, Instant, Duration, Forever,
+                     TimePoint, Unit)
+
+
+def test_the_readers_build_records_without_calling_their_classes(monkeypatch):
+    # A class call looks __new__ up when it runs, so a counter put in its
+    # place sees every one; the readers hold the compiled function itself.
+    documents = [serialize(gen.random_instance(random.Random(seed))) for seed in range(30)]
+    calls = Counter()
+    for cls in BUILT_PER_ELEMENT:
+        def counted(record_cls, *args, __new__=cls.__new__, **kwargs):
+            calls[record_cls.__name__] += 1
+            return __new__(record_cls, *args, **kwargs)
+        monkeypatch.setattr(cls, "__new__", staticmethod(counted))
+    Item(QName(EX, "A"), "c1")
+    assert calls == {"Item": 1}
+    calls.clear()
+    built = set()
+    for data in documents:
+        for options in (ParseOptions(), ParseOptions(ParseMode.LENIENT)):
+            for result in (read_instances(data, options), tree_and_instances(data, options)):
+                built |= {type(obj) for obj in reachable(result)}
+    assert calls == {}
+    assert built >= {*BUILT_PER_ELEMENT, FootnoteLink}
 
 
 @pytest.mark.parametrize("name", RECORDS)

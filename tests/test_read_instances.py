@@ -36,6 +36,7 @@ from xbrlcore import (
     read_instances,
     serialize,
 )
+from xbrlcore import cli
 from xbrlcore.constants import DEFAULT_MAX_TUPLE_DEPTH, ISO4217_NS, LINK_NS, XLINK_NS
 from xbrlcore.iso8601 import parse_point
 from xbrlcore.parser import (
@@ -406,6 +407,96 @@ def test_an_element_inside_an_identifier_is_an_invalid_context(identifier):
         assert assert_same(data, options)[:3] == (
             InvalidContextShape, "identifier holds element content",
             where(data, "<xbrli:identifier"))
+
+
+SHAPE_ERRORS = [
+    ("second entity", "</xbrli:entity>",
+     '</xbrli:entity><xbrli:entity><xbrli:identifier scheme="urn:s">B</xbrli:identifier>'
+     "</xbrli:entity>", "<xbrli:entity>", 1, "context holds a second entity"),
+    ("second period", "</xbrli:period>",
+     "</xbrli:period><xbrli:period><xbrli:instant>2009-12-31</xbrli:instant></xbrli:period>",
+     "<xbrli:period>", 1, "context holds a second period"),
+    ("second scenario", "</xbrli:period>",
+     "</xbrli:period><xbrli:scenario/><xbrli:scenario/>", "<xbrli:scenario", 1,
+     "context holds a second scenario"),
+    ("foreign in context", "</xbrli:period>", "</xbrli:period><ex:foreign/>", "<ex:foreign",
+     0, "context holds {urn:ex}foreign, which it may not"),
+    ("segment in context", "</xbrli:entity>", "</xbrli:entity><xbrli:segment/>",
+     "<xbrli:segment", 0,
+     "context holds {http://www.xbrl.org/2003/instance}segment, which it may not"),
+    ("second identifier", "</xbrli:identifier>",
+     '</xbrli:identifier><xbrli:identifier scheme="urn:s">B</xbrli:identifier>',
+     "<xbrli:identifier", 1, "entity holds a second identifier"),
+    ("second segment", "</xbrli:identifier>",
+     "</xbrli:identifier><xbrli:segment/><xbrli:segment/>", "<xbrli:segment", 1,
+     "entity holds a second segment"),
+    ("foreign in entity", "</xbrli:identifier>", "</xbrli:identifier><ex:foreign/>",
+     "<ex:foreign", 0, "entity holds {urn:ex}foreign, which it may not"),
+    ("period in entity", "</xbrli:identifier>",
+     "</xbrli:identifier><xbrli:period><xbrli:forever/></xbrli:period>", "<xbrli:period>", 0,
+     "entity holds {http://www.xbrl.org/2003/instance}period, which it may not"),
+]
+
+
+@pytest.mark.parametrize("old, new, marker, occurrence, message",
+                         [case[1:] for case in SHAPE_ERRORS], ids=[c[0] for c in SHAPE_ERRORS])
+def test_a_repeated_or_foreign_child_of_a_context_or_entity_fails_at_it(
+        old, new, marker, occurrence, message, tmp_path, capsys):
+    # XBRL 2.1 section 4.7: a context holds one entity, one period and at
+    # most one scenario, an entity one identifier and at most one segment.
+    # Whatever else a context or an entity holds would otherwise be dropped.
+    body = context_xml("c1", "<xbrli:instant>2008-12-31</xbrli:instant>").replace(old, new, 1)
+    data = instance_text().format(body + '<ex:A contextRef="c1">1</ex:A>').encode()
+    at = where(data, marker, occurrence)
+    for options in MODES:
+        assert assert_same(data, options)[:3] == (InvalidContextShape, message, at)
+    path = tmp_path / "shape.xml"
+    path.write_bytes(data)
+    for command in (["validate"], ["facts"], ["parse", "--mode", "lenient"]):
+        assert cli.main([*command, str(path)]) == 2
+        assert capsys.readouterr().err == f"xbrlcore: {command[0]} failed at {at}: {message}\n"
+
+
+def test_context_and_entity_children_in_any_order_between_comments_and_instructions():
+    segment = "<xbrli:segment><ex:region>north</ex:region></xbrli:segment>"
+    scenario = "<xbrli:scenario><ex:basis>actual</ex:basis></xbrli:scenario>"
+    body = ('<xbrli:context id="c1">\n<!-- c --><?pi a?>'
+            f"{scenario}<?pi b?><xbrli:period><xbrli:forever/></xbrli:period> <!-- d -->"
+            f"<xbrli:entity><?pi c?>{segment}<!-- e -->\n"
+            '<xbrli:identifier scheme="urn:s">E</xbrli:identifier><?pi d?></xbrli:entity>'
+            "<!-- f --></xbrli:context>")
+    data, outcome = read_contexts(body)
+    by_name = {element.name.local_name: element for element in read_document(data).iter_elements()}
+    assert repr(outcome.instance.contexts) == repr({"c1": expected_context(
+        data, "c1", Forever(), Entity("urn:s", "E", by_name["segment"]), by_name["scenario"])})
+
+
+ENTITY = '<xbrli:entity><xbrli:identifier scheme="urn:s">E</xbrli:identifier></xbrli:entity>'
+BAD_ENTITY = "<xbrli:entity/>"
+PERIOD = "<xbrli:period><xbrli:forever/></xbrli:period>"
+BAD_PERIOD = "<xbrli:period/>"
+
+
+@pytest.mark.parametrize("attributes, children, error, message", [
+    ("", f"<ex:foreign/>{BAD_ENTITY}", InvalidContextShape, "context has no id"),
+    ("", "", InvalidContextShape, "context has no id"),
+    (' id="c1"', f"<ex:foreign/>{BAD_ENTITY}{BAD_PERIOD}", InvalidContextShape,
+     "context holds {urn:ex}foreign, which it may not"),
+    (' id="c1"', "", InvalidContextShape, "context 'c1' has no entity"),
+    (' id="c1"', BAD_PERIOD, InvalidContextShape, "context 'c1' has no entity"),
+    (' id="c1"', BAD_ENTITY, InvalidPeriodShape, "context 'c1' has no period"),
+    (' id="c1"', BAD_PERIOD + BAD_ENTITY, InvalidContextShape, "entity has no identifier"),
+    (' id="c1"', BAD_PERIOD + ENTITY, InvalidPeriodShape,
+     "period must contain instant, forever, or startDate+endDate"),
+], ids=["no id before a foreign child", "no id", "a foreign child before no entity",
+        "no entity", "no entity before a bad period", "no period before a bad entity",
+        "a bad entity before a bad period", "a bad period"])
+def test_context_errors_keep_their_order(attributes, children, error, message):
+    # No id, then a repeated or foreign child, then no entity, then no
+    # period, then the entity's own errors, then the period's.
+    data = instance_text().format(f"<xbrli:context{attributes}>{children}</xbrli:context>")
+    for options in MODES:
+        assert assert_same(data.encode(), options)[:2] == (error, message)
 
 
 # -- units: a measure is QName text, so an element inside one fails at it --
