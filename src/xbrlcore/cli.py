@@ -1,17 +1,24 @@
 """Command-line surface: parse, validate, facts, dts, rules.
 
 Exit codes: 0 success (validate: no Error findings), 1 validation errors,
-2 parse/read failure or an output that cannot be written. Data goes to
-stdout, as UTF-8 whatever the locale, diagnostics to stderr, and all
-renderings are deterministic. Flags fall back to XBRLCORE_* environment
-variables, then to defaults. Taxonomy references are read only from files
-under --taxonomy-root; nothing is fetched from the network.
+2 parse/read failure or an output that cannot be written. Flags fall back
+to XBRLCORE_* environment variables, then to defaults. Taxonomy references
+are read only from files under --taxonomy-root; nothing is fetched from
+the network.
+
+Each command returns its exit code and its report, which ``main`` writes
+in one piece once the command has finished. One writer puts reports and
+help on stdout and diagnostics on stderr, as UTF-8 in every locale: stdout
+with ``surrogateescape``, stderr with ``backslashreplace``. A failed write
+to stdout exits 2 with one line on stderr; a failed write to stderr keeps
+the exit code. All renderings are deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import os
 import sys
@@ -60,12 +67,17 @@ def _document_limit(value: str) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse, except that a failed write of help or usage raises its OSError
-    (argparse drops it: ``--help`` into a closed unbuffered pipe would exit 0)."""
+    """argparse, writing help to stdout through ``_out``, where a failed write
+    raises its OSError (argparse drops it), and usage and errors to stderr
+    through ``_err``."""
+
+    def print_help(self, file=None) -> None:
+        _out(self.format_help())
 
     def _print_message(self, message: str, file=None) -> None:
-        if message:
-            (file or sys.stderr).write(message)
+        # Usage and errors. argparse passes sys.stderr, or sys.stdout when
+        # sys.stderr is None, as it is when its descriptor is closed.
+        _err(message)
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -146,9 +158,9 @@ def _finding_dict(finding: Finding) -> dict:
     }
 
 
-def _print_json(payload) -> None:
+def _json(payload) -> str:
     import json
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _csv_text(rows) -> str:
@@ -175,11 +187,11 @@ def _csv_text(rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its exit code and its report
 # ---------------------------------------------------------------------------
 
 
-def cmd_parse(args: argparse.Namespace) -> int:
+def cmd_parse(args: argparse.Namespace) -> tuple[int, str]:
     _, outcomes = _load_instances(args)
     summaries = []
     for outcome in outcomes:
@@ -195,21 +207,20 @@ def cmd_parse(args: argparse.Namespace) -> int:
             "recovered_findings": len(outcome.recovered_findings),
         })
     if args.format == "json":
-        _print_json({"input": args.input, "instances": summaries})
-    else:
-        print(f"{args.input}: {len(summaries)} instance(s)")
-        for i, s in enumerate(summaries, 1):
-            print(f"  instance {i}: {s['facts']} facts ({s['items']} items), "
-                  f"{s['contexts']} contexts, {s['units']} units, "
-                  f"{s['footnote_links']} footnote links, "
-                  f"{len(s['schema_refs'])} schema refs, "
-                  f"{len(s['linkbase_refs'])} linkbase refs")
-            if s["recovered_findings"]:
-                print(f"    recovered findings: {s['recovered_findings']}")
-    return EXIT_OK
+        return EXIT_OK, _json({"input": args.input, "instances": summaries})
+    lines = [f"{args.input}: {len(summaries)} instance(s)"]
+    for i, s in enumerate(summaries, 1):
+        lines.append(f"  instance {i}: {s['facts']} facts ({s['items']} items), "
+                     f"{s['contexts']} contexts, {s['units']} units, "
+                     f"{s['footnote_links']} footnote links, "
+                     f"{len(s['schema_refs'])} schema refs, "
+                     f"{len(s['linkbase_refs'])} linkbase refs")
+        if s["recovered_findings"]:
+            lines.append(f"    recovered findings: {s['recovered_findings']}")
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
     data, outcomes = _load_instances(args)
     resolver = Resolver(args.taxonomy_root)
     reports = []
@@ -218,9 +229,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         reports.append(validate(outcome, dts))
     report = build_report((f for r in reports for f in r.findings),
                           digest_bytes(data), reports[0].skipped_rules)
+    code = EXIT_FINDINGS if report.error_count() else EXIT_OK
 
     if args.format == "json":
-        _print_json({
+        return code, _json({
             "input": args.input,
             "input_digest": report.input_digest,
             "instances": len(outcomes),
@@ -228,30 +240,27 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "counts": dict(report.counts),
             "skipped_rules": list(report.skipped_rules),
         })
-    else:
-        print(f"{args.input}: {report.counts['error']} error(s), "
-              f"{report.counts['warning']} warning(s), {report.counts['info']} info")
-        for f in report.findings:
-            subject = f" [{f.subject}]" if f.subject else ""
-            print(f"  {f.location} {f.code} {f.severity.value}: {f.message}{subject}")
-        if report.skipped_rules:
-            print("skipped (no taxonomy): " + ", ".join(report.skipped_rules))
-    return EXIT_FINDINGS if report.error_count() else EXIT_OK
+    lines = [f"{args.input}: {report.counts['error']} error(s), "
+             f"{report.counts['warning']} warning(s), {report.counts['info']} info"]
+    for f in report.findings:
+        subject = f" [{f.subject}]" if f.subject else ""
+        lines.append(f"  {f.location} {f.code} {f.severity.value}: {f.message}{subject}")
+    if report.skipped_rules:
+        lines.append("skipped (no taxonomy): " + ", ".join(report.skipped_rules))
+    return code, "\n".join(lines) + "\n"
 
 
-def cmd_facts(args: argparse.Namespace) -> int:
+def cmd_facts(args: argparse.Namespace) -> tuple[int, str]:
     _, outcomes = _load_instances(args)
     rows = [row for outcome in outcomes for row in fact_rows(outcome.instance)]
     if args.format == "json":
-        _print_json([row._asdict() for row in rows])
-    elif args.format == "csv":
-        sys.stdout.write(_csv_text([CSV_HEADER, *rows]))
-    else:
-        sys.stdout.write("".join(["\t".join(row) + "\n" for row in [CSV_HEADER, *rows]]))
-    return EXIT_OK
+        return EXIT_OK, _json([row._asdict() for row in rows])
+    if args.format == "csv":
+        return EXIT_OK, _csv_text([CSV_HEADER, *rows])
+    return EXIT_OK, "".join(["\t".join(row) + "\n" for row in [CSV_HEADER, *rows]])
 
 
-def cmd_dts(args: argparse.Namespace) -> int:
+def cmd_dts(args: argparse.Namespace) -> tuple[int, str]:
     _, outcomes = _load_instances(args)
     documents: dict = {}
     unresolved: list = []
@@ -268,7 +277,7 @@ def cmd_dts(args: argparse.Namespace) -> int:
         concepts.update(dts.concepts)
         limit_exceeded = limit_exceeded or dts.limit_exceeded
     if args.format == "json":
-        _print_json({
+        return EXIT_OK, _json({
             "input": args.input,
             "documents": [
                 {"uri": d.uri, "kind": d.kind.value, "outgoing_refs": list(d.outgoing_refs)}
@@ -278,30 +287,25 @@ def cmd_dts(args: argparse.Namespace) -> int:
             "unresolved": [{"href": href, "reason": reason} for href, reason in unresolved],
             "limit_exceeded": limit_exceeded,
         })
-    else:
-        print(f"{args.input}: {len(documents)} documents, {len(concepts)} concepts, "
-              f"{len(unresolved)} unresolved")
-        for doc in documents.values():
-            print(f"  {doc.kind.value}: {doc.uri}")
-        for href, reason in unresolved:
-            print(f"  unresolved: {href} ({reason})")
-        if limit_exceeded:
-            print(f"  document limit {args.max_documents} reached; result is partial")
-    return EXIT_OK
+    lines = [f"{args.input}: {len(documents)} documents, {len(concepts)} concepts, "
+             f"{len(unresolved)} unresolved"]
+    lines += [f"  {doc.kind.value}: {doc.uri}" for doc in documents.values()]
+    lines += [f"  unresolved: {href} ({reason})" for href, reason in unresolved]
+    if limit_exceeded:
+        lines.append(f"  document limit {args.max_documents} reached; result is partial")
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_rules(args: argparse.Namespace) -> int:
+def cmd_rules(args: argparse.Namespace) -> tuple[int, str]:
     if args.format == "json":
-        _print_json([
+        return EXIT_OK, _json([
             {"code": r.code, "severity": r.severity.value,
              "description": r.description, "requires_dts": r.requires_dts}
             for r in rule_catalog()
         ])
-    else:
-        for r in rule_catalog():
-            dts_mark = " (needs taxonomy)" if r.requires_dts else ""
-            print(f"{r.code:8} {r.severity.value:8} {r.description}{dts_mark}")
-    return EXIT_OK
+    return EXIT_OK, "".join(f"{r.code:8} {r.severity.value:8} {r.description}"
+                            f"{' (needs taxonomy)' if r.requires_dts else ''}\n"
+                            for r in rule_catalog())
 
 
 _COMMANDS = {
@@ -315,32 +319,10 @@ _COMMANDS = {
 
 @_without_cyclic_gc
 def main(argv: list[str] | None = None) -> int:
-    # Reports are UTF-8 whatever the locale or PYTHONIOENCODING say, so
-    # the same input gives the same bytes everywhere; surrogateescape
-    # writes back the bytes of a path that is not UTF-8. A text sink that
-    # encodes nothing, such as a StringIO, is written as it is.
-    stdout = sys.stdout
-    if not isinstance(stdout, io.TextIOWrapper):
-        return _run(argv)
-    encoding, errors = stdout.encoding, stdout.errors
-    stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     try:
-        return _run(argv)
-    finally:
-        # Switching back flushes stdout; ``_run`` has already reported a
-        # write that failed.
-        with contextlib.suppress(OSError):
-            stdout.reconfigure(encoding=encoding, errors=errors)
-
-
-def _run(argv: list[str] | None) -> int:
-    try:
-        try:
-            args = _build_arg_parser().parse_args(argv)
-        finally:  # argparse exits here after --help: a write it left buffered fails now
-            sys.stdout.flush()
-        code = _COMMANDS[args.command](args)
-        sys.stdout.flush()
+        args = _build_arg_parser().parse_args(argv)
+        code, report = _COMMANDS[args.command](args)
+        _out(report)
         return code
     except XbrlError as exc:
         where = f" at {exc.location}" if exc.location.line else ""
@@ -348,32 +330,45 @@ def _run(argv: list[str] | None) -> int:
     except _UnreadableInput as exc:
         return _fail(f"cannot read input: {exc}")
     except OSError as exc:  # taxonomy reads report their own: this is stdout's
-        _to_null_device(sys.stdout)
         return _fail(f"cannot write output: {exc.strerror or exc}")
-    finally:
-        # A closed stderr, such as a pipe whose reader has gone, keeps the
-        # exit code: what it still buffers (an error or a usage message)
-        # would fail again when the interpreter flushes it at exit.
-        try:
-            sys.stderr.flush()
-        except OSError:
-            _to_null_device(sys.stderr)
 
 
 def _fail(message: str) -> int:
-    with contextlib.suppress(OSError):  # stderr is closed; the exit code still tells
-        print(f"xbrlcore: {message}", file=sys.stderr)
+    _err(f"xbrlcore: {message}\n")
     return EXIT_PARSE_FAILURE
 
 
-def _to_null_device(stream) -> None:
-    """Point ``stream``'s descriptor at the null device: what the stream still
-    buffers would fail again when the interpreter flushes it at exit."""
-    with contextlib.suppress(OSError, ValueError):  # a sink with no descriptor
-        fd = stream.fileno()
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, fd)
-        os.close(devnull)
+def _out(text: str) -> None:
+    _write(sys.stdout, text, "surrogateescape")  # a path's bytes that are not UTF-8
+
+
+def _err(text: str) -> None:
+    with contextlib.suppress(OSError):  # a stderr that fails keeps the exit code
+        _write(sys.stderr, text, "backslashreplace")
+
+
+def _write(stream, text: str, errors: str) -> None:
+    """Write ``text`` to ``stream`` as UTF-8 bytes, or as text if it has no
+    buffer (a StringIO), and flush it; a raw buffer (unbuffered) may take
+    part of the bytes at a time. Raises OSError for a stream that is missing
+    (None) or closed and for a failed write, after which the stream is
+    closed, so that nothing it buffers fails again at exit."""
+    if stream is None or stream.closed:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        buffer = getattr(stream, "buffer", None)
+        if buffer is None:
+            stream.write(text)
+        else:
+            stream.flush()  # text the stream already holds goes first
+            data = memoryview(text.encode("utf-8", errors))
+            while data:
+                data = data[buffer.write(data):]
+        stream.flush()
+    except OSError:
+        with contextlib.suppress(OSError):
+            stream.close()
+        raise
 
 
 if __name__ == "__main__":

@@ -26,6 +26,10 @@ child elements or of their text. Dates, identifiers, measures and other
 simple-typed values are text only: an element inside one is an error at
 that value's element, never dropped: InvalidIso8601 (PER-001 in lenient
 mode), InvalidContextShape, or EmptyUnit (MalformedDivide in a divide).
+Contexts, entities, periods, units and their divides hold elements only:
+text other than whitespace inside one is an error at that element in both
+modes, never dropped: InvalidContextShape, InvalidPeriodShape, or
+EmptyUnit (MalformedDivide in a divide).
 """
 
 from __future__ import annotations
@@ -172,6 +176,8 @@ def _parse_period(element: XmlElement) -> "Instant | Duration | Forever":
     first = second = None
     for child in element.children:
         if child.__class__ is str:
+            if child.strip(XML_WHITESPACE):
+                raise InvalidPeriodShape("period holds text, which it may not", loc)
             continue
         if first is None:
             first = child
@@ -215,8 +221,11 @@ def _parse_unit(element: XmlElement) -> Unit:
         return _new_unit(Unit, unit_id, _measure_qnames(element, EmptyUnit), (), loc)
     if len(children) > 1:
         raise MalformedDivide("unit mixes divide with other content", loc)
+    if element.text_content().strip(XML_WHITESPACE):
+        raise EmptyUnit("unit contains non-measure content", loc)
     legs = divide.child_elements()
-    if [leg.name for leg in legs] != [c.QN_UNIT_NUMERATOR, c.QN_UNIT_DENOMINATOR]:
+    if ([leg.name for leg in legs] != [c.QN_UNIT_NUMERATOR, c.QN_UNIT_DENOMINATOR]
+            or divide.text_content().strip(XML_WHITESPACE)):
         raise MalformedDivide("divide must hold one unitNumerator followed by one "
                               "unitDenominator", divide.source_location)
     numerator, denominator = (_measure_qnames(leg, MalformedDivide) for leg in legs)
@@ -230,9 +239,11 @@ def _parse_unit(element: XmlElement) -> Unit:
 
 def _measure_qnames(parent: XmlElement, error: type[ParseError]) -> tuple[QName, ...]:
     """The measures under ``parent``; raises ``error`` if it holds anything
-    else, or at a measure holding an element."""
+    else (text other than whitespace included), or at a measure holding an
+    element."""
     children = parent.child_elements()
-    if any(ch.name != c.QN_MEASURE for ch in children):
+    if (any(ch.name != c.QN_MEASURE for ch in children)
+            or parent.text_content().strip(XML_WHITESPACE)):
         raise error(f"{parent.name.local_name} contains non-measure content",
                     parent.source_location)
     return tuple(ch.resolve_qname_text(_simple_text(ch, error)) for ch in children)
@@ -247,10 +258,15 @@ _ENTITY_PARTS = {c.QN_IDENTIFIER: 0, c.QN_SEGMENT: 1}
 def _parts(element: XmlElement, allowed: dict[QName, int]) -> list[XmlElement | None]:
     """``element``'s child elements at their ``allowed`` positions, None where
     absent, read in one pass; raises InvalidContextShape at a child element
-    that ``allowed`` does not name or that repeats an earlier one."""
+    that ``allowed`` does not name or that repeats an earlier one, and at
+    ``element`` if it holds text other than whitespace."""
     parts: list[XmlElement | None] = [None] * len(allowed)
     for child in element.children:
         if child.__class__ is str:
+            if child.strip(XML_WHITESPACE):
+                raise InvalidContextShape(
+                    f"{element.name.local_name} holds text, which it may not",
+                    element.source_location)
             continue
         i = allowed.get(child.name)
         if i is None or parts[i] is not None:

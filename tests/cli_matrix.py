@@ -3,9 +3,13 @@
 Runs ``xbrlcore.cli.main`` in-process on every file under ``fixtures/`` ×
 ``parse``/``validate``/``facts``/``dts`` × every ``--format`` × both
 ``--mode``s, and ``validate`` and ``dts`` once more with
-``--taxonomy-root fixtures``. Each line holds the arguments, the exit code
-and the SHA-256 of stdout and of stderr. Run it from the repository root,
-with the ``src/`` to check first on ``PYTHONPATH``::
+``--taxonomy-root fixtures``; then on the help of the program and of each
+command, and on each kind of usage error: no command, no input, an
+invalid ``--format`` (one of them not ASCII) and a negative
+``--max-documents``. Help is wrapped at 80 columns whatever the terminal.
+Each line holds the arguments, the exit code and the SHA-256 of stdout
+and of stderr. Run it from the repository root, with the ``src/`` to
+check first on ``PYTHONPATH``::
 
     PYTHONPATH=src python tests/cli_matrix.py > head.jsonl
 
@@ -36,6 +40,20 @@ def cases():
                         yield [command, path, "--format", fmt, "--mode", mode, *root]
 
 
+def usage_cases():
+    yield []
+    yield ["--help"]
+    for command in (*FORMATS, "rules"):
+        instance = ["fixtures/mini-instance.xml"] if command in FORMATS else []
+        yield [command, "--help"]
+        if instance:
+            yield [command]
+        for fmt in ("bogus", "tëxt"):
+            yield [command, *instance, "--format", fmt]
+    for command in ("validate", "dts"):
+        yield [command, "fixtures/mini-instance.xml", "--max-documents", "-1"]
+
+
 def digest(stream: io.StringIO) -> str:
     return hashlib.sha256(stream.getvalue().encode("utf-8", "surrogateescape")).hexdigest()
 
@@ -56,7 +74,8 @@ def run(main, args: list[str]) -> dict:
 if __name__ == "__main__":
     for name in [name for name in os.environ if name.startswith("XBRLCORE_")]:
         del os.environ[name]
+    os.environ["COLUMNS"] = "80"
     from xbrlcore.cli import main
 
-    for args in cases():
+    for args in [*cases(), *usage_cases()]:
         print(json.dumps(run(main, args)))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -617,28 +618,34 @@ ENVIRONMENTS = [
 
 def test_reports_are_the_same_bytes_in_every_environment(repo_root, tmp_path):
     # A non-ASCII value, a non-ASCII finding subject (an item whose context
-    # is undefined) and a non-ASCII input path.
+    # is undefined) and a non-ASCII input path; on stderr, a strict failure
+    # naming a non-ASCII item (one with no contextRef) and a usage error
+    # quoting a non-ASCII value.
     text = (repo_root / "fixtures" / "mini-instance.xml").read_text(encoding="utf-8")
     text = text.replace(">250000</ex:Revenue>", ">25€0é</ex:Revenue>", 1)
-    text = text.replace("</xbrli:xbrl>",
-                        '<ex:Umsätze contextRef="c-ghost">1</ex:Umsätze></xbrli:xbrl>')
     path = tmp_path / "bilanz-ä.xml"
-    path.write_text(text, encoding="utf-8")
-    commands = [("facts", "--format", "csv"), ("facts", "--format", "text"),
-                ("validate", "--format", "text"), ("parse", "--format", "text")]
+    path.write_text(text.replace(
+        "</xbrli:xbrl>", '<ex:Umsätze contextRef="c-ghost">1</ex:Umsätze></xbrli:xbrl>'),
+        encoding="utf-8")
+    strict = tmp_path / "ohne-kontext.xml"
+    strict.write_text(text.replace("</xbrli:xbrl>", "<ex:Umsätze>1</ex:Umsätze></xbrli:xbrl>"),
+                      encoding="utf-8")
+    commands = [("facts", path, "--format", "csv"), ("facts", path, "--format", "text"),
+                ("validate", path, "--format", "text"), ("parse", path, "--format", "text"),
+                ("validate", strict), ("facts", path, "--format", "tëxt")]
     base = {k: v for k, v in os.environ.items()
             if not k.startswith("XBRLCORE_")
             and k not in ("PYTHONHASHSEED", "PYTHONIOENCODING", "LC_ALL")}
     base["PYTHONPATH"] = str(repo_root / "src")
 
     def run_in(case):
-        (command, *flags), (seed, encoding, lc_all) = case
+        command, (seed, encoding, lc_all) = case
         env = dict(base, PYTHONHASHSEED=seed)
         env.update((k, v) for k, v in (("PYTHONIOENCODING", encoding), ("LC_ALL", lc_all)) if v)
-        proc = subprocess.run([sys.executable, "-m", "xbrlcore", command, str(path), *flags],
+        proc = subprocess.run([sys.executable, "-m", "xbrlcore", *map(str, command)],
                               capture_output=True, cwd=repo_root, env=env)
         assert b"Traceback" not in proc.stderr, (case, proc.stderr.decode(errors="replace"))
-        return proc.stdout, proc.returncode
+        return proc.stdout, proc.stderr, proc.returncode
 
     cases = [(command, environment) for command in commands for environment in ENVIRONMENTS]
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -647,11 +654,16 @@ def test_reports_are_the_same_bytes_in_every_environment(repo_root, tmp_path):
         reference = results[command, ENVIRONMENTS[0]]
         for environment in ENVIRONMENTS[1:]:
             assert results[command, environment] == reference, (command, environment)
-    facts_csv, validate_text, parse_text = (results[commands[i], ENVIRONMENTS[0]]
-                                            for i in (0, 2, 3))
-    assert "25€0é".encode() in facts_csv[0] and facts_csv[1] == 0
-    assert "}Umsätze]".encode() in validate_text[0] and validate_text[1] == 1
-    assert str(path).encode() in parse_text[0] and parse_text[1] == 0
+    facts_csv, _, validate_text, parse_text, failure, usage = (
+        results[command, ENVIRONMENTS[0]] for command in commands)
+    assert "25€0é".encode() in facts_csv[0] and facts_csv[1:] == (b"", 0)
+    assert "}Umsätze]".encode() in validate_text[0] and validate_text[1:] == (b"", 1)
+    assert str(path).encode() in parse_text[0] and parse_text[1:] == (b"", 0)
+    message = "item {http://example.com/taxonomy/mini}Umsätze has no contextRef"
+    assert failure == (b"", f"xbrlcore: validate failed at 44:0: {message}\n".encode(), 2)
+    assert usage[0] == b"" and usage[2] == 2
+    assert usage[1].endswith("argument --format: invalid choice: 'tëxt' "
+                             "(choose from 'json', 'csv', 'text')\n".encode())
 
 
 def test_an_ascii_stdout_gets_utf8_and_its_encoding_back(repo_root, tmp_path, monkeypatch):
@@ -727,6 +739,113 @@ def test_a_closed_stderr_pipe_keeps_the_exit_code(repo_root, args):
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stdout) == (2, b""), unbuffered
+
+
+# One call of each command, each writing a report.
+COMMANDS = {
+    "parse": ["parse", "fixtures/mini-instance.xml"],
+    "validate": ["validate", "fixtures/bad-ctxref.xml"],
+    "facts": ["facts", "fixtures/mini-instance.xml", "--format", "csv"],
+    "dts": ["dts", "fixtures/mini-instance.xml", "--taxonomy-root", "fixtures"],
+    "rules": ["rules"],
+}
+HELP = {f"{command}-help": [command, "--help"] for command in COMMANDS}
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [*COMMANDS.values(), *HELP.values()], ids=[*COMMANDS, *HELP])
+def test_every_command_into_a_closed_stdout_pipe_exits_2(repo_root, args, unbuffered):
+    proc = run_into_closed_stdout(repo_root, args, unbuffered)
+    assert (proc.returncode, proc.stderr) == (2, b"xbrlcore: cannot write output: Broken pipe\n")
+
+
+def run_with_closed(repo_root, redirection: str, args: list[str]):
+    """Run the CLI through ``sh`` with ``redirection`` (``>&-`` or ``2>&-``)
+    closing a descriptor before Python starts, which then sets that stream to None."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" -m xbrlcore "$@" {redirection}', sys.executable, *args],
+        capture_output=True, cwd=repo_root,
+        env={**os.environ, "PYTHONPATH": str(repo_root / "src")})
+
+
+@pytest.mark.parametrize("args", [COMMANDS["rules"], COMMANDS["facts"], COMMANDS["validate"],
+                                  ["--help"], HELP["facts-help"]],
+                         ids=["rules", "facts", "validate", "help", "facts-help"])
+def test_a_stdout_closed_at_start_is_a_failed_write(repo_root, args):
+    # Python sets sys.stdout to None. Exit 1 with a traceback would read as
+    # "findings".
+    proc = run_with_closed(repo_root, ">&-", args)
+    assert (proc.returncode, proc.stderr) == (
+        2, b"xbrlcore: cannot write output: Bad file descriptor\n")
+
+
+def test_a_usage_error_with_a_stdout_closed_at_start_keeps_its_message(repo_root):
+    proc = run_with_closed(repo_root, ">&-", ["facts"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"usage: xbrlcore facts ")
+    assert proc.stderr.endswith(b"error: the following arguments are required: input\n")
+
+
+@pytest.mark.parametrize("args, code", [
+    (COMMANDS["rules"], 0), (COMMANDS["validate"], 1), (["facts", "fixtures/nope.xml"], 2),
+    (["facts"], 2), (["--help"], 0),
+], ids=["rules", "findings", "unreadable", "usage", "help"])
+def test_a_stderr_closed_at_start_keeps_the_exit_code_and_stdout(repo_root, args, code):
+    proc = run_with_closed(repo_root, "2>&-", args)
+    assert (proc.returncode, proc.stdout) == (code, stdout_of(repo_root, args))
+
+
+def stdout_of(repo_root, args: list[str]) -> bytes:
+    """The CLI's stdout bytes for ``args``, with stderr a pipe that is read."""
+    return subprocess.run([sys.executable, "-m", "xbrlcore", *args], capture_output=True,
+                          cwd=repo_root, env={**os.environ, "PYTHONPATH": str(repo_root / "src")},
+                          ).stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stderr_pipe_keeps_a_report_and_its_exit_code(repo_root, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for args, code in ((COMMANDS["validate"], 1), (COMMANDS["facts"], 0)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "xbrlcore", *args],
+                stdout=subprocess.PIPE, stderr=write_end, cwd=repo_root,
+                env={**os.environ, "PYTHONPATH": str(repo_root / "src"),
+                     "PYTHONUNBUFFERED": unbuffered})
+            assert (proc.returncode, proc.stdout) == (code, stdout_of(repo_root, args)), args
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_reader_that_goes_mid_report_gives_one_line_and_exit_2(repo_root, tmp_path, unbuffered):
+    # The report is several times a pipe's buffer, so the write is still
+    # under way when the reader closes its end. Unbuffered, the raw file's
+    # write returns the part it wrote, and the rest must be written until
+    # the write fails.
+    facts = "".join(f'<ex:A contextRef="c1">{n}</ex:A>' for n in range(20_000))
+    path = tmp_path / "big.xml"
+    path.write_text(f'<xbrli:xbrl xmlns:xbrli="http://www.xbrl.org/2003/instance" '
+                    f'xmlns:ex="urn:ex">{facts}</xbrli:xbrl>')
+    with subprocess.Popen([sys.executable, "-m", "xbrlcore", "facts", str(path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=repo_root,
+                          env={**os.environ, "PYTHONPATH": str(repo_root / "src"),
+                               "PYTHONUNBUFFERED": unbuffered}) as proc:
+        try:
+            assert os.read(proc.stdout.fileno(), 10) == b"concept\tva"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 2
+            assert proc.stderr.read() == b"xbrlcore: cannot write output: Broken pipe\n"
+        finally:
+            proc.kill()
+
+
+def test_a_missing_stdout_in_process_is_a_failed_write(repo_root, capsys):
+    with contextlib.redirect_stdout(None):
+        assert main(["rules"]) == 2
+        assert main(["--help"]) == 2
+    assert capsys.readouterr().err == "xbrlcore: cannot write output: Bad file descriptor\n" * 2
 
 
 # ---------------------------------------------------------------------------

@@ -526,6 +526,69 @@ def test_an_element_inside_a_measure_is_an_invalid_unit(unit, error, occurrence)
             error, "measure holds element content", where(data, "<xbrli:measure>", occurrence))
 
 
+# -- text inside element-only content: an error at its element, never dropped --
+
+# Each element XBRL 2.1 gives element-only content, with what text inside it raises.
+ELEMENT_ONLY = {
+    "context": (InvalidContextShape, "context holds text, which it may not"),
+    "entity": (InvalidContextShape, "entity holds text, which it may not"),
+    "period": (InvalidPeriodShape, "period holds text, which it may not"),
+    "unit": (EmptyUnit, "unit contains non-measure content"),
+    "divide": (MalformedDivide,
+               "divide must hold one unitNumerator followed by one unitDenominator"),
+    "unitNumerator": (MalformedDivide, "unitNumerator contains non-measure content"),
+    "unitDenominator": (MalformedDivide, "unitDenominator contains non-measure content"),
+}
+TAG = re.compile(r"<(/?)(?:xbrli:)?([\w:]+)[^>]*?(/?)>")
+
+
+def text_positions(text: str):
+    """(element name, offset of its start tag, offset of a place for text
+    directly inside it) for each such place in each ``ELEMENT_ONLY`` element."""
+    open_ = []  # (name, start tag offset) of each open element
+    for tag in TAG.finditer(text):
+        closing, name, empty = tag.groups()
+        if open_ and open_[-1][0] in ELEMENT_ONLY:
+            yield (*open_[-1], tag.start())
+        if closing:
+            open_.pop()
+        elif not empty:
+            open_.append((name, tag.start()))
+
+
+def test_text_inside_element_only_content_fails_at_its_element():
+    # Before, both readers skipped every text child of these elements, so
+    # the text was lost with no finding, and serialize wrote none of it.
+    seen = set()
+    for seed in (0, 3):
+        text = serialize(gen.random_instance(random.Random(seed))).decode()
+        assert text.isascii()
+        for name, start, at in text_positions(text):
+            seen.add(name)
+            data = (text[:at] + "stray" + text[at:]).encode()
+            line_start = text.rfind("\n", 0, start) + 1
+            location = SourceLocation(text.count("\n", 0, start) + 1, start - line_start)
+            for options in MODES:
+                assert assert_same(data, options)[:3] == (*ELEMENT_ONLY[name], location), (
+                    name, text[start:at])
+            # whitespace stays allowed
+            spaced = (text[:at] + " \t\r\n " + text[at:]).encode()
+            for options in MODES:
+                assert assert_same(spaced, options)[0] == read_instances(text.encode(), options)
+    assert seen == set(ELEMENT_ONLY)
+
+
+def test_text_inside_a_context_fails_through_the_cli(tmp_path, capsys):
+    data = instance_text().format(CONTEXT.replace("<xbrli:period>", "stray<xbrli:period>"))
+    path = tmp_path / "stray.xml"
+    path.write_text(data)
+    at = where(data.encode(), "<xbrli:context")
+    for command in (["validate"], ["facts"], ["parse", "--mode", "lenient"]):
+        assert cli.main([*command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"xbrlcore: {command[0]} failed at {at}: context holds text, which it may not\n")
+
+
 # -- attributes: unprefixed, foreign-prefixed and xml:lang ones become QName
 # keys in document order; namespace declarations are not attributes ------
 

@@ -644,7 +644,7 @@ def test_the_collector_state_is_restored_after_each_paused_call():
 def _is_frozen(obj) -> bool:
     # gc.get_objects() lists every generation but the permanent one. The
     # freeze count itself is no witness: a frozen object still dies when
-    # its last reference goes, as a stream reconfigured by main drops two.
+    # its last reference goes, and the count drops with it.
     return not any(o is obj for o in gc.get_objects())
 
 
