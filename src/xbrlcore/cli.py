@@ -69,7 +69,10 @@ def _document_limit(value: str) -> int:
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse, writing help to stdout through ``_out``, where a failed write
     raises its OSError (argparse drops it), and usage and errors to stderr
-    through ``_err``."""
+    through ``_err``, all wrapped at one width whatever the terminal."""
+
+    def _get_formatter(self) -> argparse.HelpFormatter:  # as argparse wraps at 80 columns
+        return self.formatter_class(prog=self.prog, width=78)
 
     def print_help(self, file=None) -> None:
         _out(self.format_help())

@@ -52,11 +52,14 @@ QN_ATTR_SCHEME = QName("", "scheme")
 # linkbase / XLink
 QN_SCHEMA_REF = QName(LINK_NS, "schemaRef")
 QN_LINKBASE_REF = QName(LINK_NS, "linkbaseRef")
+QN_ROLE_REF = QName(LINK_NS, "roleRef")
+QN_ARCROLE_REF = QName(LINK_NS, "arcroleRef")
 QN_LINKBASE = QName(LINK_NS, "linkbase")
 QN_FOOTNOTE_LINK = QName(LINK_NS, "footnoteLink")
 QN_LOC = QName(LINK_NS, "loc")
 QN_FOOTNOTE = QName(LINK_NS, "footnote")
 QN_FOOTNOTE_ARC = QName(LINK_NS, "footnoteArc")
+QN_DOCUMENTATION = QName(LINK_NS, "documentation")
 QN_XLINK_TYPE = QName(XLINK_NS, "type")
 QN_XLINK_ROLE = QName(XLINK_NS, "role")
 QN_XLINK_HREF = QName(XLINK_NS, "href")

@@ -21,15 +21,15 @@ each child of an xbrl element, in document order, to one
 skipped, a nested instance (EMB-001), a tuple, an empty tuple or an item,
 and which of CTX-002, ITM-001 and T-DEPTH apply.
 
-A period is read in one pass over its children, with no list of its
-child elements or of their text. Dates, identifiers, measures and other
-simple-typed values are text only: an element inside one is an error at
-that value's element, never dropped: InvalidIso8601 (PER-001 in lenient
-mode), InvalidContextShape, or EmptyUnit (MalformedDivide in a divide).
-Contexts, entities, periods, units and their divides hold elements only:
-text other than whitespace inside one is an error at that element in both
-modes, never dropped: InvalidContextShape, InvalidPeriodShape, or
-EmptyUnit (MalformedDivide in a divide).
+XBRL's own element-only elements (xbrl, context, entity, period, unit,
+divide and its legs, footnoteLink) are checked in both modes against one
+table, ``_CONTENT_MODELS``, whose entry names each one's error class. Text
+other than whitespace is an error at the element; a child element it may
+not hold, or a second of one it holds once, is an error at the child. Dates,
+identifiers, measures and other simple-typed values are text only: an
+element inside one is an error at that value's element: InvalidIso8601
+(PER-001 in lenient mode), InvalidContextShape, or EmptyUnit
+(MalformedDivide in a divide).
 """
 
 from __future__ import annotations
@@ -162,44 +162,95 @@ def _simple_text(element: XmlElement, error: type[ParseError]) -> str:
     return "".join(children)
 
 
-_PERIOD_SHAPE = "period must contain instant, forever, or startDate+endDate"
+# XBRL 2.1's content models for its own elements that hold elements only
+# (the instance and linkbase schemas): each one's child elements at their
+# slots in what ``_content`` returns, and the one error class a breach raises.
+# A slot written as a list holds its children in document order: ones that
+# may repeat, and ones whose number and order the element's own check reads.
+# Segments and scenarios are kept whole. Allowed and not kept: roleRef,
+# arcroleRef and a footnoteLink's documentation. xl:title is not allowed:
+# without the DTS it cannot be told from a foreign element.
+def _model(error: type[ParseError], *slots: QName | list[QName]) -> tuple:
+    """Each child's slot, the slots as ``_content`` starts them (``()`` for
+    a list slot, else None), and the error class."""
+    children = {name: i for i, slot in enumerate(slots)
+                for name in (slot if isinstance(slot, list) else [slot])}
+    return children, [() if isinstance(slot, list) else None for slot in slots], error
+
+
+_CONTENT_MODELS = {
+    c.QN_XBRL: _model(ParseError, [c.QN_SCHEMA_REF, c.QN_LINKBASE_REF, c.QN_ROLE_REF,
+                                   c.QN_ARCROLE_REF, c.QN_CONTEXT, c.QN_UNIT,
+                                   c.QN_FOOTNOTE_LINK, c.QN_XBRL]),
+    c.QN_CONTEXT: _model(InvalidContextShape, c.QN_ENTITY, c.QN_PERIOD, c.QN_SCENARIO),
+    c.QN_ENTITY: _model(InvalidContextShape, c.QN_IDENTIFIER, c.QN_SEGMENT),
+    c.QN_PERIOD: _model(InvalidPeriodShape,
+                        [c.QN_INSTANT, c.QN_FOREVER, c.QN_START_DATE, c.QN_END_DATE]),
+    c.QN_UNIT: _model(EmptyUnit, [c.QN_MEASURE], c.QN_DIVIDE),
+    c.QN_DIVIDE: _model(MalformedDivide, [c.QN_UNIT_NUMERATOR, c.QN_UNIT_DENOMINATOR]),
+    c.QN_UNIT_NUMERATOR: _model(MalformedDivide, [c.QN_MEASURE]),
+    c.QN_UNIT_DENOMINATOR: _model(MalformedDivide, [c.QN_MEASURE]),
+    c.QN_FOOTNOTE_LINK: _model(MalformedFootnoteLink,
+                               [c.QN_LOC, c.QN_FOOTNOTE, c.QN_FOOTNOTE_ARC], [c.QN_DOCUMENTATION]),
+}
+
+
+def _breach(owner: QName, held: str, location: SourceLocation) -> ParseError:
+    """The error of ``owner``'s content model, for ``owner`` holding ``held``."""
+    return _CONTENT_MODELS[owner][2](f"{owner.local_name} holds {held}", location)
+
+
+def _content(element: XmlElement) -> list:
+    """``element``'s child elements by slot of its ``_CONTENT_MODELS`` entry;
+    raises the entry's error at ``element`` for text other than whitespace,
+    and at a child the entry does not name or that repeats a one-child slot."""
+    children, slots, _ = _CONTENT_MODELS[element.name]
+    parts = slots.copy()
+    for child in element.children:
+        if child.__class__ is str:
+            if child.strip(XML_WHITESPACE):
+                raise _breach(element.name, "text, which it may not", element.source_location)
+            continue
+        i = children.get(child.name)
+        if i is None:
+            raise _breach(element.name, f"{child.name.clark()}, which it may not",
+                          child.source_location)
+        part = parts[i]
+        if part is None:
+            parts[i] = child
+        elif part.__class__ is list:
+            part.append(child)
+        elif part.__class__ is tuple:  # a list slot's first child
+            parts[i] = [child]
+        else:
+            raise _breach(element.name, f"a second {child.name.local_name}",
+                          child.source_location)
+    return parts
 
 
 def _parse_period(element: XmlElement) -> "Instant | Duration | Forever":
     """Build a Period from a period element.
 
-    Accepts instant, forever, or startDate+endDate children; date values
+    Accepts instant, forever, or startDate followed by endDate; date values
     must be ISO 8601. Raises InvalidPeriodShape, InvalidIso8601 (at the
     failing child), or StartAfterEnd.
     """
     loc = element.source_location
-    first = second = None
-    for child in element.children:
-        if child.__class__ is str:
-            if child.strip(XML_WHITESPACE):
-                raise InvalidPeriodShape("period holds text, which it may not", loc)
-            continue
-        if first is None:
-            first = child
-        elif second is None:
-            second = child
-        else:  # no period holds three elements
-            raise InvalidPeriodShape(_PERIOD_SHAPE, loc)
-    if first is not None:
-        name = first.name
-        if second is None:
-            if name == c.QN_INSTANT:
-                return _new_instant(Instant, _parse_point(first))
-            if name == c.QN_FOREVER:
-                return _new_forever(Forever)
-        elif name == c.QN_START_DATE and second.name == c.QN_END_DATE:
-            start, end = _parse_point(first), _parse_point(second)
-            if timeline_position(start) > timeline_position(end, at_end=True):
-                raise StartAfterEnd(
-                    f"period start {start.raw!r} is after end {end.raw!r}", loc
-                )
-            return _new_duration(Duration, start, end)
-    raise InvalidPeriodShape(_PERIOD_SHAPE, loc)
+    [choice] = _content(element)
+    if len(choice) == 1:
+        if choice[0].name == c.QN_INSTANT:
+            return _new_instant(Instant, _parse_point(choice[0]))
+        if choice[0].name == c.QN_FOREVER:
+            return _new_forever(Forever)
+    elif (len(choice) == 2 and choice[0].name == c.QN_START_DATE
+          and choice[1].name == c.QN_END_DATE):
+        start, end = _parse_point(choice[0]), _parse_point(choice[1])
+        if timeline_position(start) > timeline_position(end, at_end=True):
+            raise StartAfterEnd(
+                f"period start {start.raw!r} is after end {end.raw!r}", loc
+            )
+        return _new_duration(Duration, start, end)
+    raise InvalidPeriodShape("period must contain instant, forever, or startDate+endDate", loc)
 
 
 def _parse_point(element: XmlElement) -> TimePoint:
@@ -213,22 +264,18 @@ def _parse_unit(element: XmlElement) -> Unit:
     """Build a Unit from a unit element (measure children or one divide)."""
     loc = element.source_location
     unit_id = element.attributes.get(c.QN_ATTR_ID) or ""
-    children = element.child_elements()
-    if not children:
-        raise EmptyUnit("unit has no measure or divide content", loc)
-    divide = element.first_child(c.QN_DIVIDE)
+    measures, divide = _content(element)
     if divide is None:
-        return _new_unit(Unit, unit_id, _measure_qnames(element, EmptyUnit), (), loc)
-    if len(children) > 1:
+        if not measures:
+            raise EmptyUnit("unit has no measure or divide content", loc)
+        return _new_unit(Unit, unit_id, _measure_qnames(measures, EmptyUnit), (), loc)
+    if measures:
         raise MalformedDivide("unit mixes divide with other content", loc)
-    if element.text_content().strip(XML_WHITESPACE):
-        raise EmptyUnit("unit contains non-measure content", loc)
-    legs = divide.child_elements()
-    if ([leg.name for leg in legs] != [c.QN_UNIT_NUMERATOR, c.QN_UNIT_DENOMINATOR]
-            or divide.text_content().strip(XML_WHITESPACE)):
+    [legs] = _content(divide)
+    if [leg.name for leg in legs] != [c.QN_UNIT_NUMERATOR, c.QN_UNIT_DENOMINATOR]:
         raise MalformedDivide("divide must hold one unitNumerator followed by one "
                               "unitDenominator", divide.source_location)
-    numerator, denominator = (_measure_qnames(leg, MalformedDivide) for leg in legs)
+    numerator, denominator = (_measure_qnames(_content(leg)[0], MalformedDivide) for leg in legs)
     if not numerator or not denominator:
         raise MalformedDivide(
             "divide requires measures in both numerator and denominator",
@@ -237,49 +284,13 @@ def _parse_unit(element: XmlElement) -> Unit:
     return _new_unit(Unit, unit_id, numerator, denominator, loc)
 
 
-def _measure_qnames(parent: XmlElement, error: type[ParseError]) -> tuple[QName, ...]:
-    """The measures under ``parent``; raises ``error`` if it holds anything
-    else (text other than whitespace included), or at a measure holding an
-    element."""
-    children = parent.child_elements()
-    if (any(ch.name != c.QN_MEASURE for ch in children)
-            or parent.text_content().strip(XML_WHITESPACE)):
-        raise error(f"{parent.name.local_name} contains non-measure content",
-                    parent.source_location)
-    return tuple(ch.resolve_qname_text(_simple_text(ch, error)) for ch in children)
-
-
-# The child elements a context and an entity may hold (XBRL 2.1 section 4.7),
-# each with its position in what ``_parts`` returns.
-_CONTEXT_PARTS = {c.QN_ENTITY: 0, c.QN_PERIOD: 1, c.QN_SCENARIO: 2}
-_ENTITY_PARTS = {c.QN_IDENTIFIER: 0, c.QN_SEGMENT: 1}
-
-
-def _parts(element: XmlElement, allowed: dict[QName, int]) -> list[XmlElement | None]:
-    """``element``'s child elements at their ``allowed`` positions, None where
-    absent, read in one pass; raises InvalidContextShape at a child element
-    that ``allowed`` does not name or that repeats an earlier one, and at
-    ``element`` if it holds text other than whitespace."""
-    parts: list[XmlElement | None] = [None] * len(allowed)
-    for child in element.children:
-        if child.__class__ is str:
-            if child.strip(XML_WHITESPACE):
-                raise InvalidContextShape(
-                    f"{element.name.local_name} holds text, which it may not",
-                    element.source_location)
-            continue
-        i = allowed.get(child.name)
-        if i is None or parts[i] is not None:
-            owner, name = element.name.local_name, child.name
-            raise InvalidContextShape(
-                f"{owner} holds {name.clark()}, which it may not" if i is None
-                else f"{owner} holds a second {name.local_name}", child.source_location)
-        parts[i] = child
-    return parts
+def _measure_qnames(measures: Sequence[XmlElement], error: type[ParseError]) -> tuple[QName, ...]:
+    """The QNames of ``measures``; raises ``error`` at a measure holding an element."""
+    return tuple(m.resolve_qname_text(_simple_text(m, error)) for m in measures)
 
 
 def _parse_entity(element: XmlElement) -> Entity:
-    identifier, segment = _parts(element, _ENTITY_PARTS)
+    identifier, segment = _content(element)
     if identifier is None:
         raise InvalidContextShape("entity has no identifier", element.source_location)
     scheme = identifier.attributes.get(c.QN_ATTR_SCHEME) or ""
@@ -297,7 +308,7 @@ def _parse_context(element: XmlElement) -> Context:
     context_id = element.attributes.get(c.QN_ATTR_ID)
     if not context_id:
         raise InvalidContextShape("context has no id", loc)
-    entity, period, scenario = _parts(element, _CONTEXT_PARTS)
+    entity, period, scenario = _content(element)
     if entity is None:
         raise InvalidContextShape(f"context {context_id!r} has no entity", loc)
     if period is None:
@@ -310,7 +321,8 @@ def _parse_footnote_link(element: XmlElement) -> FootnoteLink:
     locators: list[tuple[str, str]] = []
     footnotes: list[XmlElement] = []
     arcs: list[FootnoteArc] = []
-    for child in element.child_elements():
+    parts, _documentation = _content(element)
+    for child in parts:
         label = child.attributes.get(c.QN_XLINK_LABEL)
         if child.name == c.QN_LOC:
             href = child.attributes.get(c.QN_XLINK_HREF)
@@ -326,7 +338,7 @@ def _parse_footnote_link(element: XmlElement) -> FootnoteLink:
                     "footnote requires xlink:label", child.source_location
                 )
             footnotes.append(child)
-        elif child.name == c.QN_FOOTNOTE_ARC:
+        else:  # footnoteArc
             from_label = child.attributes.get(c.QN_XLINK_FROM)
             to_label = child.attributes.get(c.QN_XLINK_TO)
             if not from_label or not to_label:
@@ -416,8 +428,12 @@ class _InstanceBuilder:
             raise error(message, location)
         self.recover(code, recovery, location, subject=name.clark())
 
-    def append(self, child: XmlElement) -> None:
-        """Add the next child element of the xbrl element."""
+    def append(self, child: XmlNode) -> None:
+        """Add the next child of the xbrl element, text or an element."""
+        if child.__class__ is str:
+            if child.strip(XML_WHITESPACE):
+                raise _breach(c.QN_XBRL, "text, which it may not", self.location)
+            return
         name = child.name
         if name.namespace_uri not in _RESERVED_NAMESPACES:
             fact = self.fact(name, child.attributes, child.children, child.source_location, 1)
@@ -433,7 +449,9 @@ class _InstanceBuilder:
             self.linkbase_refs.append(_taxonomy_ref(child))
         elif name == c.QN_FOOTNOTE_LINK:
             self.links.append(_parse_footnote_link(child))
-        else:  # never a fact: a nested instance is reported, the rest skipped
+        elif name not in _CONTENT_MODELS[c.QN_XBRL][0]:
+            raise _breach(c.QN_XBRL, f"{name.clark()}, which it may not", child.source_location)
+        else:  # never a fact: a nested instance is reported, a roleRef or arcroleRef not kept
             self.fact(name, child.attributes, child.children, child.source_location, 1)
 
     def outcome(self) -> ParseOutcome:
@@ -555,7 +573,8 @@ def parse_instance(root: XmlElement,
 
     Any ordering of root children is accepted; schema/linkbase refs, facts,
     and footnote arcs retain document order. Child elements outside the
-    instance and linkbase namespaces are classified as facts.
+    instance and linkbase namespaces are classified as facts; other text
+    than whitespace, and a reserved element xbrl may not hold, raise ParseError.
     """
     if root.name != c.QN_XBRL:
         raise NotAnXbrlRoot(
@@ -565,8 +584,7 @@ def parse_instance(root: XmlElement,
     builder = _InstanceBuilder(options, root.source_location)
     append = builder.append
     for child in root.children:
-        if child.__class__ is not str:
-            append(child)
+        append(child)
     return builder.outcome()
 
 
@@ -596,10 +614,10 @@ class _InstanceReader(_TreeBuilder):
     QName-keyed attributes as expat hands them over; the reader adds only the
     instance rule. An outermost xbrl element is found as it starts, and its
     ``_InstanceBuilder`` takes the place of its children list; outside it
-    nothing is built. A child of it goes to that builder when its end tag
-    closes: a fact without child elements straight from its name,
-    attributes and text, anything else as the ``XmlElement`` that
-    ``read_document`` would build. The first error building an instance is
+    nothing is built. The text directly inside it goes to that builder as
+    the next tag is read, and a child when its end tag closes: a fact
+    without child elements straight from its name, attributes and text,
+    anything else as the ``XmlElement`` that ``read_document`` would build. The first error building an instance is
     held in ``error`` while the rest of the document is read, unbuilt, so that
     a read error anywhere wins.
     """
@@ -614,10 +632,13 @@ class _InstanceReader(_TreeBuilder):
 
     def _start(self, name: str | QName, attributes: dict) -> None:
         stack = self.stack
-        # Text outside every instance or between the xbrl element's children is not kept.
-        if self.instance is None or len(stack) == self.level:
+        if self.instance is None:  # text outside every instance is not kept
             self.text.clear()
-        _TreeBuilder._start(self, name, attributes)
+        try:  # text directly inside the open xbrl element goes to its builder
+            _TreeBuilder._start(self, name, attributes)
+        except XbrlError as exc:
+            self._hold(exc)
+            return
         entry = stack[-1]
         if self.instance is None and entry[0] == c.QN_XBRL:
             # The entry's children list is the builder: the tree builder's
@@ -628,32 +649,33 @@ class _InstanceReader(_TreeBuilder):
     def _end(self, name: QName) -> None:
         stack = self.stack
         depth = len(stack)
-        if depth == self.level + 1:  # a child of the open xbrl element
-            qname, attributes, children, location, _ = stack[-1]
-            try:
+        text = self.text
+        try:
+            if depth == self.level + 1:  # a child of the open xbrl element
+                qname, attributes, children, location, _ = stack[-1]
                 if children or qname.namespace_uri in _RESERVED_NAMESPACES:
                     _TreeBuilder._end(self, name)
                 else:  # a fact without child elements
                     del stack[-1]
-                    text = self.text
                     children = tuple(text)
                     text.clear()
                     instance = self.instance
                     fact = instance.fact(qname, attributes, children, location, 1)
                     if fact is not None:
                         instance.facts.append(fact)
-            except XbrlError as exc:
-                self._hold(exc)
-        elif depth == self.level:  # the open xbrl element
-            del stack[-1]
-            self.text.clear()
-            self.outcomes.append(self.instance.outcome())
-            self.instance, self.level = None, 0
-        elif self.instance is None:  # outside every instance
-            del stack[-1]
-            self.text.clear()
-        else:
-            _TreeBuilder._end(self, name)
+            elif depth == self.level:  # the open xbrl element
+                self.instance.append("".join(text))  # the text after its last child
+                text.clear()
+                del stack[-1]
+                self.outcomes.append(self.instance.outcome())
+                self.instance, self.level = None, 0
+            elif self.instance is None:  # outside every instance
+                del stack[-1]
+                text.clear()
+            else:
+                _TreeBuilder._end(self, name)
+        except XbrlError as exc:
+            self._hold(exc)
 
     def _hold(self, error: XbrlError) -> None:
         """Keep ``error`` and read the rest of the document without building."""

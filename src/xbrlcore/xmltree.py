@@ -385,12 +385,6 @@ class XmlElement:
     def child_elements(self) -> list["XmlElement"]:
         return [c for c in self.children if isinstance(c, XmlElement)]
 
-    def first_child(self, name: QName) -> "XmlElement | None":
-        for c in self.children:
-            if isinstance(c, XmlElement) and c.name == name:
-                return c
-        return None
-
     def text_content(self) -> str:
         """Concatenated text of direct text children (element children skipped)."""
         return "".join([c for c in self.children if isinstance(c, str)])

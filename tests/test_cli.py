@@ -759,6 +759,20 @@ def test_every_command_into_a_closed_stdout_pipe_exits_2(repo_root, args, unbuff
     assert (proc.returncode, proc.stderr) == (2, b"xbrlcore: cannot write output: Broken pipe\n")
 
 
+@pytest.mark.parametrize("args", [["--help"], HELP["facts-help"], ["facts"]],
+                         ids=["help", "facts-help", "usage"])
+def test_help_and_usage_are_the_same_bytes_at_every_terminal_width(repo_root, args,
+                                                                   monkeypatch, capsys):
+    # argparse wraps at the terminal's width, which it reads from COLUMNS.
+    seen = set()
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exit_:
+            main(args)
+        seen.add((exit_.value.code, *capsys.readouterr()))
+    assert len(seen) == 1
+
+
 def run_with_closed(repo_root, redirection: str, args: list[str]):
     """Run the CLI through ``sh`` with ``redirection`` (``>&-`` or ``2>&-``)
     closing a descriptor before Python starts, which then sets that stream to None."""

@@ -567,14 +567,14 @@ DENOMINATOR = "<xbrli:unitDenominator><xbrli:measure>xbrli:shares</xbrli:measure
     (MalformedFootnoteLink, "footnote arc requires xlink:from and xlink:to",
      '<link:footnoteLink xlink:type="extended">'
      '\n  <link:footnoteArc xlink:type="arc" xlink:from="l"/></link:footnoteLink>'),
-    (EmptyUnit, "unit contains non-measure content",
-     f'\n  <xbrli:unit id="u1">{MEASURE}<ex:Other/></xbrli:unit>'),
+    (EmptyUnit, f"unit holds {{{EX}}}Other, which it may not",
+     f'<xbrli:unit id="u1">{MEASURE}\n  <ex:Other/></xbrli:unit>'),
     (MalformedDivide, "unit mixes divide with other content",
      f'\n  <xbrli:unit id="u1">{MEASURE}<xbrli:divide/></xbrli:unit>'),
-    (MalformedDivide, "unit mixes divide with other content",
-     f'\n  <xbrli:unit id="u1"><xbrli:divide/><ex:Other/></xbrli:unit>'),
-    (MalformedDivide, "unitNumerator contains non-measure content",
-     f'<xbrli:unit id="u1"><xbrli:divide>\n  <xbrli:unitNumerator>{MEASURE}<ex:junk>x</ex:junk>'
+    (EmptyUnit, f"unit holds {{{EX}}}Other, which it may not",
+     f'<xbrli:unit id="u1"><xbrli:divide/>\n  <ex:Other/></xbrli:unit>'),
+    (MalformedDivide, f"unitNumerator holds {{{EX}}}junk, which it may not",
+     f'<xbrli:unit id="u1"><xbrli:divide><xbrli:unitNumerator>{MEASURE}\n  <ex:junk>x</ex:junk>'
      f"</xbrli:unitNumerator>{DENOMINATOR}</xbrli:divide></xbrli:unit>"),
     (MalformedDivide, "divide must hold one unitNumerator followed by one unitDenominator",
      f'<xbrli:unit id="u1">\n  <xbrli:divide>{NUMERATOR}{DENOMINATOR}{DENOMINATOR}'
@@ -582,8 +582,8 @@ DENOMINATOR = "<xbrli:unitDenominator><xbrli:measure>xbrli:shares</xbrli:measure
     (MalformedDivide, "divide must hold one unitNumerator followed by one unitDenominator",
      f'<xbrli:unit id="u1">\n  <xbrli:divide>{DENOMINATOR}{NUMERATOR}'
      "</xbrli:divide></xbrli:unit>"),
-    (MalformedDivide, "divide must hold one unitNumerator followed by one unitDenominator",
-     f'<xbrli:unit id="u1">\n  <xbrli:divide>{NUMERATOR}<ex:junk/>{DENOMINATOR}'
+    (MalformedDivide, f"divide holds {{{EX}}}junk, which it may not",
+     f'<xbrli:unit id="u1"><xbrli:divide>{NUMERATOR}\n  <ex:junk/>{DENOMINATOR}'
      "</xbrli:divide></xbrli:unit>"),
     (MalformedDivide, "divide requires measures in both numerator and denominator",
      f'<xbrli:unit id="u1">\n  <xbrli:divide><xbrli:unitNumerator/>{DENOMINATOR}'

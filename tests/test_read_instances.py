@@ -40,8 +40,9 @@ from xbrlcore import cli
 from xbrlcore.constants import DEFAULT_MAX_TUPLE_DEPTH, ISO4217_NS, LINK_NS, XLINK_NS
 from xbrlcore.iso8601 import parse_point
 from xbrlcore.parser import (
-    DuplicateContextId, EmptyUnit, InvalidContextShape, InvalidIso8601, InvalidPeriodShape,
-    MalformedDivide, MissingContextRef, TupleDepthExceeded,
+    _CONTENT_MODELS, DuplicateContextId, EmptyUnit, InvalidContextShape, InvalidIso8601,
+    InvalidPeriodShape, MalformedDivide, MalformedFootnoteLink, MissingContextRef, ParseError,
+    TupleDepthExceeded,
 )
 from xbrlcore.xmltree import XML_NAMESPACE
 
@@ -399,6 +400,20 @@ def test_a_period_of_three_elements_fails_in_both_modes():
             where(data, "<xbrli:period>"))
 
 
+START, END = ("<xbrli:startDate>2008-01-01</xbrli:startDate>",
+              "<xbrli:endDate>2008-12-31</xbrli:endDate>")
+
+
+@pytest.mark.parametrize("period", [END + START, START, END, START + START + END],
+                         ids=["end before start", "start alone", "end alone", "two starts"])
+def test_a_period_needs_one_start_date_then_one_end_date(period):
+    data = instance_text().format(context_xml("c1", period)).encode()
+    for options in MODES:
+        assert assert_same(data, options)[:3] == (
+            InvalidPeriodShape, "period must contain instant, forever, or startDate+endDate",
+            where(data, "<xbrli:period>"))
+
+
 @pytest.mark.parametrize("identifier", ["E<ex:y/>", "<ex:y>E</ex:y>", "E<!-- c --><ex:y/>F"])
 def test_an_element_inside_an_identifier_is_an_invalid_context(identifier):
     data = instance_text().format(
@@ -526,20 +541,35 @@ def test_an_element_inside_a_measure_is_an_invalid_unit(unit, error, occurrence)
             error, "measure holds element content", where(data, "<xbrli:measure>", occurrence))
 
 
-# -- text inside element-only content: an error at its element, never dropped --
+def test_a_denominator_before_its_numerator_fails_at_the_divide():
+    unit = (f'<xbrli:unit id="u1"><xbrli:divide><xbrli:unitDenominator>{GOOD_MEASURE}'
+            f"</xbrli:unitDenominator><xbrli:unitNumerator>{GOOD_MEASURE}"
+            "</xbrli:unitNumerator></xbrli:divide></xbrli:unit>")
+    data = instance_text(iso4217=ISO4217_NS).format(unit).encode()
+    for options in MODES:
+        assert assert_same(data, options)[:3] == (
+            MalformedDivide, "divide must hold one unitNumerator followed by one unitDenominator",
+            where(data, "<xbrli:divide>"))
 
-# Each element XBRL 2.1 gives element-only content, with what text inside it raises.
+
+# -- the content-model table: text, a foreign element or an unknown reserved
+# one inside an element-only element is an error there, never dropped ------
+
+# What text directly inside each element of the content-model table raises.
 ELEMENT_ONLY = {
     "context": (InvalidContextShape, "context holds text, which it may not"),
     "entity": (InvalidContextShape, "entity holds text, which it may not"),
     "period": (InvalidPeriodShape, "period holds text, which it may not"),
-    "unit": (EmptyUnit, "unit contains non-measure content"),
-    "divide": (MalformedDivide,
-               "divide must hold one unitNumerator followed by one unitDenominator"),
-    "unitNumerator": (MalformedDivide, "unitNumerator contains non-measure content"),
-    "unitDenominator": (MalformedDivide, "unitDenominator contains non-measure content"),
+    "unit": (EmptyUnit, "unit holds text, which it may not"),
+    "divide": (MalformedDivide, "divide holds text, which it may not"),
+    "unitNumerator": (MalformedDivide, "unitNumerator holds text, which it may not"),
+    "unitDenominator": (MalformedDivide, "unitDenominator holds text, which it may not"),
+    "xbrl": (ParseError, "xbrl holds text, which it may not"),
+    "footnoteLink": (MalformedFootnoteLink, "footnoteLink holds text, which it may not"),
 }
-TAG = re.compile(r"<(/?)(?:xbrli:)?([\w:]+)[^>]*?(/?)>")
+TAG = re.compile(r"<(/?)(?:xbrli:|link:)?([\w:]+)[^>]*?(/?)>")
+FOREIGN = '<ex:foreign xmlns:ex="urn:ex"/>'
+BOGUS = "<xbrli:bogus/>"
 
 
 def text_positions(text: str):
@@ -556,26 +586,90 @@ def text_positions(text: str):
             open_.append((name, tag.start()))
 
 
+def location(text: str, at: int) -> SourceLocation:
+    return SourceLocation(text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at) - 1)
+
+
 def test_text_inside_element_only_content_fails_at_its_element():
-    # Before, both readers skipped every text child of these elements, so
-    # the text was lost with no finding, and serialize wrote none of it.
+    # Before, both readers skipped text and foreign or unknown reserved
+    # elements inside xbrl and footnoteLink, and every text child of the
+    # others, so what was inserted was lost with no finding, and serialize
+    # wrote none of it.
+    assert {name.local_name: error for name, (_, _, error) in _CONTENT_MODELS.items()} == {
+        name: error for name, (error, _) in ELEMENT_ONLY.items()}
     seen = set()
-    for seed in (0, 3):
+    for seed in (0, 3, 29):
         text = serialize(gen.random_instance(random.Random(seed))).decode()
         assert text.isascii()
         for name, start, at in text_positions(text):
             seen.add(name)
-            data = (text[:at] + "stray" + text[at:]).encode()
-            line_start = text.rfind("\n", 0, start) + 1
-            location = SourceLocation(text.count("\n", 0, start) + 1, start - line_start)
-            for options in MODES:
-                assert assert_same(data, options)[:3] == (*ELEMENT_ONLY[name], location), (
-                    name, text[start:at])
+            error = ELEMENT_ONLY[name][0]
+            for inserted, expected in [
+                ("stray", (*ELEMENT_ONLY[name], location(text, start))),
+                (FOREIGN, (error, f"{name} holds {{urn:ex}}foreign, which it may not",
+                           location(text, at))),
+                (BOGUS, (error, f"{name} holds {{{XBRLI}}}bogus, which it may not",
+                         location(text, at))),
+            ]:
+                data = (text[:at] + inserted + text[at:]).encode()
+                for options in MODES:
+                    got = assert_same(data, options)
+                    if name == "xbrl" and inserted == FOREIGN:  # a fact: kept
+                        [outcome], _, _ = got
+                        instance = outcome.instance
+                        assert QName("urn:ex", "foreign") in [f.concept for f in instance.facts]
+                        assert read_instances(serialize(instance))[0].instance == instance
+                    else:
+                        assert got[:3] == expected, (name, text[start:at], inserted)
             # whitespace stays allowed
             spaced = (text[:at] + " \t\r\n " + text[at:]).encode()
             for options in MODES:
                 assert assert_same(spaced, options)[0] == read_instances(text.encode(), options)
     assert seen == set(ELEMENT_ONLY)
+
+
+MINI = fixture_bytes("mini-instance.xml").decode()
+FOOTNOTE_LINK = '<link:footnoteLink xlink:type="extended">'
+SCHEMA_REF = '<link:schemaRef xlink:type="simple" xlink:href="mini-taxonomy.xsd"/>'
+
+
+@pytest.mark.parametrize("after, inserted, marker, error, message", [
+    (SCHEMA_REF, "stray", "<xbrli:xbrl", ParseError, "xbrl holds text, which it may not"),
+    (SCHEMA_REF, BOGUS, BOGUS, ParseError,
+     f"xbrl holds {{{XBRLI}}}bogus, which it may not"),
+    (FOOTNOTE_LINK, "stray", FOOTNOTE_LINK, MalformedFootnoteLink,
+     "footnoteLink holds text, which it may not"),
+    (FOOTNOTE_LINK, "<ex:other/>", "<ex:other/>", MalformedFootnoteLink,
+     "footnoteLink holds {http://example.com/taxonomy/mini}other, which it may not"),
+    (FOOTNOTE_LINK, "<link:bogus/>", "<link:bogus/>", MalformedFootnoteLink,
+     f"footnoteLink holds {{{LINK_NS}}}bogus, which it may not"),
+], ids=["text in xbrl", "xbrli:bogus in xbrl", "text in footnoteLink", "ex:other in footnoteLink",
+        "link:bogus in footnoteLink"])
+def test_what_xbrl_and_footnote_link_may_not_hold_fails_at_its_place(
+        after, inserted, marker, error, message, tmp_path, capsys):
+    # Before, each of these read with no finding and serialize wrote none of it.
+    data = MINI.replace(after, after + inserted, 1).encode()
+    at = where(data, marker)
+    for options in MODES:
+        assert assert_same(data, options)[:3] == (error, message, at)
+    path = tmp_path / "shape.xml"
+    path.write_bytes(data)
+    for command in (["validate"], ["facts"], ["parse", "--mode", "lenient"]):
+        assert cli.main([*command, str(path)]) == 2
+        assert capsys.readouterr().err == f"xbrlcore: {command[0]} failed at {at}: {message}\n"
+
+
+@pytest.mark.parametrize("after, inserted", [
+    (SCHEMA_REF, '<link:roleRef xlink:type="simple" xlink:href="mini-taxonomy.xsd#r"'
+                 ' roleURI="urn:r"/>'),
+    (SCHEMA_REF, '<link:arcroleRef xlink:type="simple" xlink:href="mini-taxonomy.xsd#a"'
+                 ' arcroleURI="urn:a"/>'),
+    (FOOTNOTE_LINK, "<link:documentation>notes</link:documentation>"),
+], ids=["roleRef", "arcroleRef", "documentation"])
+def test_reserved_elements_the_models_allow_are_read(after, inserted):
+    data = MINI.replace(after, after + inserted, 1).encode()
+    for options in MODES:
+        assert assert_same(data, options)[0] == read_instances(MINI.encode(), options)
 
 
 def test_text_inside_a_context_fails_through_the_cli(tmp_path, capsys):
