@@ -40,6 +40,8 @@ QN_MEASURE = QName(XBRLI_NS, "measure")
 QN_DIVIDE = QName(XBRLI_NS, "divide")
 QN_UNIT_NUMERATOR = QName(XBRLI_NS, "unitNumerator")
 QN_UNIT_DENOMINATOR = QName(XBRLI_NS, "unitDenominator")
+QN_NUMERATOR = QName(XBRLI_NS, "numerator")
+QN_DENOMINATOR = QName(XBRLI_NS, "denominator")
 
 # unqualified attributes of instance elements
 QN_ATTR_ID = QName("", "id")

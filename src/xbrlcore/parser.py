@@ -14,12 +14,14 @@ builder, from which every name and attribute key arrives as a QName; it
 adds only the instance rule. A fact without child elements is built as
 its end tag closes, from its name, attributes and text, and every other
 child of an xbrl element (contexts, units, references, footnote links,
-tuples) as the element ``read_document`` would build.
+tuples) as the element ``read_document`` would build. If that pass fails,
+one that builds nothing decides whether a read error wins.
 ``parse_instance`` and ``find_instances`` start from a tree. Both hand
 each child of an xbrl element, in document order, to one
-``_InstanceBuilder``, whose ``fact`` alone decides what an element is:
-skipped, a nested instance (EMB-001), a tuple, an empty tuple or an item,
-and which of CTX-002, ITM-001 and T-DEPTH apply.
+``_InstanceBuilder``, whose ``fact`` alone decides what an element outside
+the xbrli and link namespaces is: a tuple, an empty tuple or an item, and
+which of CTX-002, ITM-001 and T-DEPTH apply; ``reserved`` reports a nested
+instance (EMB-001).
 
 XBRL's own element-only elements (xbrl, context, entity, period, unit,
 divide and its legs, footnoteLink) are checked in both modes against one
@@ -29,13 +31,15 @@ not hold, or a second of one it holds once, is an error at the child. Dates,
 identifiers, measures and other simple-typed values are text only: an
 element inside one is an error at that value's element: InvalidIso8601
 (PER-001 in lenient mode), InvalidContextShape, or EmptyUnit
-(MalformedDivide in a divide).
+(MalformedDivide in a divide). A fact holds no xbrli or link element but a
+nested xbrl and, in an item, a fraction's numerator and denominator: any
+other is a ParseError at it, and so is text in a tuple, at the tuple.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Container, Mapping, Sequence
 from enum import Enum
 
 from . import constants as c
@@ -196,8 +200,10 @@ _CONTENT_MODELS = {
 
 
 def _breach(owner: QName, held: str, location: SourceLocation) -> ParseError:
-    """The error of ``owner``'s content model, for ``owner`` holding ``held``."""
-    return _CONTENT_MODELS[owner][2](f"{owner.local_name} holds {held}", location)
+    """The error of ``owner``'s content model, ParseError for a fact's, for
+    ``owner`` holding ``held``."""
+    error = _CONTENT_MODELS[owner][2] if owner in _CONTENT_MODELS else ParseError
+    return error(f"{owner.local_name} holds {held}", location)
 
 
 def _content(element: XmlElement) -> list:
@@ -375,6 +381,10 @@ def _taxonomy_ref(element: XmlElement) -> TaxonomyRef:
 
 
 _RESERVED_NAMESPACES = (c.XBRLI_NS, c.LINK_NS)
+# A fact holds no element of the reserved namespaces but a nested xbrl
+# (XBRL 2.1 §4.6, §4.9): an item holds its value, a tuple other facts. Allowed
+# in an item and not kept: a fraction's numerator and denominator.
+_FRACTION_TERMS = frozenset({c.QN_NUMERATOR, c.QN_DENOMINATOR})
 
 
 class _Lexicon(dict):
@@ -449,10 +459,8 @@ class _InstanceBuilder:
             self.linkbase_refs.append(_taxonomy_ref(child))
         elif name == c.QN_FOOTNOTE_LINK:
             self.links.append(_parse_footnote_link(child))
-        elif name not in _CONTENT_MODELS[c.QN_XBRL][0]:
-            raise _breach(c.QN_XBRL, f"{name.clark()}, which it may not", child.source_location)
-        else:  # never a fact: a nested instance is reported, a roleRef or arcroleRef not kept
-            self.fact(name, child.attributes, child.children, child.source_location, 1)
+        else:  # a nested instance is reported, a roleRef or arcroleRef not kept
+            self.reserved(c.QN_XBRL, child, _CONTENT_MODELS[c.QN_XBRL][0])
 
     def outcome(self) -> ParseOutcome:
         instance = Instance(
@@ -492,23 +500,25 @@ class _InstanceBuilder:
             )
         self.units[unit.id] = unit
 
+    def reserved(self, owner: QName, child: XmlElement, allowed: Container[QName]) -> None:
+        """Take ``child``, an element of the reserved namespaces inside
+        ``owner``: a nested xbrl element is reported (EMB-001) and not parsed,
+        one ``allowed`` is not kept, and any other is an error at ``child``."""
+        name = child.name
+        if name == c.QN_XBRL:
+            self.recover("EMB-001", "embedded xbrl element inside another instance was not parsed",
+                         child.source_location)
+        elif name not in allowed:
+            raise _breach(owner, f"{name.clark()}, which it may not", child.source_location)
+
     def fact(self, name: QName, attrs: Mapping[QName, str], children: Sequence[XmlNode],
              location: SourceLocation, depth: int) -> Fact | None:
-        """The fact an element stands for, or None when it stands for none.
+        """The fact an element outside the reserved namespaces stands for, or
+        None when it stands for none.
 
         ``attrs`` are its attributes and ``children`` its text and child
         elements; ``depth`` is 1 for a child of the xbrl element.
         """
-        if name.namespace_uri in _RESERVED_NAMESPACES:
-            # Unknown structural elements in the reserved namespaces are
-            # not facts; a nested instance is reported, the rest skipped.
-            if name == c.QN_XBRL:
-                self.recover(
-                    "EMB-001",
-                    "embedded xbrl element inside another instance was not parsed",
-                    location,
-                )
-            return None
         if not children:
             kids, text = (), ""
         elif len(children) == 1 and children[0].__class__ is str:
@@ -531,13 +541,20 @@ class _InstanceBuilder:
                             f"tuple nesting exceeds {c.DEFAULT_MAX_TUPLE_DEPTH}", "T-DEPTH",
                             f"tuple subtree beyond depth {c.DEFAULT_MAX_TUPLE_DEPTH} truncated")
                 return None
+            if text.strip(XML_WHITESPACE):
+                raise _breach(name, "text, which it may not", location)
             facts: list[Fact] = []
             for ch in kids:
+                if ch.name.namespace_uri in _RESERVED_NAMESPACES:
+                    self.reserved(name, ch, ())
+                    continue
                 fact = self.fact(ch.name, ch.attributes, ch.children, ch.source_location,
                                  depth + 1)
                 if fact is not None:
                     facts.append(fact)
             return _new_tuple(Tuple, name, tuple(facts), fact_id, context_ref, location)
+        for ch in kids:  # an item's are all in the reserved namespaces
+            self.reserved(name, ch, _FRACTION_TERMS)
         if context_ref is None:
             concept = name.clark()
             self.reject(name, location, MissingContextRef, f"item {concept} has no contextRef",
@@ -617,9 +634,8 @@ class _InstanceReader(_TreeBuilder):
     nothing is built. The text directly inside it goes to that builder as
     the next tag is read, and a child when its end tag closes: a fact
     without child elements straight from its name, attributes and text,
-    anything else as the ``XmlElement`` that ``read_document`` would build. The first error building an instance is
-    held in ``error`` while the rest of the document is read, unbuilt, so that
-    a read error anywhere wins.
+    anything else as the ``XmlElement`` that ``read_document`` would build.
+    An error stops the read where it is found.
     """
 
     def __init__(self, options: ParseOptions):
@@ -628,17 +644,12 @@ class _InstanceReader(_TreeBuilder):
         self.outcomes: list[ParseOutcome] = []
         self.instance: _InstanceBuilder | None = None  # the open xbrl element's
         self.level = 0  # len(self.stack) while the open xbrl element is on top
-        self.error: XbrlError | None = None
 
     def _start(self, name: str | QName, attributes: dict) -> None:
         stack = self.stack
         if self.instance is None:  # text outside every instance is not kept
             self.text.clear()
-        try:  # text directly inside the open xbrl element goes to its builder
-            _TreeBuilder._start(self, name, attributes)
-        except XbrlError as exc:
-            self._hold(exc)
-            return
+        _TreeBuilder._start(self, name, attributes)  # gives text in xbrl to its builder
         entry = stack[-1]
         if self.instance is None and entry[0] == c.QN_XBRL:
             # The entry's children list is the builder: the tree builder's
@@ -650,39 +661,29 @@ class _InstanceReader(_TreeBuilder):
         stack = self.stack
         depth = len(stack)
         text = self.text
-        try:
-            if depth == self.level + 1:  # a child of the open xbrl element
-                qname, attributes, children, location, _ = stack[-1]
-                if children or qname.namespace_uri in _RESERVED_NAMESPACES:
-                    _TreeBuilder._end(self, name)
-                else:  # a fact without child elements
-                    del stack[-1]
-                    children = tuple(text)
-                    text.clear()
-                    instance = self.instance
-                    fact = instance.fact(qname, attributes, children, location, 1)
-                    if fact is not None:
-                        instance.facts.append(fact)
-            elif depth == self.level:  # the open xbrl element
-                self.instance.append("".join(text))  # the text after its last child
-                text.clear()
-                del stack[-1]
-                self.outcomes.append(self.instance.outcome())
-                self.instance, self.level = None, 0
-            elif self.instance is None:  # outside every instance
-                del stack[-1]
-                text.clear()
-            else:
+        if depth == self.level + 1:  # a child of the open xbrl element
+            qname, attributes, children, location, _ = stack[-1]
+            if children or qname.namespace_uri in _RESERVED_NAMESPACES:
                 _TreeBuilder._end(self, name)
-        except XbrlError as exc:
-            self._hold(exc)
-
-    def _hold(self, error: XbrlError) -> None:
-        """Keep ``error`` and read the rest of the document without building."""
-        self.error = error
-        parser = self.parser
-        parser.StartElementHandler = parser.EndElementHandler = None
-        parser.CharacterDataHandler = parser.StartNamespaceDeclHandler = None
+            else:  # a fact without child elements
+                del stack[-1]
+                children = tuple(text)
+                text.clear()
+                instance = self.instance
+                fact = instance.fact(qname, attributes, children, location, 1)
+                if fact is not None:
+                    instance.facts.append(fact)
+        elif depth == self.level:  # the open xbrl element
+            self.instance.append("".join(text))  # the text after its last child
+            text.clear()
+            del stack[-1]
+            self.outcomes.append(self.instance.outcome())
+            self.instance, self.level = None, 0
+        elif self.instance is None:  # outside every instance
+            del stack[-1]
+            text.clear()
+        else:
+            _TreeBuilder._end(self, name)
 
 
 @_handed_off
@@ -691,24 +692,20 @@ def read_instances(data: bytes, options: ParseOptions = ParseOptions()) -> list[
 
     The same outcomes, or the same error, as
     ``find_instances(read_document(data), options)``, from one pass of the
-    XML reader and without building a tree of the facts: a read error
-    anywhere in the document wins over an error building an instance.
+    XML reader and without building a tree of the facts. A read error
+    anywhere in the document wins over an error building an instance: if
+    the pass fails, a second one that builds nothing looks for a read error.
     """
     reader = _InstanceReader(options)
-    # A held error's traceback holds the reader's frames: neither the reader
-    # nor this frame, which the traceback gains, may hold the error, also
-    # when a read error wins.
     try:
         _read(reader, data)
-    except BaseException:
-        reader.error = None
+    except XbrlError:
+        checker = _TreeBuilder()
+        parser = checker.parser
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = parser.StartNamespaceDeclHandler = None
+        _read(checker, data)
         raise
-    error, reader.error = reader.error, None
-    if error is not None:
-        try:
-            raise error
-        finally:
-            error = None
     return reader.outcomes
 
 

@@ -8,6 +8,8 @@ on pinned shapes the one-pass reader handles apart from the tree.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import random
 import re
 import tracemalloc
@@ -42,7 +44,7 @@ from xbrlcore.iso8601 import parse_point
 from xbrlcore.parser import (
     _CONTENT_MODELS, DuplicateContextId, EmptyUnit, InvalidContextShape, InvalidIso8601,
     InvalidPeriodShape, MalformedDivide, MalformedFootnoteLink, MissingContextRef, ParseError,
-    TupleDepthExceeded,
+    TupleDepthExceeded, _InstanceBuilder,
 )
 from xbrlcore.xmltree import XML_NAMESPACE
 
@@ -121,6 +123,47 @@ def test_a_read_error_after_an_early_strict_error_wins():
     assert got[:3] == (MalformedXml, "junk after document element", (1, len(data)))
 
 
+LINKS = dict(link=LINK_NS, xlink=XLINK_NS)
+
+
+@pytest.mark.parametrize("body, spoil, read_error, error, message, marker, modes", [
+    (f'{CONTEXT}<xbrli:unit id="u1"><xbrli:measure>foo:USD</xbrli:measure></xbrli:unit>',
+     lambda data: data.replace(b"</xbrli:xbrl>", b'<ex:B a="1" a="2"/></xbrli:xbrl>'),
+     "duplicate attribute", UnboundPrefix, "prefix 'foo' in value 'foo:USD' is not declared",
+     "<xbrli:measure>", MODES),
+    ("stray", lambda data: data + b"<", "unclosed token", ParseError,
+     "xbrl holds text, which it may not", "<xbrli:xbrl", MODES),
+    ('<link:footnoteLink xlink:type="extended"><link:loc xlink:type="locator"/>'
+     "</link:footnoteLink>", lambda data: data[:-1], "unclosed token", MalformedFootnoteLink,
+     "locator requires xlink:label and xlink:href", "<link:loc", [MODES[1]]),
+], ids=["unbound measure, then a duplicate attribute", "text in xbrl, then < after the root",
+        "lenient footnote link, then a truncated end tag"])
+def test_a_read_error_anywhere_wins_over_an_instance_error(body, spoil, read_error, error,
+                                                           message, marker, modes):
+    data = instance_text(**LINKS).format(body).encode()
+    spoiled = spoil(data)
+    for options in modes:
+        assert assert_same(data, options)[:3] == (error, message, where(data, marker))
+        assert assert_same(spoiled, options)[:2] == (MalformedXml, read_error)
+
+
+def test_a_failing_instance_is_read_in_bounded_memory():
+    # A unit without an id before 20,000 facts: the read that stops at it
+    # has built next to nothing, and the pass that then looks for a read
+    # error builds nothing, so neither holds a tree of the facts.
+    facts = "".join(f'<ex:A contextRef="c1" decimals="0">{n}</ex:A>' for n in range(20_000))
+    unit = "<xbrli:unit><xbrli:measure>ex:U</xbrli:measure></xbrli:unit>"
+    data = instance_text().format(f"{unit}{CONTEXT}{facts}").encode()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="^unit has no id$"):
+            read_instances(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(data)
+
+
 def test_the_first_of_several_errors_is_raised():
     body = f'<ex:A>1</ex:A>{CONTEXT}{CONTEXT}<ex:B decimals="x" contextRef="c1">2</ex:B>'
     data = instance_text().format(body).encode()
@@ -186,9 +229,15 @@ def test_a_too_deep_tuple_holding_a_bad_item():
 
 
 def test_a_fact_with_element_children_is_read_as_the_tree_reads_it():
+    # Before, the xbrli:x inside the first item was dropped with no finding.
     body = (f'{CONTEXT}<ex:A contextRef="c1" xmlns:ex="urn:other">1<xbrli:x/>2</ex:A>'
             '<ex:T id="t" contextRef="c1"/><ex:E/>'
             '<ex:T><ex:A contextRef="c1" ex:decimals="2">3</ex:A></ex:T>')
+    data = instance_text().format(body).encode()
+    for options in MODES:
+        assert assert_same(data, options)[:3] == (
+            ParseError, f"A holds {{{XBRLI}}}x, which it may not", where(data, "<xbrli:x/>"))
+    body = body.replace("<xbrli:x/>", "")
     outcomes, _, _ = assert_same(instance_text().format(body).encode(), ParseOptions())
     facts = list(outcomes[0].instance.iter_facts())
     assert [type(f).__name__ for f in facts] == ["Item", "Item", "Tuple", "Tuple", "Item"]
@@ -670,6 +719,74 @@ def test_reserved_elements_the_models_allow_are_read(after, inserted):
     data = MINI.replace(after, after + inserted, 1).encode()
     for options in MODES:
         assert assert_same(data, options)[0] == read_instances(MINI.encode(), options)
+
+
+TUPLE = "<ex:FinancialHighlights>"
+EXTRA = '<ex:Extra contextRef="c-2008i">5{}</ex:Extra>'
+EMPTY_FOOTNOTE_LINK = '<link:footnoteLink xlink:type="extended"/>'
+
+
+@pytest.mark.parametrize("after, inserted, marker, message", [
+    (TUPLE, "stray", TUPLE, "FinancialHighlights holds text, which it may not"),
+    (TUPLE, BOGUS, BOGUS, f"FinancialHighlights holds {{{XBRLI}}}bogus, which it may not"),
+    (TUPLE, EMPTY_FOOTNOTE_LINK, EMPTY_FOOTNOTE_LINK,
+     f"FinancialHighlights holds {{{LINK_NS}}}footnoteLink, which it may not"),
+    (TUPLE, "<xbrli:numerator>1</xbrli:numerator>", "<xbrli:numerator>",
+     f"FinancialHighlights holds {{{XBRLI}}}numerator, which it may not"),
+    (SCHEMA_REF, EXTRA.format(BOGUS), BOGUS, f"Extra holds {{{XBRLI}}}bogus, which it may not"),
+    (SCHEMA_REF, EXTRA.format("<link:footnote/>"), "<link:footnote/>",
+     f"Extra holds {{{LINK_NS}}}footnote, which it may not"),
+    (TUPLE, EXTRA.format(BOGUS), BOGUS, f"Extra holds {{{XBRLI}}}bogus, which it may not"),
+], ids=["text in a tuple", "xbrli:bogus in a tuple", "link:footnoteLink in a tuple",
+        "xbrli:numerator in a tuple", "xbrli:bogus in an item", "link:footnote in an item",
+        "xbrli:bogus in an item in a tuple"])
+def test_what_a_fact_may_not_hold_fails_at_its_place(after, inserted, marker, message, tmp_path,
+                                                     capsys):
+    # Before, each of these read with no finding, and serialize wrote none of it.
+    data = MINI.replace(after, after + inserted, 1).encode()
+    at = where(data, marker)
+    for options in MODES:
+        assert assert_same(data, options)[:3] == (ParseError, message, at)
+    path = tmp_path / "fact.xml"
+    path.write_bytes(data)
+    for command in (["validate"], ["facts"], ["parse", "--mode", "lenient"]):
+        assert cli.main([*command, str(path)]) == 2
+        assert capsys.readouterr().err == f"xbrlcore: {command[0]} failed at {at}: {message}\n"
+
+
+@pytest.mark.parametrize("inserted, marker, codes", [
+    (EXTRA.format("<xbrli:xbrl/>"), "<xbrli:xbrl/>", ["EMB-001"]),
+    (EXTRA.format("<xbrli:numerator>1</xbrli:numerator><xbrli:denominator>3"
+                  "</xbrli:denominator>"), None, []),
+], ids=["xbrl in an item", "a fraction's terms"])
+def test_an_item_may_hold_a_nested_xbrl_and_a_fractions_terms(inserted, marker, codes):
+    # Before, the nested xbrl was dropped with no finding. A fraction's
+    # numerator and denominator are allowed and not kept yet.
+    data = MINI.replace(TUPLE, TUPLE + inserted, 1).encode()
+    for options in MODES:
+        [outcome], _, _ = assert_same(data, options)
+        [extra] = [i for i in outcome.instance.iter_items() if i.concept.local_name == "Extra"]
+        assert extra.value == "5"
+        findings = outcome.recovered_findings
+        assert [(f.code, f.location) for f in findings] == [
+            (code, where(data, marker)) for code in codes]
+
+
+def test_fact_is_never_given_a_reserved_name(monkeypatch):
+    fact = _InstanceBuilder.fact
+
+    def checked(self, name, *args):
+        assert name.namespace_uri not in (XBRLI, LINK_NS), name
+        return fact(self, name, *args)
+
+    monkeypatch.setattr(_InstanceBuilder, "fact", checked)
+    documents = [p.read_bytes() for p in sorted(FIXTURES.rglob("*.xml"))]
+    documents += [MINI.replace(TUPLE, TUPLE + inserted, 1).encode() for inserted in (
+        "<xbrli:xbrl/>", BOGUS, EXTRA.format("<xbrli:xbrl/>"), EXTRA.format(BOGUS))]
+    for data, options in itertools.product(documents, MODES):
+        for read in (read_instances, from_tree):
+            with contextlib.suppress(XbrlError):
+                read(data, options)
 
 
 def test_text_inside_a_context_fails_through_the_cli(tmp_path, capsys):
